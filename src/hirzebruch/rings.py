@@ -632,7 +632,10 @@ def _parse_poly(src, names):
             num = int(tok[1])
             if peek()[0] == "/":
                 take("/")
-                den = int(take("int")[1])
+                den_tok = take("int")
+                den = int(den_tok[1])
+                if not den:
+                    raise ParseError("division by zero", den_tok[2])
                 return Fraction(num, den), {}
             return Fraction(num), {}
         if tok[0] == "name":

@@ -17,6 +17,17 @@ exponent tuples (one slot per generator) to coefficients.  Coefficients may
 be Fractions, LaurentY, or RationalFunctionY; arithmetic coerces as needed.
 Built-in proper/smooth maps between models support Gysin pushforward and
 ring pullback.
+
+Multiplying two classes looks up each pair of monomials in the model's
+product table, which maps the pair to the reduced product: the monomials
+and rational multiples left after truncation and rewriting, nothing when
+the product vanishes.  A vanishing pair is skipped before its coefficients
+are multiplied; a live pair's coefficient product goes straight into the
+reduced result.  The table is filled lazily, one ``_reduce`` per new pair
+(stored under both orders), so building a model costs nothing extra.  It
+lives on the model instance and depends only on the rewrite rules and the
+dimension, which never change after construction; it is never shared
+between models or keyed on ``SpaceModel.key``, which is not unique.
 """
 
 from __future__ import annotations
@@ -119,12 +130,22 @@ class CohClass:
                 return CohClass._raw(self.space, {})
             return CohClass._raw(self.space, {e: v * other for e, v in self._c.items()})
         self._check(other)
-        raw = {}
+        space = self.space
+        table = space._products
+        out = {}
         for e1, v1 in self._c.items():
+            row = table.setdefault(e1, {})
             for e2, v2 in other._c.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                raw[e] = raw.get(e, 0) + v1 * v2
-        return CohClass(self.space, raw)
+                terms = row.get(e2)
+                if terms is None:
+                    terms = space._monomial_product(e1, e2)
+                if not terms:
+                    continue  # the product vanishes: no coefficient work
+                v = v1 * v2
+                for e, c in terms:
+                    w = v if c == 1 else v * c
+                    out[e] = out[e] + w if e in out else w
+        return CohClass._raw(space, {e: w for e, w in out.items() if w})
 
     __rmul__ = __mul__
 
@@ -234,7 +255,7 @@ class SpaceModel:
 
     __slots__ = (
         "kind", "key", "name", "dim", "gens", "_rules", "_integrals",
-        "tangent_chern", "log", "extra",
+        "tangent_chern", "log", "extra", "_products",
     )
 
     def __init__(self, kind, key, name, dim, gens, rules, integrals, extra=None):
@@ -248,6 +269,7 @@ class SpaceModel:
         self.tangent_chern = None
         self.log = None
         self.extra = extra or {}
+        self._products = {}  # e1 -> {e2: reduced product terms}, filled lazily
 
     @property
     def _zero_exp(self):
@@ -281,6 +303,17 @@ class SpaceModel:
                 else:
                     out.pop(exp, None)
         return out
+
+    def _monomial_product(self, e1, e2):
+        """Reduced product of two monomials as ``((exp, coeff), ...)``, empty
+        when it vanishes; stored in the product table under both orders."""
+        e = tuple(a + b for a, b in zip(e1, e2))
+        # seeded with int 1: a coefficient stays exactly the int 1 unless a
+        # relation rewrote the monomial, so ``c == 1`` in the multiply is cheap
+        terms = tuple(self._reduce({e: 1}).items())
+        self._products.setdefault(e1, {})[e2] = terms
+        self._products.setdefault(e2, {})[e1] = terms
+        return terms
 
     def constant(self, value):
         if value == 0:
@@ -842,13 +875,14 @@ def from_document(text):
         integral <monomial> = <rational>
         tangent <total Chern polynomial>
 
-    Relations must rewrite a pure generator power to terms of total degree
-    at most r with a smaller power of that generator.
+    Relations must rewrite a pure generator power g^r to terms of total
+    degree exactly r with a smaller power of g.  Every malformed line raises
+    ``ParseError`` naming the line.
     """
     dim = None
     gens = []
     relations = []
-    integrals = {}
+    integrals = []
     tangent_src = None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -857,7 +891,10 @@ def from_document(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "dim":
-            dim = int(rest)
+            try:
+                dim = int(rest)
+            except ValueError:
+                raise ParseError(f"dim must be an integer (line {lineno})", 0) from None
         elif head == "gens":
             gens = rest.split()
         elif head == "relation":
@@ -865,7 +902,12 @@ def from_document(text):
             relations.append((lhs.strip(), rhs.strip(), lineno))
         elif head == "integral":
             lhs, _, rhs = rest.partition("=")
-            integrals[lhs.strip()] = Fraction(rhs.strip())
+            try:
+                value = Fraction(rhs.strip())
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"integral value must be a rational number (line {lineno})",
+                                 0) from None
+            integrals.append((lhs.strip(), value, lineno))
         elif head == "tangent":
             tangent_src = rest
         else:
@@ -900,21 +942,25 @@ def from_document(text):
         r = lexp[i]
         rel = {} if rhs in ("0", "") else parse_class_terms(rhs)
         for rexp in rel:
-            if rexp[i] >= r or _total(rexp) > r:
+            if rexp[i] >= r:
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)
+            if _total(rexp) != r:
+                raise ParseError(f"relation is not homogeneous of degree {r} (line {lineno})", 0)
         rules[i] = ("nilpotent", r) if not rel else ("relation", r, rel)
     for i, rule in enumerate(rules):
         if rule is None:
             rules[i] = ("nilpotent", dim + 1)
 
     integral_exps = {}
-    for mono_src, value in integrals.items():
+    for mono_src, value, lineno in integrals:
         raw = parse_class_terms(mono_src)
+        if len(raw) != 1:
+            raise ParseError(f"integral left side must be a single monomial (line {lineno})", 0)
         (exp, c), = raw.items()
         if c != 1:
-            raise ParseError("integral left side must be a bare monomial", 0)
+            raise ParseError(f"integral left side must be a bare monomial (line {lineno})", 0)
         if _total(exp) != dim:
-            raise ParseError("integral monomials must have top degree", 0)
+            raise ParseError(f"integral monomials must have top degree (line {lineno})", 0)
         integral_exps[exp] = value
     if not integral_exps:
         raise ParseError("document needs at least one 'integral' line", 0)

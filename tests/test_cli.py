@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hirzebruch import bundles
 from hirzebruch import cli
 from hirzebruch.rings import LaurentY
@@ -90,6 +92,20 @@ class TestCommands:
         code, _, err = run(capsys, "epoly", "P2 +")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("doc, line", [
+        ("dim x\ngens h\nintegral h = 1\ntangent 1 + 2*h\n", 1),
+        ("dim 1\ngens h\nintegral h = 1/0\ntangent 1 + 2*h\n", 3),
+        ("dim 1\ngens a b\nintegral a + b = 1\ntangent 1 + 2*a\n", 3),
+        ("dim 1\ngens h\nrelation h^2 = h\nintegral h = 1\ntangent 1 + 2*h\n", 3),
+    ], ids=["dim-not-integer", "integral-divides-by-zero", "integral-two-monomials",
+            "relation-lowers-degree"])
+    def test_malformed_document_exit_code(self, capsys, tmp_path, doc, line):
+        path = tmp_path / "bad.space"
+        path.write_text(doc)
+        code, out, err = run(capsys, "genus", "--space", f"@{path}")
+        assert code == 2 and not out
+        assert err.startswith("error:") and f"(line {line})" in err
 
     def test_epoly_unknown_atom(self, capsys):
         code, _, err = run(capsys, "epoly", "Q1")

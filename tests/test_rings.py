@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hirzebruch.errors import NotPolynomial
+from hirzebruch.errors import NotPolynomial, ParseError
 from hirzebruch.rings import (
     LaurentY,
     PolyUV,
@@ -134,6 +134,10 @@ class TestTextForm:
         assert render_uv(PolyUV({(1, 1): -1, (2, 2): 1})) == "-u*v + u^2*v^2"
         assert render_y(LaurentY({-1: Fraction(3, 2)})) == "3/2*y^-1"
         assert render_y(LaurentY.zero()) == "0"
+
+    def test_zero_denominator_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="division by zero at offset 6"):
+            parse_y("1 + 3/0*y")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_round_trip(self, seed):

@@ -1,11 +1,15 @@
 """Space models: construction, integration, Gysin maps, custom documents."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirzebruch import spaces as sp
 from hirzebruch.errors import InvalidParameter, ParseError, UnsupportedMap
+from hirzebruch.rings import LaurentY, RationalFunctionY
 
 
 def series_quotient_oracle(num_coeffs, den_linear, order):
@@ -195,6 +199,16 @@ tangent 1 + 2*a + 2*b + 4*a*b
 """
 
 
+GROTHENDIECK_DOCUMENT = """
+dim 2
+gens h xi
+relation h^2 = 0
+relation xi^2 = -1*h*xi
+integral h*xi = 1
+tangent 1 + 2*xi + 3*h + 4*h*xi
+"""
+
+
 class TestDocuments:
     def test_projective_plane_document(self):
         m = sp.from_document(P2_DOCUMENT)
@@ -216,15 +230,7 @@ class TestDocuments:
         assert chi_y_genus(m) == LaurentY({0: 1, 1: -2, 2: 1})
 
     def test_document_with_grothendieck_relation(self):
-        doc = """
-        dim 2
-        gens h xi
-        relation h^2 = 0
-        relation xi^2 = -1*h*xi
-        integral h*xi = 1
-        tangent 1 + 2*xi + 3*h + 4*h*xi
-        """
-        m = sp.from_document(doc)
+        m = sp.from_document(GROTHENDIECK_DOCUMENT)
         xi = m.gen_class(1)
         assert m.integrate(xi * xi) == -1
 
@@ -236,3 +242,81 @@ class TestDocuments:
         with pytest.raises(ParseError):
             sp.from_document(
                 "dim 1\ngens h\nrelation h^2 = h^2\nintegral h = 1\ntangent 1")
+
+    @pytest.mark.parametrize("relation", ["h^2 = h", "h^2 = h*k + k", "k^2 = h^3"])
+    def test_relation_must_be_homogeneous(self, relation):
+        doc = f"dim 2\ngens h k\nrelation {relation}\nintegral h*k = 1\ntangent 1\n"
+        with pytest.raises(ParseError, match=r"not homogeneous .*\(line 3\)"):
+            sp.from_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# the class multiply against a naive reference
+
+
+def naive_product(a, b):
+    """Every term pair multiplied, then one reduction of the raw sum."""
+    raw = {}
+    for e1, v1 in a._c.items():
+        for e2, v2 in b._c.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            raw[e] = raw.get(e, 0) + v1 * v2
+    return sp.CohClass._raw(a.space, a.space._reduce(raw))
+
+
+KERNEL_MODELS = [
+    sp.projective(1), sp.projective(3), sp.projective(5),
+    sp.product(sp.projective(1), sp.projective(1)),
+    sp.product(*[sp.projective(1)] * 4),
+    sp.projective_bundle(sp.projective(2),
+                         sp.sum_of_line_bundles(sp.projective(2), [0, 1, 3])),
+    sp.hypersurface(3, 4),
+    sp.with_arrangement(sp.projective(3), 2),
+    sp.from_document(GROTHENDIECK_DOCUMENT),
+]
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+laurents = st.dictionaries(st.integers(-2, 2), small_fractions, max_size=3).map(LaurentY)
+coefficients = st.one_of(
+    small_fractions,
+    laurents,
+    st.builds(RationalFunctionY, laurents, st.integers(0, 2)),
+)
+
+
+@st.composite
+def classes_on(draw, space):
+    exps = st.tuples(*[st.integers(0, space.dim)] * len(space.gens))
+    return sp.CohClass(space, draw(st.dictionaries(exps, coefficients, max_size=5)))
+
+
+class TestMultiplyKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_naive_reduction(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        a, b = data.draw(classes_on(space)), data.draw(classes_on(space))
+        assert a * b == naive_product(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_commutative_and_associative(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        a, b, c = (data.draw(classes_on(space)) for _ in range(3))
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
+    def test_every_basis_pair_in_both_orders(self, space):
+        exps = itertools.product(range(space.dim + 1), repeat=len(space.gens))
+        basis = [space.monomial(e) for e in exps if space._reduce({e: 1}) == {e: 1}]
+        for a in basis:
+            for b in basis:
+                assert a * b == naive_product(a, b)
+
+    def test_vanishing_pairs_are_tabled_empty(self):
+        p2 = sp.projective(2)
+        h = p2.gen_class(0)
+        assert (h * h * h).is_zero()
+        assert p2._products[(2,)][(1,)] == ()
+        assert p2._products[(1,)][(1,)] == (((2,), 1),)
