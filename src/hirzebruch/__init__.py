@@ -11,7 +11,6 @@ from .errors import (
 from .rings import (
     LaurentY,
     PolyUV,
-    Rational,
     RationalFunctionY,
     chi_substitute,
     invert_uv,
@@ -50,7 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BundleClass", "ChernRootSeries", "CohClass", "HodgeDiamond", "HomClassY",
     "InvalidParameter", "KPolyClass", "LaurentY", "MissingLogStructure",
-    "MotivicClass", "NotPolynomial", "ParseError", "PolyUV", "Rational",
+    "MotivicClass", "NotPolynomial", "ParseError", "PolyUV",
     "RationalFunctionY", "SpaceModel", "UnsupportedMap", "VariationData",
     "apply_series", "bundles", "chi_substitute", "chi_y_genus",
     "csm_arrangement", "degree", "exterior", "genus_series", "homology_dual",

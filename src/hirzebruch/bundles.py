@@ -210,15 +210,6 @@ def apply_series(series, V, space=None):
 # -- bundle combinations ---------------------------------------------------------
 
 
-def bundle_sum(a, b):
-    """Whitney sum (also available as a + b)."""
-    return a + b
-
-
-def bundle_dual(a):
-    return a.dual()
-
-
 def bundle_tensor(a, b):
     """Tensor product via power sums: roots add pairwise."""
     if a.space.key != b.space.key:

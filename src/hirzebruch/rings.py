@@ -24,8 +24,6 @@ from fractions import Fraction
 
 from .errors import NotPolynomial, ParseError
 
-Rational = Fraction
-
 
 def _as_fraction(x):
     if isinstance(x, Fraction):
@@ -96,7 +94,9 @@ class LaurentY:
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(sorted(self._c.items())))
+        if set(self._c) <= {0}:  # equal to the Fraction it holds
+            return hash(self._c.get(0, 0))
+        return hash(frozenset(self._c.items()))
 
     def __neg__(self):
         return LaurentY({e: -v for e, v in self._c.items()})
@@ -275,7 +275,9 @@ class PolyUV:
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(sorted(self._c.items())))
+        if set(self._c) <= {(0, 0)}:  # equal to the int it holds
+            return hash(self._c.get((0, 0), 0))
+        return hash(frozenset(self._c.items()))
 
     def __neg__(self):
         return PolyUV({e: -v for e, v in self._c.items()})
@@ -453,7 +455,8 @@ class RationalFunctionY:
         return self.num == other.num and self.den_pow == other.den_pow
 
     def __hash__(self):
-        return hash((self.num, self.den_pow))
+        # without a pole the value equals its numerator
+        return hash((self.num, self.den_pow)) if self.den_pow else hash(self.num)
 
     def __neg__(self):
         q = RationalFunctionY.__new__(RationalFunctionY)

@@ -12,29 +12,44 @@ general-position hyperplane arrangement at infinity (which adds boundary
 data: the arrangement divisors and the Chern class of the bundle of forms
 with logarithmic poles along them).
 
-``CohClass`` is a sparse cohomology class on a model: a dictionary from
-exponent tuples (one slot per generator) to coefficients.  Coefficients may
-be Fractions, LaurentY, or RationalFunctionY; arithmetic coerces as needed.
-Built-in proper/smooth maps between models support Gysin pushforward and
-ring pullback.
+``CohClass`` is a sparse cohomology class on a model with coefficients in
+Q[y, 1/y, 1/(1+y)].  It stores one numerator in Z[y, 1/y] per monomial
+over a single class-wide denominator d*(1+y)^k, in a canonical form: d > 0,
+the gcd of d and all integer coefficients of the numerators is 1, and when
+k > 0, (1+y) does not divide every numerator, so equal classes are stored
+identically.  A numerator is a plain
+int when it is constant in y.  Arithmetic runs on these integers and
+normalizes once per result; ``Fraction``, ``LaurentY`` and
+``RationalFunctionY`` values are accepted by the constructors and scalar
+operations and handed out by ``coeff``, ``items``, ``map_coeffs`` and
+``integrate``: each coefficient as a Fraction when it is constant in y, a
+LaurentY when it is a Laurent polynomial, and a RationalFunctionY when a
+pole at y = -1 remains.  Built-in proper/smooth maps between models
+support Gysin pushforward and ring pullback.
 
 Multiplying two classes looks up each pair of monomials in the model's
 product table, which maps the pair to the reduced product: the monomials
-and rational multiples left after truncation and rewriting, nothing when
+and integer multiples left after truncation and rewriting, nothing when
 the product vanishes.  A vanishing pair is skipped before its coefficients
 are multiplied; a live pair's coefficient product goes straight into the
 reduced result.  The table is filled lazily, one ``_reduce`` per new pair
-(stored under both orders), so building a model costs nothing extra.  It
-lives on the model instance and depends only on the rewrite rules and the
-dimension, which never change after construction; it is never shared
-between models or keyed on ``SpaceModel.key``, which is not unique.
+(stored under both orders), so building a model costs nothing extra.  Its
+integers sit over one table-wide denominator, which is 1 unless a custom
+document's relations carry denominators; the multiply folds it into the
+class denominator.  The table lives on the model instance and depends only
+on the rewrite rules and the dimension, which never change after
+construction; it is never shared between models or keyed on
+``SpaceModel.key``, which is not unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .errors import InvalidParameter, ParseError, UnsupportedMap
+from .rings import LaurentY, RationalFunctionY
 
 # Rewrite rules attached to a generator slot:
 #   ("nilpotent", c)          -- any monomial with exponent >= c dies
@@ -46,28 +61,190 @@ def _total(exp):
     return sum(exp)
 
 
+# -- numerators in Z[y, 1/y] ---------------------------------------------------
+# A class coefficient is a numerator over the class denominator: an int when
+# it is constant in y, else a _YPoly.  Helpers that work on the terms of a
+# numerator take them as a {exponent: int} dict.
+
+
+class _YPoly:
+    """A numerator that is not constant in y: {exponent: nonzero int}."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, c):
+        self._c = c
+
+    def __eq__(self, other):
+        return isinstance(other, _YPoly) and self._c == other._c
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+
+def _ydict(n):
+    """The {exponent: int} terms of a numerator; read-only."""
+    return {0: n} if n.__class__ is int else n._c
+
+
+def _numerator(p):
+    """The numerator with the terms of a {exponent: int} dict (0 when none)."""
+    if len(p) == 1 and 0 in p:  # constant in y, the common case
+        return p[0]
+    p = {y: n for y, n in p.items() if n}
+    if len(p) == 1 and 0 in p:
+        return p[0]
+    return _YPoly(p) if p else 0
+
+
+def _negated(n):
+    return -n if n.__class__ is int else _YPoly({y: -m for y, m in n._c.items()})
+
+
+def _num_scaled(n, s, j):
+    """The numerator n * s * (1+y)^j, for an int s."""
+    if n.__class__ is int and not j:
+        return n * s
+    p = {y: m * s for y, m in _ydict(n).items()}
+    for _ in range(j):
+        q = dict(p)
+        for y, m in p.items():
+            q[y + 1] = q.get(y + 1, 0) + m
+        p = q
+    return _numerator(p)
+
+
+def _num_sum(a, b):
+    if a.__class__ is int and b.__class__ is int:
+        return a + b
+    p = dict(_ydict(a))
+    for y, m in _ydict(b).items():
+        p[y] = p.get(y, 0) + m
+    return _numerator(p)
+
+
+def _at_minus_one(n):
+    return n if n.__class__ is int else sum(m if y % 2 == 0 else -m for y, m in n._c.items())
+
+
+def _div_one_plus_y(n):
+    """The exact quotient by (1+y) of a numerator that vanishes at y = -1."""
+    p = n._c
+    q = {}
+    carry = 0
+    for i in range(max(p), min(p), -1):
+        carry = p.get(i, 0) - carry
+        if carry:
+            q[i - 1] = carry
+    return _numerator(q)
+
+
+def _parts(v):
+    """(numerator, denominator, power of (1+y)) of a scalar, or None for a
+    value that is not a coefficient."""
+    if isinstance(v, int):
+        return v, 1, 0
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator, 0
+    if isinstance(v, RationalFunctionY):
+        n, d, _ = _parts(v.num)
+        return n, d, v.den_pow
+    if isinstance(v, LaurentY):
+        terms = v.items()
+        d = lcm(*(c.denominator for _, c in terms))
+        return _numerator({y: c.numerator * (d // c.denominator) for y, c in terms}), d, 0
+    return None
+
+
+def _coefficient(n, den, k):
+    """The value n / (den*(1+y)^k) of a numerator: a Fraction when it is
+    constant in y, a LaurentY when it is a Laurent polynomial, a
+    RationalFunctionY when a pole at y = -1 remains."""
+    if not n:
+        return Fraction(0)
+    while k and not _at_minus_one(n):
+        n = _div_one_plus_y(n)
+        k -= 1
+    if n.__class__ is int and not k:
+        return Fraction(n, den)
+    lau = LaurentY({y: Fraction(m, den) for y, m in _ydict(n).items()})
+    return RationalFunctionY(lau, k) if k else lau
+
+
+def _reduced(nums, den, k):
+    """Canonical (numerators, denominator, power of (1+y)) of nonzero
+    numerators over den*(1+y)^k."""
+    if not nums:
+        return {}, 1, 0
+    while k and not any(_at_minus_one(n) for n in nums.values()):
+        nums = {e: _div_one_plus_y(n) for e, n in nums.items()}
+        k -= 1
+    g = den
+    for n in nums.values():
+        if g == 1:
+            break
+        g = gcd(g, n) if n.__class__ is int else gcd(g, *n._c.values())
+    if g != 1:
+        den //= g
+        nums = {e: n // g if n.__class__ is int
+                else _YPoly({y: m // g for y, m in n._c.items()})
+                for e, n in nums.items()}
+    return nums, den, k
+
+
+def _canonical(acc, den, k):
+    """Canonical form of {monomial: {exponent: int}} numerators over den*(1+y)^k."""
+    nums = {}
+    for e, p in acc.items():
+        n = _numerator(p)
+        if n:
+            nums[e] = n
+    return _reduced(nums, den, k)
+
+
+def _from_values(values):
+    """Canonical form of {monomial: int | Fraction | LaurentY | RationalFunctionY}."""
+    parts = {}
+    den, k = 1, 0
+    for e, v in values.items():
+        part = _parts(v)
+        if part is None:
+            raise TypeError(f"not a class coefficient: {v!r}")
+        if part[0]:
+            parts[e] = part
+            den = lcm(den, part[1])
+            k = max(k, part[2])
+    return _reduced({e: _num_scaled(n, den // d, k - j) for e, (n, d, j) in parts.items()},
+                    den, k)
+
+
 class CohClass:
     """Sparse cohomology class on a model; immutable after construction."""
 
-    __slots__ = ("space", "_c")
+    __slots__ = ("space", "_c", "_d", "_k")
 
     def __init__(self, space, comps=None):
         self.space = space
-        self._c = space._reduce(comps or {})
+        self._c, self._d, self._k = _from_values(space._reduce(comps or {}))
 
     @classmethod
-    def _raw(cls, space, reduced):
+    def _raw(cls, space, nums, den=1, k=0):
+        """A class from canonical numerators over den*(1+y)^k."""
         out = cls.__new__(cls)
         out.space = space
-        out._c = reduced
+        out._c = nums
+        out._d = den
+        out._k = k
         return out
 
     def items(self):
-        return sorted(self._c.items(), key=lambda t: (_total(t[0]), t[0]))
+        """Terms as (monomial, coefficient), by degree, then monomial."""
+        return sorted(((e, _coefficient(n, self._d, self._k)) for e, n in self._c.items()),
+                      key=lambda t: (_total(t[0]), t[0]))
 
     def coeff(self, exp):
-        zero = Fraction(0)
-        return self._c.get(tuple(exp), zero)
+        n = self._c.get(tuple(exp))
+        return Fraction(0) if n is None else _coefficient(n, self._d, self._k)
 
     def is_zero(self):
         return not self._c
@@ -79,24 +256,26 @@ class CohClass:
         if self.space.key != other.space.key:
             raise InvalidParameter("classes live on different spaces")
 
+    def _constant(self):
+        """True when the class is zero or a multiple of the unit."""
+        return not self._c or list(self._c) == [self.space._zero_exp]
+
     def __eq__(self, other):
         if isinstance(other, CohClass):
-            if self.space.key != other.space.key:
-                return False
-            if set(self._c) != set(other._c):
-                return False
-            return all(other._c[k] == v for k, v in self._c.items())
-        if not self._c:
-            return other == 0
-        if list(self._c) == [self.space._zero_exp]:
-            return self._c[self.space._zero_exp] == other
+            return (self.space.key == other.space.key and self._d == other._d
+                    and self._k == other._k and self._c == other._c)
+        if self._constant():
+            return self.coeff(self.space._zero_exp) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.space.key, tuple(self.items())))
+        if self._constant():
+            return hash(self.coeff(self.space._zero_exp))
+        return hash((self.space.key, self._d, self._k, frozenset(self._c.items())))
 
     def __neg__(self):
-        return CohClass._raw(self.space, {e: -v for e, v in self._c.items()})
+        return CohClass._raw(self.space, {e: _negated(n) for e, n in self._c.items()},
+                             self._d, self._k)
 
     def __add__(self, other):
         if not isinstance(other, CohClass):
@@ -104,14 +283,19 @@ class CohClass:
                 return self
             other = self.space.constant(other)
         self._check(other)
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        return CohClass._raw(self.space, c)
+        den = lcm(self._d, other._d)
+        k = max(self._k, other._k)
+        s, j = den // self._d, k - self._k
+        nums = {e: _num_scaled(n, s, j) for e, n in self._c.items()}
+        s, j = den // other._d, k - other._k
+        for e, n in other._c.items():
+            n = _num_scaled(n, s, j)
+            m = nums.pop(e, 0)
+            if m:
+                n = _num_sum(m, n)
+            if n:
+                nums[e] = n
+        return CohClass._raw(self.space, *_reduced(nums, den, k))
 
     __radd__ = __add__
 
@@ -125,27 +309,47 @@ class CohClass:
 
     def __mul__(self, other):
         if not isinstance(other, CohClass):
-            # scalar: Fraction / int / LaurentY / RationalFunctionY
-            if other == 0:
-                return CohClass._raw(self.space, {})
-            return CohClass._raw(self.space, {e: v * other for e, v in self._c.items()})
+            # scalar: int / Fraction / LaurentY / RationalFunctionY
+            part = _parts(other)
+            if part is None:
+                return NotImplemented
+            n2, d, k = part
+            t2 = _ydict(n2).items()
+            acc = {}
+            for e, n1 in self._c.items():
+                a = acc[e] = {}
+                for y1, m1 in _ydict(n1).items():
+                    for y2, m2 in t2:
+                        a[y1 + y2] = a.get(y1 + y2, 0) + m1 * m2
+            return CohClass._raw(self.space, *_canonical(acc, self._d * d, self._k + k))
         self._check(other)
         space = self.space
         table = space._products
+        q = space._table_den
+        rhs = [(e, _ydict(n).items()) for e, n in other._c.items()]
         out = {}
-        for e1, v1 in self._c.items():
+        for e1, n1 in self._c.items():
+            t1 = _ydict(n1).items()
             row = table.setdefault(e1, {})
-            for e2, v2 in other._c.items():
+            for e2, t2 in rhs:
                 terms = row.get(e2)
                 if terms is None:
                     terms = space._monomial_product(e1, e2)
-                if not terms:
-                    continue  # the product vanishes: no coefficient work
-                v = v1 * v2
-                for e, c in terms:
-                    w = v if c == 1 else v * c
-                    out[e] = out[e] + w if e in out else w
-        return CohClass._raw(space, {e: w for e, w in out.items() if w})
+                for e, c in terms:  # no terms: the product vanishes, no coefficient work
+                    acc = out.get(e)
+                    if acc is None:
+                        acc = out[e] = {}
+                    for y1, m1 in t1:
+                        m1 *= c
+                        for y2, m2 in t2:
+                            y = y1 + y2
+                            acc[y] = acc.get(y, 0) + m1 * m2
+        if space._table_den != q:
+            # a new table entry raised the table denominator; every entry
+            # this product needs is in the table now, so one more pass is final
+            return self * other
+        return CohClass._raw(space, *_canonical(out, self._d * other._d * q,
+                                                self._k + other._k))
 
     __rmul__ = __mul__
 
@@ -164,31 +368,31 @@ class CohClass:
 
     def component(self, degree):
         """The part in cohomological degree ``degree``."""
-        return CohClass._raw(
-            self.space, {e: v for e, v in self._c.items() if _total(e) == degree}
-        )
+        return CohClass._raw(self.space, *_reduced(
+            {e: n for e, n in self._c.items() if _total(e) == degree}, self._d, self._k))
 
     def by_degree(self):
         """Map degree -> component, only nonzero degrees."""
         out = {}
-        for e, v in self._c.items():
-            out.setdefault(_total(e), {})[e] = v
-        return {d: CohClass._raw(self.space, c) for d, c in sorted(out.items())}
+        for e, n in self._c.items():
+            out.setdefault(_total(e), {})[e] = n
+        return {d: CohClass._raw(self.space, *_reduced(c, self._d, self._k))
+                for d, c in sorted(out.items())}
 
     def map_coeffs(self, fn):
         c = {}
-        for e, v in self._c.items():
+        for e, v in self.items():
             w = fn(v)
             if w:
                 c[e] = w
-        return CohClass._raw(self.space, c)
+        return CohClass._raw(self.space, *_from_values(c))
 
     def degree_sign(self):
         """Multiply the degree-j part by (-1)^j (Chern classes of a dual)."""
         return CohClass._raw(
             self.space,
-            {e: (v if _total(e) % 2 == 0 else -v) for e, v in self._c.items()},
-        )
+            {e: (n if _total(e) % 2 == 0 else _negated(n)) for e, n in self._c.items()},
+            self._d, self._k)
 
     def __str__(self):
         return self.space.render_class(self)
@@ -255,7 +459,7 @@ class SpaceModel:
 
     __slots__ = (
         "kind", "key", "name", "dim", "gens", "_rules", "_integrals",
-        "tangent_chern", "log", "extra", "_products",
+        "tangent_chern", "log", "extra", "_products", "_table_den",
     )
 
     def __init__(self, kind, key, name, dim, gens, rules, integrals, extra=None):
@@ -264,12 +468,19 @@ class SpaceModel:
         self.name = name
         self.dim = dim
         self.gens = tuple(gens)
-        self._rules = tuple(rules)
+        # whole relation coefficients become ints, so products of integral
+        # models reduce in integers
+        self._rules = tuple(
+            rule if rule is None or rule[0] == "nilpotent" else
+            rule[:2] + ({e: c.numerator if c.denominator == 1 else c
+                         for e, c in rule[2].items()},)
+            for rule in rules)
         self._integrals = dict(integrals)
         self.tangent_chern = None
         self.log = None
         self.extra = extra or {}
         self._products = {}  # e1 -> {e2: reduced product terms}, filled lazily
+        self._table_den = 1  # every table integer is over this denominator
 
     @property
     def _zero_exp(self):
@@ -305,26 +516,35 @@ class SpaceModel:
         return out
 
     def _monomial_product(self, e1, e2):
-        """Reduced product of two monomials as ``((exp, coeff), ...)``, empty
-        when it vanishes; stored in the product table under both orders."""
-        e = tuple(a + b for a, b in zip(e1, e2))
-        # seeded with int 1: a coefficient stays exactly the int 1 unless a
-        # relation rewrote the monomial, so ``c == 1`` in the multiply is cheap
-        terms = tuple(self._reduce({e: 1}).items())
+        """Reduced product of two monomials as ``((exp, int), ...)`` over the
+        table denominator, empty when it vanishes; stored in the product table
+        under both orders."""
+        raw = self._reduce({tuple(map(add, e1, e2)): 1})
+        if self._table_den != 1 or any(c.__class__ is not int for c in raw.values()):
+            q = lcm(*(c.denominator for c in raw.values()))
+            if self._table_den % q:
+                # a relation coefficient with a new denominator: put every
+                # entry over the common denominator
+                new = lcm(self._table_den, q)
+                f = new // self._table_den
+                for row in self._products.values():
+                    for e3, terms in row.items():
+                        row[e3] = tuple((x, c * f) for x, c in terms)
+                self._table_den = new
+            raw = {x: (c * self._table_den).numerator for x, c in raw.items()}
+        terms = tuple(raw.items())
         self._products.setdefault(e1, {})[e2] = terms
         self._products.setdefault(e2, {})[e1] = terms
         return terms
 
     def constant(self, value):
-        if value == 0:
-            return CohClass._raw(self, {})
-        return CohClass._raw(self, {self._zero_exp: value})
+        return CohClass._raw(self, *_from_values({self._zero_exp: value}))
 
     def zero(self):
         return CohClass._raw(self, {})
 
     def one(self):
-        return self.constant(Fraction(1))
+        return CohClass._raw(self, {self._zero_exp: 1})
 
     def gen_class(self, i=0):
         exp = [0] * len(self.gens)
@@ -336,14 +556,13 @@ class SpaceModel:
 
     def integrate(self, c):
         """Value of the degree-dim part under the integration functional."""
+        w = lcm(*(x.denominator for x in self._integrals.values()))
         total = 0
         for exp, weight in self._integrals.items():
-            v = c._c.get(exp)
-            if v is not None:
-                total = total + v * weight
-        if total == 0:
-            return Fraction(0)
-        return total
+            n = c._c.get(exp)
+            if n is not None:
+                total = _num_sum(total, _num_scaled(n, (weight * w).numerator, 0))
+        return _coefficient(total, c._d * w, c._k)
 
     def tangent_bundle(self):
         return BundleClass(self.dim, self.tangent_chern)
@@ -363,7 +582,7 @@ class SpaceModel:
         return "*".join(parts)
 
     def render_class(self, c):
-        if not c._c:
+        if not c:
             return "0"
         pieces = []
         for exp, v in c.items():
@@ -538,7 +757,7 @@ def pull_to_product(prod, axis, c):
     start = offs[axis]
     width = len(prod.gens)
     raw = {}
-    for exp, v in c._c.items():
+    for exp, v in c.items():
         raw[_pad_exp(exp, start, width)] = v
     return CohClass(prod, raw)
 
@@ -595,7 +814,7 @@ def projective_bundle(base, E):
     rel = {}
     for i in range(1, r + 1):
         ci = E.chern(i)
-        for exp, v in ci._c.items():
+        for exp, v in ci.items():
             rel[tuple(exp) + (r - i,)] = -v
     rules = []
     for rule in base._rules:
@@ -607,7 +826,7 @@ def projective_bundle(base, E):
     rules.append(("relation", r, rel) if rel else ("nilpotent", r))
 
     xi_name = "xi" if "xi" not in base.gens else f"xi{sum(1 for g in base.gens if g.startswith('xi')) + 1}"
-    chern_key = tuple(sorted((exp, str(v)) for exp, v in E.total_chern._c.items()))
+    chern_key = tuple(sorted((exp, str(v)) for exp, v in E.total_chern.items()))
     key = ("projbundle", base.key, r, chern_key)
     integrals = {exp + (r - 1,): w for exp, w in base._integrals.items()}
     m = SpaceModel(
@@ -629,7 +848,7 @@ def projective_bundle(base, E):
 
 
 def _lift_from_base(total, c):
-    raw = {exp + (0,): v for exp, v in c._c.items()}
+    raw = {exp + (0,): v for exp, v in c.items()}
     return CohClass(total, raw)
 
 
@@ -752,7 +971,7 @@ def gysin_pushforward(m, c):
         raise InvalidParameter("class does not live on the source of the map")
     tgt = m.target
     if m.kind in ("identity", "open_restriction"):
-        return CohClass._raw(tgt, dict(c._c))
+        return CohClass._raw(tgt, c._c, c._d, c._k)
     if m.kind == "constant":
         val = m.source.integrate(c)
         return tgt.constant(val) if val != 0 else tgt.zero()
@@ -760,7 +979,7 @@ def gysin_pushforward(m, c):
         r = m.source.extra["rank"]
         nb = len(tgt.gens)
         raw = {}
-        for exp, v in c._c.items():
+        for exp, v in c.items():
             if exp[nb] == r - 1:
                 raw[exp[:nb]] = raw.get(exp[:nb], 0) + v
         return CohClass(tgt, raw)
@@ -772,7 +991,7 @@ def gysin_pushforward(m, c):
         start = offs[axis]
         stop = start + len(factors[axis].gens)
         raw = {}
-        for exp, v in c._c.items():
+        for exp, v in c.items():
             weight = Fraction(1)
             for i, f in enumerate(factors):
                 if i == axis:
@@ -790,11 +1009,11 @@ def gysin_pushforward(m, c):
         return CohClass(tgt, raw)
     if m.kind == "hypersurface_inclusion":
         d = m.extra["degree"]
-        raw = {(exp[0] + 1,): v * d for exp, v in c._c.items()}
+        raw = {(exp[0] + 1,): v * d for exp, v in c.items()}
         return CohClass(tgt, raw)
     if m.kind == "linear_embedding":
         shift = tgt.dim - m.source.dim
-        raw = {(exp[0] + shift,): v for exp, v in c._c.items()}
+        raw = {(exp[0] + shift,): v for exp, v in c.items()}
         return CohClass(tgt, raw)
     raise UnsupportedMap(m.kind)
 
@@ -805,7 +1024,7 @@ def ring_pullback(m, c):
     if c.space.key != m.target.key:
         raise InvalidParameter("class does not live on the target of the map")
     if m.kind in ("identity", "open_restriction"):
-        return CohClass._raw(m.source, dict(c._c))
+        return CohClass._raw(m.source, c._c, c._d, c._k)
     if m.kind == "constant":
         return m.source.constant(c.coeff(c.space._zero_exp))
     if m.kind == "bundle_projection":
@@ -864,6 +1083,27 @@ def relative_tangent(m):
 # custom space documents
 
 
+def _cycle(edges):
+    """The nodes of some cycle of the graph {node: successors}, or None."""
+    done = set()
+    for root in edges:
+        if root in done:
+            continue
+        path, stack = [root], [iter(edges[root])]
+        while stack:
+            for j in stack[-1]:
+                if j in path:
+                    return path[path.index(j):]
+                if j not in done:
+                    path.append(j)
+                    stack.append(iter(edges[j]))
+                    break
+            else:
+                done.add(path.pop())
+                stack.pop()
+    return None
+
+
 def from_document(text):
     """Build a model from a small textual description.
 
@@ -876,8 +1116,10 @@ def from_document(text):
         tangent <total Chern polynomial>
 
     Relations must rewrite a pure generator power g^r to terms of total
-    degree exactly r with a smaller power of g.  Every malformed line raises
-    ``ParseError`` naming the line.
+    degree exactly r with a smaller power of g, and no chain of relations may
+    lead back to a generator it started from (``a^2 = b^2`` with
+    ``b^2 = a^2``), since rewriting could then go on forever.  Every
+    malformed line raises ``ParseError`` naming the line.
     """
     dim = None
     gens = []
@@ -931,6 +1173,7 @@ def from_document(text):
         return raw
 
     rules = [None] * width
+    relation_line = {}  # generator slot -> line of its rewriting relation
     for lhs, rhs, lineno in relations:
         lterm = parse_class_terms(lhs)
         if len(lterm) != 1:
@@ -947,6 +1190,17 @@ def from_document(text):
             if _total(rexp) != r:
                 raise ParseError(f"relation is not homogeneous of degree {r} (line {lineno})", 0)
         rules[i] = ("nilpotent", r) if not rel else ("relation", r, rel)
+        relation_line.pop(i, None)
+        if rel:
+            relation_line[i] = lineno
+    # i -> j when generator j has a relation and occurs on the right of i's
+    cycle = _cycle({i: {j for rexp in rules[i][2] for j, x in enumerate(rexp)
+                        if x and j != i and j in relation_line}
+                    for i in relation_line})
+    if cycle:
+        lines = ", ".join(str(n) for n in sorted(relation_line[i] for i in cycle))
+        raise ParseError(f"relations rewrite into each other and may not terminate "
+                         f"(lines {lines})", 0)
     for i, rule in enumerate(rules):
         if rule is None:
             rules[i] = ("nilpotent", dim + 1)

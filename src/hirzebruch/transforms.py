@@ -234,8 +234,8 @@ def exterior(a, b):
             return a * b.rank_poly
         prod = sp.product(a.space, b.space)
         raw = {}
-        for e1, v1 in a.ch._c.items():
-            for e2, v2 in b.ch._c.items():
+        for e1, v1 in a.ch.items():
+            for e2, v2 in b.ch.items():
                 raw[e1 + e2] = raw.get(e1 + e2, 0) + v1 * v2
         return KPolyClass(a.rank_poly * b.rank_poly, CohClass(prod, raw))
     if isinstance(a, HomClassY) and isinstance(b, HomClassY):
@@ -280,7 +280,7 @@ def pushforward(m, c):
         for k, row in c.comps.items():
             pushed = sp.gysin_pushforward(m, CohClass(c.space, row))
             if pushed:
-                comps[k] = dict(pushed._c)
+                comps[k] = dict(pushed.items())
         return HomClassY(m.target, comps)
     raise InvalidParameter("pushforward needs a K-class or a homology class")
 

@@ -107,6 +107,15 @@ class TestCommands:
         assert code == 2 and not out
         assert err.startswith("error:") and f"(line {line})" in err
 
+    def test_cyclic_relations_exit_code(self, capsys, tmp_path, time_limit):
+        path = tmp_path / "cyclic.space"
+        path.write_text("dim 2\ngens a b\nrelation a^2 = b^2\nrelation b^2 = a^2\n"
+                        "integral a*b = 1\ntangent 1 + 3*a + 3*b\n")
+        with time_limit(10):
+            code, out, err = run(capsys, "genus", "--space", f"@{path}")
+        assert code == 2 and not out
+        assert err.startswith("error:") and "(lines 3, 4)" in err
+
     def test_epoly_unknown_atom(self, capsys):
         code, _, err = run(capsys, "epoly", "Q1")
         assert code == 2 and "offset" in err

@@ -149,3 +149,46 @@ class TestTextForm:
         # bit-exact: re-rendering the parse gives the identical string
         assert render_y(parse_y(render_y(p))) == render_y(p)
         assert render_uv(parse_uv(render_uv(q))) == render_uv(q)
+
+
+# ---------------------------------------------------------------------------
+# equal values hash equal, whatever type holds them
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+ONE_Y = LaurentY({0: 1, 1: 1})
+laurent_dicts = st.dictionaries(
+    st.integers(-1, 2), st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    max_size=3)
+
+
+def value_forms(d, j):
+    """The value of LaurentY(d), and of LaurentY(d)/(1+y)^j, in every type
+    that can hold it."""
+    lau = LaurentY(d)
+    forms = [lau, RationalFunctionY(lau), RationalFunctionY(lau * ONE_Y**j, j),
+             RationalFunctionY(lau, j), RationalFunctionY(lau * ONE_Y, j + 1)]
+    if all(e == 0 for e, _ in lau.items()):
+        c = lau.coeff(0)
+        forms.append(c)
+        if c.denominator == 1:
+            forms += [c.numerator, PolyUV.const(c.numerator)]
+    return forms
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_dicts, laurent_dicts, st.integers(0, 2))
+def test_equal_values_hash_equal(d1, d2, j):
+    values = value_forms(d1, j) + value_forms(d2, j)
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
+def test_a_set_holds_one_copy_of_a_value():
+    three = LaurentY({0: 3})
+    assert len({three, Fraction(3)}) == 1
+    assert len({RationalFunctionY(three), three, 3}) == 1
+    assert len({PolyUV.const(3), 3}) == 1

@@ -108,7 +108,7 @@ class TestMht:
             want = HomClassY(space, {
                 space.dim - d: {e: RationalFunctionY(v if isinstance(v, LaurentY)
                                                      else LaurentY({0: Fraction(v)}))
-                                for e, v in part._c.items()}
+                                for e, v in part.items()}
                 for d, part in cls.by_degree().items()})
             assert mht(mhc_y(space, "closed")) == want, space.name
 
