@@ -1083,27 +1083,6 @@ def relative_tangent(m):
 # custom space documents
 
 
-def _cycle(edges):
-    """The nodes of some cycle of the graph {node: successors}, or None."""
-    done = set()
-    for root in edges:
-        if root in done:
-            continue
-        path, stack = [root], [iter(edges[root])]
-        while stack:
-            for j in stack[-1]:
-                if j in path:
-                    return path[path.index(j):]
-                if j not in done:
-                    path.append(j)
-                    stack.append(iter(edges[j]))
-                    break
-            else:
-                done.add(path.pop())
-                stack.pop()
-    return None
-
-
 def from_document(text):
     """Build a model from a small textual description.
 
@@ -1121,6 +1100,8 @@ def from_document(text):
     ``b^2 = a^2``), since rewriting could then go on forever.  Every
     malformed line raises ``ParseError`` naming the line.
     """
+    from graphlib import CycleError, TopologicalSorter
+
     dim = None
     gens = []
     relations = []
@@ -1189,18 +1170,21 @@ def from_document(text):
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)
             if _total(rexp) != r:
                 raise ParseError(f"relation is not homogeneous of degree {r} (line {lineno})", 0)
-        rules[i] = ("nilpotent", r) if not rel else ("relation", r, rel)
-        relation_line.pop(i, None)
         if rel:
+            rules[i] = ("relation", r, rel)
             relation_line[i] = lineno
+        else:
+            rules[i] = ("nilpotent", r)
+            relation_line.pop(i, None)
     # i -> j when generator j has a relation and occurs on the right of i's
-    cycle = _cycle({i: {j for rexp in rules[i][2] for j, x in enumerate(rexp)
-                        if x and j != i and j in relation_line}
-                    for i in relation_line})
-    if cycle:
-        lines = ", ".join(str(n) for n in sorted(relation_line[i] for i in cycle))
+    try:
+        TopologicalSorter({i: {j for rexp in rules[i][2] for j, x in enumerate(rexp)
+                               if x and j != i and j in relation_line}
+                           for i in relation_line}).prepare()
+    except CycleError as exc:
+        lines = ", ".join(str(n) for n in sorted({relation_line[i] for i in exc.args[1]}))
         raise ParseError(f"relations rewrite into each other and may not terminate "
-                         f"(lines {lines})", 0)
+                         f"(lines {lines})", 0) from None
     for i, rule in enumerate(rules):
         if rule is None:
             rules[i] = ("nilpotent", dim + 1)

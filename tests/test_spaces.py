@@ -309,6 +309,7 @@ KERNEL_MODELS = [
     sp.from_document(GROTHENDIECK_DOCUMENT),
     sp.from_document(FRACTIONAL_DOCUMENT),
 ]
+KERNEL_MODELS[-1].name = "custom-fractional"  # a test id apart from the other document
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 laurents = st.dictionaries(st.integers(-2, 2), small_fractions, max_size=3).map(LaurentY)
