@@ -10,6 +10,8 @@ output change is intended) with
 import json
 import pathlib
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 
@@ -62,8 +64,6 @@ def run(argv, docdir):
     argv = [f"@{docdir / a[1:]}" if a.startswith("@") else a for a in argv]
     for name, text in DOCUMENTS.items():
         (docdir / name).write_text(text)
-    from io import StringIO
-    from contextlib import redirect_stdout
     out = StringIO()
     with redirect_stdout(out):
         code = cli.main(argv + ["--format", "json"])

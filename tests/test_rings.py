@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirzebruch.errors import NotPolynomial, ParseError
 from hirzebruch.rings import (
@@ -153,9 +155,6 @@ class TestTextForm:
 
 # ---------------------------------------------------------------------------
 # equal values hash equal, whatever type holds them
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 ONE_Y = LaurentY({0: 1, 1: 1})
 laurent_dicts = st.dictionaries(
