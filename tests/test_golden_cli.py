@@ -40,8 +40,9 @@ tangent 1 + 2*xi + 3*h + 1/2*h*xi + 4*h^2 + 5*h^2*xi
 """,
 }
 
-SPACES = ["P1", "P2", "P3", "P4", "Hyp(3,4)", "P1xP1", "Proj(P2;0,1,3)",
-          "Arr(2,2)", "Arr(3,2)", "@grothendieck", "@fractional"]
+SPACES = ["P1", "P2", "P3", "P4", "P6", "Hyp(3,4)", "P1xP1", "P1xP1xP1xP1",
+          "Proj(P2;0,1,3)", "Proj(P3;2,-1,3)", "Arr(2,2)", "Arr(3,2)",
+          "Arr(1,2)xArr(1,2)", "@grothendieck", "@fractional"]
 CLASS_SPACES = ["P3", "Hyp(4,3)", "P1xP1xP1", "Proj(P2;0,1,3)", "Arr(2,2)", "@fractional"]
 FAST_SUITES = ["ghrr", "series-limits", "vrr", "duality", "chern-limit", "arrangements"]
 
