@@ -40,6 +40,12 @@ class denominator.  The table lives on the model instance and depends only
 on the rewrite rules and the dimension, which never change after
 construction; it is never shared between models or keyed on
 ``SpaceModel.key``, which is not unique.
+
+``CohClass.product_component`` is the same multiply restricted to one
+degree: the right operand is grouped by degree and each left monomial
+meets only the group of the complementary degree.  The genus is read
+through this pairing (the top degree of ch * td), while ``mht`` builds the
+full product in every degree.
 """
 
 from __future__ import annotations
@@ -322,16 +328,32 @@ class CohClass:
                     for y2, m2 in t2:
                         a[y1 + y2] = a.get(y1 + y2, 0) + m1 * m2
             return CohClass._raw(self.space, *_canonical(acc, self._d * d, self._k + k))
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def product_component(self, other, degree):
+        """``(self * other).component(degree)``, multiplying only the monomial
+        pairs whose degrees add up to ``degree``."""
+        return self._product(other, degree)
+
+    def _product(self, other, degree=None):
+        """The product with another class, or only its part in ``degree``."""
         self._check(other)
         space = self.space
         table = space._products
         q = space._table_den
         rhs = [(e, _ydict(n).items()) for e, n in other._c.items()]
+        if degree is not None:
+            groups = {}
+            for pair in rhs:
+                groups.setdefault(_total(pair[0]), []).append(pair)
         out = {}
         for e1, n1 in self._c.items():
+            partners = rhs if degree is None else groups.get(degree - _total(e1), ())
             t1 = _ydict(n1).items()
             row = table.setdefault(e1, {})
-            for e2, t2 in rhs:
+            for e2, t2 in partners:
                 terms = row.get(e2)
                 if terms is None:
                     terms = space._monomial_product(e1, e2)
@@ -347,11 +369,9 @@ class CohClass:
         if space._table_den != q:
             # a new table entry raised the table denominator; every entry
             # this product needs is in the table now, so one more pass is final
-            return self * other
+            return self._product(other, degree)
         return CohClass._raw(space, *_canonical(out, self._d * other._d * q,
                                                 self._k + other._k))
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         n = int(n)
@@ -1097,8 +1117,10 @@ def from_document(text):
     Relations must rewrite a pure generator power g^r to terms of total
     degree exactly r with a smaller power of g, and no chain of relations may
     lead back to a generator it started from (``a^2 = b^2`` with
-    ``b^2 = a^2``), since rewriting could then go on forever.  Every
-    malformed line raises ``ParseError`` naming the line.
+    ``b^2 = a^2``), since rewriting could then go on forever.  A generator
+    has at most one relation and a monomial at most one integral, and
+    ``dim``, ``gens`` and ``tangent`` appear once each.  Every malformed
+    line raises ``ParseError`` naming the line (both lines for a repeat).
     """
     from graphlib import CycleError, TopologicalSorter
 
@@ -1107,12 +1129,17 @@ def from_document(text):
     relations = []
     integrals = []
     tangent_src = None
+    once = {}  # directive that may appear once -> its line
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("dim", "gens", "tangent"):
+            if head in once:
+                raise ParseError(f"second {head!r} line (lines {once[head]}, {lineno})", 0)
+            once[head] = lineno
         if head == "dim":
             try:
                 dim = int(rest)
@@ -1154,7 +1181,7 @@ def from_document(text):
         return raw
 
     rules = [None] * width
-    relation_line = {}  # generator slot -> line of its rewriting relation
+    relation_line = {}  # generator slot -> line of its relation
     for lhs, rhs, lineno in relations:
         lterm = parse_class_terms(lhs)
         if len(lterm) != 1:
@@ -1163,6 +1190,10 @@ def from_document(text):
         if lc != 1 or sum(1 for e in lexp if e) != 1:
             raise ParseError(f"relation left side must be a pure generator power (line {lineno})", 0)
         i = next(j for j, e in enumerate(lexp) if e)
+        if i in relation_line:
+            raise ParseError(f"second relation for {gens[i]} "
+                             f"(lines {relation_line[i]}, {lineno})", 0)
+        relation_line[i] = lineno
         r = lexp[i]
         rel = {} if rhs in ("0", "") else parse_class_terms(rhs)
         for rexp in rel:
@@ -1170,17 +1201,13 @@ def from_document(text):
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)
             if _total(rexp) != r:
                 raise ParseError(f"relation is not homogeneous of degree {r} (line {lineno})", 0)
-        if rel:
-            rules[i] = ("relation", r, rel)
-            relation_line[i] = lineno
-        else:
-            rules[i] = ("nilpotent", r)
-            relation_line.pop(i, None)
-    # i -> j when generator j has a relation and occurs on the right of i's
+        rules[i] = ("relation", r, rel) if rel else ("nilpotent", r)
+    # i -> j when generator j has a rewriting relation and occurs on the right of i's
+    rewriting = {i for i in relation_line if rules[i][0] == "relation"}
     try:
         TopologicalSorter({i: {j for rexp in rules[i][2] for j, x in enumerate(rexp)
-                               if x and j != i and j in relation_line}
-                           for i in relation_line}).prepare()
+                               if x and j != i and j in rewriting}
+                           for i in rewriting}).prepare()
     except CycleError as exc:
         lines = ", ".join(str(n) for n in sorted({relation_line[i] for i in exc.args[1]}))
         raise ParseError(f"relations rewrite into each other and may not terminate "
@@ -1190,6 +1217,7 @@ def from_document(text):
             rules[i] = ("nilpotent", dim + 1)
 
     integral_exps = {}
+    integral_line = {}
     for mono_src, value, lineno in integrals:
         raw = parse_class_terms(mono_src)
         if len(raw) != 1:
@@ -1199,6 +1227,10 @@ def from_document(text):
             raise ParseError(f"integral left side must be a bare monomial (line {lineno})", 0)
         if _total(exp) != dim:
             raise ParseError(f"integral monomials must have top degree (line {lineno})", 0)
+        if exp in integral_line:
+            raise ParseError(f"second integral of {mono_src} "
+                             f"(lines {integral_line[exp]}, {lineno})", 0)
+        integral_line[exp] = lineno
         integral_exps[exp] = value
     if not integral_exps:
         raise ParseError("document needs at least one 'integral' line", 0)

@@ -217,9 +217,16 @@ def degree(c):
 
 
 def chi_y_genus(space, mode="closed", data=None):
-    """The y-genus of the space in the given mode, as a Laurent polynomial."""
-    val = degree(mht(mhc_y(space, mode, data), normalized=False))
-    return val.reduce_unit_denominator()
+    """The y-genus of the space in the given mode, as a Laurent polynomial.
+
+    It is the degree of the dimension-0 part of the unnormalized ``mht``,
+    i.e. the integral of the top-degree part of ch * td(TM).  That part is
+    read through a complementary-degree pairing: only the monomial pairs of
+    ch and td whose degrees add up to the dimension are multiplied, and the
+    full ledger that ``mht`` builds is never formed.
+    """
+    top = mhc_y(space, mode, data).ch.product_component(_todd(space), space.dim)
+    return _as_rf(space.integrate(top)).reduce_unit_denominator()
 
 
 # -- functorialities -----------------------------------------------------------

@@ -93,19 +93,26 @@ class TestCommands:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("doc, line", [
-        ("dim x\ngens h\nintegral h = 1\ntangent 1 + 2*h\n", 1),
-        ("dim 1\ngens h\nintegral h = 1/0\ntangent 1 + 2*h\n", 3),
-        ("dim 1\ngens a b\nintegral a + b = 1\ntangent 1 + 2*a\n", 3),
-        ("dim 1\ngens h\nrelation h^2 = h\nintegral h = 1\ntangent 1 + 2*h\n", 3),
+    @pytest.mark.parametrize("doc, where", [
+        ("dim x\ngens h\nintegral h = 1\ntangent 1 + 2*h\n", "(line 1)"),
+        ("dim 1\ngens h\nintegral h = 1/0\ntangent 1 + 2*h\n", "(line 3)"),
+        ("dim 1\ngens a b\nintegral a + b = 1\ntangent 1 + 2*a\n", "(line 3)"),
+        ("dim 1\ngens h\nrelation h^2 = h\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
+        ("dim 1\ngens h\nrelation h^2 = 0\nintegral h = 1\nrelation h^3 = 0\n"
+         "tangent 1 + 2*h\n", "(lines 3, 5)"),
+        ("dim 1\ngens h\nintegral h = 1\nintegral h = 5\ntangent 1 + 2*h\n", "(lines 3, 4)"),
+        ("dim 1\ngens h\ndim 1\nintegral h = 1\ntangent 1 + 2*h\n", "(lines 1, 3)"),
+        ("dim 1\ngens h\nintegral h = 1\ngens h\ntangent 1 + 2*h\n", "(lines 2, 4)"),
+        ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h\ntangent 1\n", "(lines 4, 5)"),
     ], ids=["dim-not-integer", "integral-divides-by-zero", "integral-two-monomials",
-            "relation-lowers-degree"])
-    def test_malformed_document_exit_code(self, capsys, tmp_path, doc, line):
+            "relation-lowers-degree", "second-relation", "second-integral", "second-dim",
+            "second-gens", "second-tangent"])
+    def test_malformed_document_exit_code(self, capsys, tmp_path, doc, where):
         path = tmp_path / "bad.space"
         path.write_text(doc)
         code, out, err = run(capsys, "genus", "--space", f"@{path}")
         assert code == 2 and not out
-        assert err.startswith("error:") and f"(line {line})" in err
+        assert err.startswith("error:") and where in err
 
     def test_cyclic_relations_exit_code(self, capsys, tmp_path, time_limit):
         path = tmp_path / "cyclic.space"

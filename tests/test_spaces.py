@@ -277,6 +277,21 @@ class TestDocuments:
             assert m.integrate(a ** 3) == m.integrate(naive_product(a * a, a))
             assert sp.from_document(GROTHENDIECK_DOCUMENT).dim == 2
 
+    @pytest.mark.parametrize("extra, lines", [
+        ("relation a^2 = a*b", "4, 8"),       # a later rule would replace the first
+        ("relation a^3 = 0", "4, 8"),
+        ("integral a*b = 5", "6, 8"),         # a later value would replace the first
+        ("integral b*a = 1", "6, 8"),
+        ("dim 2", "2, 8"),
+        ("gens a b", "3, 8"),
+        ("tangent 1 + 2*a + 2*b", "7, 8"),
+    ], ids=["relation", "nilpotency-cap", "integral", "integral-reordered", "dim", "gens",
+            "tangent"])
+    def test_repeated_lines_are_rejected(self, extra, lines):
+        assert sp.from_document(QUADRIC_DOCUMENT.strip()).dim == 2
+        with pytest.raises(ParseError, match=rf"\(lines {lines}\)"):
+            sp.from_document(QUADRIC_DOCUMENT.strip() + "\n" + extra + "\n")
+
     @pytest.mark.parametrize("relation", ["h^2 = h", "h^2 = h*k + k", "k^2 = h^3"])
     def test_relation_must_be_homogeneous(self, relation):
         doc = f"dim 2\ngens h k\nrelation {relation}\nintegral h*k = 1\ntangent 1\n"
@@ -386,6 +401,27 @@ class TestMultiplyKernel:
         a = m.one() + 2 * xi + h * Fraction(1, 5) + xi * h * LaurentY({1: 3})
         assert a * a == naive_product(a, a)
         assert xi ** 3 == m.monomial((2, 1), Fraction(-1, 12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_product_component_matches_the_full_product(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        a, b = data.draw(classes_on(space)), data.draw(classes_on(space))
+        full = a * b
+        for d in range(-1, space.dim + 2):
+            assert a.product_component(b, d) == full.component(d), d
+
+    def test_table_denominator_rises_in_a_product_component(self):
+        # a fresh model and operands built without a multiply: the table
+        # denominator first rises inside the restricted product
+        m = sp.from_document(FRACTIONAL_DOCUMENT)
+        a = sp.CohClass(m, {(0, 0): 1, (0, 1): 2, (1, 1): LaurentY({1: 3})})
+        b = sp.CohClass(m, {(0, 0): 1, (1, 0): 1, (0, 1): Fraction(1, 5)})
+        assert m._table_den == 1
+        got = a.product_component(b, m.dim)
+        assert m._table_den > 1
+        assert got == naive_product(a, b).component(m.dim)
+        assert got == m.monomial((2, 1), LaurentY({1: Fraction(33, 10)}))
 
     def test_vanishing_pairs_are_tabled_empty(self):
         p2 = sp.projective(2)

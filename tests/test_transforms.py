@@ -25,6 +25,8 @@ from hirzebruch.transforms import (
     specialize_minus_one,
 )
 
+from test_spaces import KERNEL_MODELS
+
 ONE_Y = LaurentY({0: 1, 1: 1})
 
 
@@ -166,6 +168,55 @@ class TestDegree:
     def test_open_complement_of_torus(self):
         gm = sp.with_arrangement(sp.projective(1), 2)
         assert chi_y_genus(gm, "open_complement") == ONE_Y
+
+
+def genus_by_ledger(space, mode="closed", data=None):
+    """The genus read off the full unnormalized ledger: the reference route."""
+    return degree(mht(mhc_y(space, mode, data), normalized=False)).reduce_unit_denominator()
+
+
+def two_piece_variation(space):
+    return VariationData([(0, sp.trivial_bundle(space, 1)), (1, sp.line_bundle(space, -2))])
+
+
+GM = sp.with_arrangement(sp.projective(1), 2)
+OPEN_SPACES = ([sp.with_arrangement(sp.projective(n), k) for n in range(1, 4)
+                for k in range(n + 2)]
+               + [sp.product(*[GM] * n) for n in range(1, 4)]
+               + [sp.product(GM, sp.with_arrangement(sp.projective(2), 1))])
+TWISTED_SPACES = [sp.projective(1), sp.projective(3), sp.hypersurface(3, 4),
+                  sp.product(sp.projective(1), sp.projective(2)),
+                  sp.projective_bundle(sp.projective(2),
+                                       sp.sum_of_line_bundles(sp.projective(2), [0, 1, 3]))]
+
+
+class TestGenusPairing:
+    """chi_y_genus reads the top degree of ch * td through a pairing of
+    complementary degrees; the full ledger must give the same value."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert isinstance(got, LaurentY) and got == want, (got, want)
+
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
+    def test_closed(self, space):
+        self.assert_same(chi_y_genus(space), genus_by_ledger(space))
+
+    @pytest.mark.parametrize("space", OPEN_SPACES, ids=lambda m: m.name)
+    def test_open_complement(self, space):
+        self.assert_same(chi_y_genus(space, "open_complement"),
+                         genus_by_ledger(space, "open_complement"))
+        data = two_piece_variation(space)
+        self.assert_same(chi_y_genus(space, "open_complement", data),
+                         genus_by_ledger(space, "open_complement", data))
+
+    @pytest.mark.parametrize("space", TWISTED_SPACES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("variation", ["tate", "two-piece"])
+    def test_twisted(self, space, variation):
+        data = (VariationData.tate(space, 1) if variation == "tate"
+                else two_piece_variation(space))
+        self.assert_same(chi_y_genus(space, "twisted", data),
+                         genus_by_ledger(space, "twisted", data))
 
 
 class TestExterior:
