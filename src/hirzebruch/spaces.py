@@ -41,7 +41,7 @@ on the rewrite rules and the dimension, which never change after
 construction; it is never shared between models or keyed on
 ``SpaceModel.key``, which is not unique.
 
-``CohClass.product_component`` is the same multiply restricted to one
+``CohClass.multiply`` with a degree is the same multiply restricted to one
 degree: the right operand is grouped by degree and each left monomial
 meets only the group of the complementary degree.  The genus is read
 through this pairing (the top degree of ch * td), while ``mht`` builds the
@@ -328,17 +328,14 @@ class CohClass:
                     for y2, m2 in t2:
                         a[y1 + y2] = a.get(y1 + y2, 0) + m1 * m2
             return CohClass._raw(self.space, *_canonical(acc, self._d * d, self._k + k))
-        return self._product(other)
+        return self.multiply(other)
 
     __rmul__ = __mul__
 
-    def product_component(self, other, degree):
-        """``(self * other).component(degree)``, multiplying only the monomial
-        pairs whose degrees add up to ``degree``."""
-        return self._product(other, degree)
-
-    def _product(self, other, degree=None):
-        """The product with another class, or only its part in ``degree``."""
+    def multiply(self, other, degree=None):
+        """The product with another class.  Given ``degree``, only its part in
+        that degree, ``(self * other).component(degree)``, for which only the
+        monomial pairs whose degrees add up to ``degree`` are multiplied."""
         self._check(other)
         space = self.space
         table = space._products
@@ -369,7 +366,7 @@ class CohClass:
         if space._table_den != q:
             # a new table entry raised the table denominator; every entry
             # this product needs is in the table now, so one more pass is final
-            return self._product(other, degree)
+            return self.multiply(other, degree)
         return CohClass._raw(space, *_canonical(out, self._d * other._d * q,
                                                 self._k + other._k))
 

@@ -225,7 +225,7 @@ def chi_y_genus(space, mode="closed", data=None):
     ch and td whose degrees add up to the dimension are multiplied, and the
     full ledger that ``mht`` builds is never formed.
     """
-    top = mhc_y(space, mode, data).ch.product_component(_todd(space), space.dim)
+    top = mhc_y(space, mode, data).ch.multiply(_todd(space), space.dim)
     return _as_rf(space.integrate(top)).reduce_unit_denominator()
 
 

@@ -404,21 +404,21 @@ class TestMultiplyKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_product_component_matches_the_full_product(self, data):
+    def test_multiply_in_one_degree_matches_the_full_product(self, data):
         space = data.draw(st.sampled_from(KERNEL_MODELS))
         a, b = data.draw(classes_on(space)), data.draw(classes_on(space))
         full = a * b
         for d in range(-1, space.dim + 2):
-            assert a.product_component(b, d) == full.component(d), d
+            assert a.multiply(b, d) == full.component(d), d
 
-    def test_table_denominator_rises_in_a_product_component(self):
+    def test_table_denominator_rises_in_a_multiply_in_one_degree(self):
         # a fresh model and operands built without a multiply: the table
         # denominator first rises inside the restricted product
         m = sp.from_document(FRACTIONAL_DOCUMENT)
         a = sp.CohClass(m, {(0, 0): 1, (0, 1): 2, (1, 1): LaurentY({1: 3})})
         b = sp.CohClass(m, {(0, 0): 1, (1, 0): 1, (0, 1): Fraction(1, 5)})
         assert m._table_den == 1
-        got = a.product_component(b, m.dim)
+        got = a.multiply(b, m.dim)
         assert m._table_den > 1
         assert got == naive_product(a, b).component(m.dim)
         assert got == m.monomial((2, 1), LaurentY({1: Fraction(33, 10)}))
