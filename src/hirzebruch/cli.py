@@ -169,7 +169,10 @@ def _cmd_arrangement(args):
 def _cmd_verify(args):
     order = args.order
     if order is None:
-        order = int(os.environ.get("HIRZ_ORDER", "8"))
+        try:
+            order = int(os.environ.get("HIRZ_ORDER", "8"))
+        except ValueError:
+            raise InvalidParameter("HIRZ_ORDER must be an integer") from None
     results = verify_mod.run_suites(args.suite, order=order)
     suites = []
     counts = {}

@@ -53,11 +53,11 @@ def ch_difference(got, want):
     """Where two K-classes on one space differ: the first degree and monomial
     (in the order of ``CohClass.items``) at which their Chern characters
     disagree, with both coefficients; empty when they are equal."""
-    for e, _ in (got.ch - want.ch).items():
-        space = got.space
-        return (f"ch differs first in degree {sum(e)} at {space.render_monomial(e) or '1'}: "
-                f"{got.ch.coeff(e)} vs {want.ch.coeff(e)}")
-    return ""
+    if got == want:
+        return ""
+    e, _ = (got.ch - want.ch).items()[0]
+    return (f"ch differs first in degree {sum(e)} at {got.space.render_monomial(e) or '1'}: "
+            f"{got.ch.coeff(e)} vs {want.ch.coeff(e)}")
 
 
 def _chi_projective(n):

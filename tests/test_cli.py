@@ -144,6 +144,12 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["inputs"]["order"] == 5
 
+    def test_order_from_environment_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("HIRZ_ORDER", "x")
+        code, out, err = run(capsys, "verify", "--suite", "series-limits")
+        assert code == 2 and not out
+        assert err.startswith("error:") and "HIRZ_ORDER" in err
+
     def test_order_flag_wins(self, capsys, monkeypatch):
         monkeypatch.setenv("HIRZ_ORDER", "5")
         code, out, _ = run(capsys, "verify", "--suite", "series-limits",
