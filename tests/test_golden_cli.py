@@ -56,7 +56,7 @@ COMMANDS = (
        for s in ("P2", "Hyp(3,4)", "Proj(P1;0,1)", "Arr(2,3)", "P1xP2")]
     + [("epoly", e) for e in ("C1", "P2 - 2 P1 + pt", "Gm*Gm + 3 A2")]
     + [("genus", "--motivic", e) for e in ("P2*P1 - L", "C2", "P3 - Gm")]
-    + [("verify", "--suite", s) for s in FAST_SUITES]
+    + [("verify", "--suite", s) for s in FAST_SUITES + ["integrality", "all"]]
 )
 
 
