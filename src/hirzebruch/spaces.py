@@ -46,6 +46,16 @@ degree: the right operand is grouped by degree and each left monomial
 meets only the group of the complementary degree.  The genus is read
 through this pairing (the top degree of ch * td), while ``mht`` builds the
 full product in every degree.
+
+A model also keeps the characteristic classes that depend on it alone, in
+``_classes``, next to the product table: the closed K-class ``mhc_y(X)``
+and the Todd class of the tangent bundle, each computed on first use by
+``transforms``.  The Todd entry records the series object it was expanded
+from and is recomputed when ``bundles.genus_series`` hands out a different
+one (as it does while the series is patched).  Classes that depend on
+variation data (open-complement and twisted modes) are not kept.  Like the
+table, the entries live on the instance and are never keyed on
+``SpaceModel.key``.
 """
 
 from __future__ import annotations
@@ -476,7 +486,7 @@ class SpaceModel:
 
     __slots__ = (
         "kind", "key", "name", "dim", "gens", "_rules", "_integrals",
-        "tangent_chern", "log", "extra", "_products", "_table_den",
+        "tangent_chern", "log", "extra", "_products", "_table_den", "_classes",
     )
 
     def __init__(self, kind, key, name, dim, gens, rules, integrals, extra=None):
@@ -498,6 +508,7 @@ class SpaceModel:
         self.extra = extra or {}
         self._products = {}  # e1 -> {e2: reduced product terms}, filled lazily
         self._table_den = 1  # every table integer is over this denominator
+        self._classes = {}  # data-free characteristic classes, filled lazily
 
     @property
     def _zero_exp(self):

@@ -27,8 +27,13 @@ from .spaces import CohClass
 
 
 def _todd(space):
-    return apply_series(bundles.genus_series("todd", max(space.dim, 1)),
-                        space.tangent_bundle(), space)
+    """td(TM), kept on the model together with the series it came from."""
+    series = bundles.genus_series("todd", max(space.dim, 1))
+    memo = space._classes.get("todd")
+    if memo is None or memo[0] is not series:
+        memo = space._classes["todd"] = (
+            series, apply_series(series, space.tangent_bundle(), space))
+    return memo[1]
 
 
 def _as_rf(c):
@@ -86,9 +91,14 @@ def mhc_y(space, mode="closed", data=None):
       arrangement, via the logarithmic cotangent bundle; variation data, if
       supplied, multiplies in through its cohomological class.
     * ``twisted``: variation data against the closed class.
+
+    The closed class is kept on the model after its first computation.
     """
     if mode == "closed":
-        return lambda_y(space.tangent_bundle().dual())
+        k = space._classes.get("closed")
+        if k is None:
+            k = space._classes["closed"] = lambda_y(space.tangent_bundle().dual())
+        return k
     if mode == "open_complement":
         if space.log is None:
             raise MissingLogStructure(f"{space.name} has no boundary arrangement")
@@ -192,7 +202,8 @@ def mht(k, normalized=True):
 
     Unnormalized: ch(k) * td(TM) against the fundamental class, regraded by
     cycle dimension.  Normalized: the dimension-j part is additionally
-    scaled by (1+y)^(-j).
+    scaled by (1+y)^(-j), on top of any (1+y) denominator the Chern
+    character already carries.
     """
     space = k.space
     total = k.ch * _todd(space)
@@ -203,8 +214,8 @@ def mht(k, normalized=True):
             continue
         row = {}
         for e, v in part.items():
-            lau = v if isinstance(v, LaurentY) else LaurentY({0: Fraction(v)})
-            row[e] = RationalFunctionY(lau, j if normalized else 0)
+            rf = _as_rf(v)
+            row[e] = RationalFunctionY(rf.num, rf.den_pow + (j if normalized else 0))
         comps[j] = row
     return HomClassY(space, comps)
 

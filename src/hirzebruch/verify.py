@@ -5,6 +5,14 @@ and reports one record per identity: (name, passed, detail), with the
 offending values rendered when a check fails.  The registry is what the
 command line's ``verify`` command runs; the acceptance tests run the same
 suites, so a perturbation anywhere in the pipeline shows up in both.
+
+``multiplicativity``, ``updown`` and ``integrality`` run on the same
+projective-bundle family.  ``run_suites`` builds it once per call, on first
+need, and hands it to each of them; nothing outlives the call.  Called
+without a family, a suite builds its own.  The models of the family keep
+their closed K-class and Todd class (see ``spaces``), so a later suite
+reuses what an earlier one computed on them; within one identity the two
+sides are still computed on different models.
 """
 
 from __future__ import annotations
@@ -60,6 +68,22 @@ def ch_difference(got, want):
             f"{got.ch.coeff(e)} vs {want.ch.coeff(e)}")
 
 
+def hom_difference(got, want):
+    """Where two homology ledgers differ: the first cycle dimension (from
+    the top) and monomial at which their coefficients disagree, with both
+    coefficients; empty when they are equal."""
+    if got == want:
+        return ""
+    for j in sorted(set(got.comps) | set(want.comps), reverse=True):
+        a, b = got.component(j), want.component(j)
+        for e in sorted(set(a) | set(b)):
+            if a.get(e, 0) != b.get(e, 0):
+                return (f"ledger differs first in dimension {j} at "
+                        f"{got.space.render_monomial(e) or '1'}: "
+                        f"{a.get(e, 0)} vs {b.get(e, 0)}")
+    return f"the ledgers live on {got.space.name} and {want.space.name}"
+
+
 def _chi_projective(n):
     return LaurentY({p: (-1) ** p for p in range(n + 1)})
 
@@ -101,18 +125,27 @@ def suite_series_limits(order=8):
 def _bundle_family(base, max_rank=3, max_twist=3):
     for r in range(1, max_rank + 1):
         for twists in combinations_with_replacement(range(-max_twist, max_twist + 1), r):
-            yield twists, sp.sum_of_line_bundles(base, twists)
+            E = sp.sum_of_line_bundles(base, twists)
+            yield twists, E, sp.projective_bundle(base, E)
 
 
-def suite_multiplicativity():
+def bundle_family():
+    """The split bundles of rank <= 3 over P1 and P2 with their
+    projectivizations: ``{n: (P^n, [(twists, E, P(E)), ...])}``."""
+    out = {}
+    for n in (1, 2):
+        base = sp.projective(n)
+        out[n] = (base, list(_bundle_family(base)))
+    return out
+
+
+def suite_multiplicativity(family=None):
     """chi_y of a projective bundle equals the fiber genus times the base
     genus, for split bundles of rank <= 3 over P1 and P2."""
     checks = []
-    for base_n in (1, 2):
-        base = sp.projective(base_n)
+    for base_n, (base, members) in (family or bundle_family()).items():
         chi_base = chi_y_genus(base)
-        for twists, E in _bundle_family(base):
-            tot = sp.projective_bundle(base, E)
+        for twists, E, tot in members:
             got = chi_y_genus(tot)
             want = _chi_projective(E.rank - 1) * chi_base
             checks.append(_eq(f"chi_y(P(O({','.join(map(str, twists))})) over P{base_n})",
@@ -120,15 +153,13 @@ def suite_multiplicativity():
     return checks
 
 
-def suite_updown():
+def suite_updown(family=None):
     """Pushing the total-space class down a bundle projection yields the
     fiber genus times the base class, as a full class identity."""
     checks = []
-    for base_n in (1, 2):
-        base = sp.projective(base_n)
+    for base_n, (base, members) in (family or bundle_family()).items():
         mhc_base = mhc_y(base)
-        for twists, E in _bundle_family(base):
-            tot = sp.projective_bundle(base, E)
+        for twists, E, tot in members:
             pi = sp.bundle_projection(tot)
             got = pushforward(pi, mhc_y(tot))
             want = mhc_base * _chi_projective(E.rank - 1)
@@ -208,7 +239,7 @@ def suite_chern_limit():
             got = specialize_minus_one(mht(mhc_y(arr, "open_complement")))
             want = csm_arrangement(n, k)
             checks.append(Check(f"y=-1 class of P{n} minus {k} hyperplanes", got == want,
-                                "" if got == want else f"{got!r} vs {want!r}"))
+                                hom_difference(got, want)))
     return checks
 
 
@@ -240,17 +271,15 @@ def suite_arrangements():
     return checks
 
 
-def suite_integrality():
+def suite_integrality(family=None):
     """Every genus the other suites produce lies in Z[y] after cancelling
     the (1+y) denominators."""
     genera = []
     for n in range(1, 5):
         genera.append((f"P{n}", chi_y_genus(sp.projective(n))))
     genera.append(("quartic surface", chi_y_genus(sp.hypersurface(3, 4))))
-    for base_n in (1, 2):
-        base = sp.projective(base_n)
-        for twists, E in _bundle_family(base):
-            tot = sp.projective_bundle(base, E)
+    for _, members in (family or bundle_family()).values():
+        for twists, _, tot in members:
             genera.append((tot.name + f"O({twists})", chi_y_genus(tot)))
     gm1 = sp.with_arrangement(sp.projective(1), 2)
     for n in range(1, 4):
@@ -278,20 +307,32 @@ SUITES = {
 }
 
 
+# the suites that run on the projective-bundle family
+_FAMILY_SUITES = ("multiplicativity", "updown", "integrality")
+
+
 def run_suites(names, order=8):
     """Run the named suites (or all of them); returns {suite: [Check]}.
 
     ``order`` is the series order of ``series-limits``, the only suite that
-    depends on one."""
+    depends on one.  The bundle family is built once per call, on first
+    need, and handed to every suite that runs on it."""
     if names in ("all", None):
         names = list(SUITES)
     elif isinstance(names, str):
         names = [names]
     results = {}
+    family = None
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-        results[name] = SUITES[name](order=order) if name == "series-limits" else SUITES[name]()
+        if name == "series-limits":
+            results[name] = SUITES[name](order=order)
+        elif name in _FAMILY_SUITES:
+            family = family or bundle_family()
+            results[name] = SUITES[name](family=family)
+        else:
+            results[name] = SUITES[name]()
     return results
 
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from hirzebruch import bundles
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
-from hirzebruch.bundles import KPolyClass, k_dual
+from hirzebruch.bundles import KPolyClass, k_dual, lambda_y
 from hirzebruch.errors import MissingLogStructure, NotPolynomial
 from hirzebruch.rings import LaurentY, RationalFunctionY
 from hirzebruch.transforms import (
@@ -90,7 +91,64 @@ class TestMhcY:
         assert val == LaurentY({1: -1, 2: -1})
 
 
+class TestModelMemo:
+    def test_genus_follows_a_patched_todd_series(self, monkeypatch):
+        p2 = sp.projective(2)
+        before = chi_y_genus(p2)
+        real = bundles.genus_series
+
+        def poisoned(kind, order):
+            series = real(kind, order)
+            if kind == "todd":
+                coeffs = list(series.coeffs)
+                coeffs[1] = coeffs[1] + LaurentY({0: 1})
+                return bundles.ChernRootSeries(kind, coeffs, order)
+            return series
+
+        monkeypatch.setattr(bundles, "genus_series", poisoned)
+        assert chi_y_genus(p2) != before
+        monkeypatch.undo()
+        assert chi_y_genus(p2) == before
+
+    def test_closed_class_is_unchanged_by_arithmetic(self):
+        p2 = sp.projective(2)
+        c = mhc_y(p2)
+        want = lambda_y(p2.tangent_bundle().dual())
+        assert c * 2 != want
+        assert k_dual(c) != want
+        assert mhc_y(p2) == want
+        assert mhc_y(p2) is c
+
+    def test_kept_per_model_instance(self):
+        p1, other = sp.projective(1), sp.projective(1)
+        assert mhc_y(p1) is not mhc_y(other)
+        assert mhc_y(p1) == mhc_y(other)
+
+
 class TestMht:
+    def test_pole_in_the_chern_character(self):
+        # ch = 1 + h/(1+y), td = 1 + h on P1: ch * td = 1 + (2+y)/(1+y) h
+        p1 = sp.projective(1)
+        h = p1.gen_class(0)
+        k = KPolyClass(LaurentY.one(), p1.one() + h * RationalFunctionY(LaurentY.one(), 1))
+        two_y = LaurentY({0: 2, 1: 1})
+        assert mht(k, normalized=False) == HomClassY(p1, {
+            1: {(0,): RationalFunctionY(LaurentY.one())},
+            0: {(1,): RationalFunctionY(two_y, 1)}})
+        assert mht(k) == HomClassY(p1, {
+            1: {(0,): RationalFunctionY(LaurentY.one(), 1)},
+            0: {(1,): RationalFunctionY(two_y, 1)}})
+
+    def test_pole_adds_to_the_normalization(self):
+        # td(P2) = 1 + 3/2 h + h^2: the h entry of ch * td for ch = 1 + h/(1+y)
+        # is (5/2 + 3/2 y)/(1+y), and dimension one adds one more (1+y)
+        p2 = sp.projective(2)
+        h = p2.gen_class(0)
+        k = KPolyClass(LaurentY.one(), p2.one() + h * RationalFunctionY(LaurentY.one(), 1))
+        num = LaurentY({0: Fraction(5, 2), 1: Fraction(3, 2)})
+        assert mht(k, normalized=False).comps[1][(1,)] == RationalFunctionY(num, 1)
+        assert mht(k).comps[1][(1,)] == RationalFunctionY(num, 2)
+
     def test_line_normalized_and_unnormalized(self):
         p1 = sp.projective(1)
         c = mhc_y(p1, "closed")

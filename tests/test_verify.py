@@ -1,12 +1,18 @@
-"""Verification suites: failure details and the series-order plumbing."""
+"""Verification suites: failure details, the series-order plumbing and the
+bundle family shared within one run."""
 
 import inspect
+from fractions import Fraction
+
+import pytest
 
 from hirzebruch import spaces as sp
 from hirzebruch import verify
 from hirzebruch.bundles import KPolyClass
 from hirzebruch.rings import LaurentY
-from hirzebruch.transforms import mhc_y
+from hirzebruch.transforms import HomClassY, csm_arrangement, mhc_y
+
+FAMILY_SUITES = ["multiplicativity", "updown", "integrality"]
 
 
 class TestChDifference:
@@ -38,3 +44,64 @@ def test_only_series_limits_takes_an_order():
     (check,) = [c for c in verify.run_suites("series-limits", order=3)["series-limits"]
                 if c.name.startswith("hirzebruch(y=0)")]
     assert check.name.endswith("to order 3")
+
+
+class TestHomDifference:
+    def test_names_the_first_differing_dimension_and_monomial(self):
+        want = csm_arrangement(2, 1)
+        comps = {j: want.component(j) for j in want.dims()}
+        comps[1][(1,)] += 5
+        got = HomClassY(want.space, comps)
+        assert verify.hom_difference(got, want) == "ledger differs first in dimension 1 at h: 7 vs 2"
+
+    def test_a_missing_entry_reads_as_zero(self):
+        want = csm_arrangement(2, 1)
+        got = HomClassY(want.space, {j: want.component(j) for j in want.dims() if j != 0})
+        assert verify.hom_difference(got, want) == "ledger differs first in dimension 0 at h^2: 0 vs 1"
+
+    def test_equal_ledgers_have_no_detail(self):
+        c = csm_arrangement(3, 2)
+        assert verify.hom_difference(c, c * Fraction(1)) == ""
+
+
+def counting(monkeypatch, name):
+    """Count the calls of ``spaces.<name>`` for the rest of the test."""
+    calls = []
+    real = getattr(sp, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, name, wrapper)
+    return calls
+
+
+class TestBundleFamily:
+    def test_built_once_per_run(self, monkeypatch):
+        built = counting(monkeypatch, "projective_bundle")
+        verify.run_suites(FAMILY_SUITES)
+        assert len(built) == 238
+        built.clear()
+        verify.run_suites(FAMILY_SUITES)
+        assert len(built) == 238
+
+    def test_not_built_for_other_suites(self, monkeypatch):
+        built = counting(monkeypatch, "projective_bundle")
+        verify.run_suites(["ghrr", "duality"])
+        assert built == []
+
+    @pytest.fixture(scope="class")
+    def in_all(self):
+        return verify.run_suites("all")
+
+    @pytest.fixture(scope="class")
+    def reversed_run(self):
+        return verify.run_suites(FAMILY_SUITES[::-1])
+
+    @pytest.mark.parametrize("name", FAMILY_SUITES)
+    def test_same_checks_alone_in_all_and_reversed(self, name, in_all, reversed_run):
+        alone = [c.as_tuple() for c in verify.SUITES[name]()]
+        assert alone == [c.as_tuple() for c in in_all[name]]
+        assert alone == [c.as_tuple() for c in reversed_run[name]]
+        assert all(status == "pass" for _, status, _ in alone)
