@@ -305,7 +305,6 @@ SUITES = {
 }
 
 
-# the suites that run on the projective-bundle family
 _FAMILY_SUITES = ("multiplicativity", "updown", "integrality")
 
 

@@ -64,30 +64,29 @@ class TestHomDifference:
         assert verify.hom_difference(c, c * Fraction(1)) == ""
 
 
-def counting(monkeypatch, name):
-    """Count the calls of ``spaces.<name>`` for the rest of the test."""
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every ``spaces.projective_bundle`` call in the test."""
     calls = []
-    real = getattr(sp, name)
+    real = sp.projective_bundle
 
-    def wrapper(*args, **kwargs):
+    def wrapper(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(sp, name, wrapper)
+    monkeypatch.setattr(sp, "projective_bundle", wrapper)
     return calls
 
 
 class TestBundleFamily:
-    def test_built_once_per_run(self, monkeypatch):
-        built = counting(monkeypatch, "projective_bundle")
+    def test_built_once_per_run(self, built):
         verify.run_suites(FAMILY_SUITES)
         assert len(built) == 238
         built.clear()
         verify.run_suites(FAMILY_SUITES)
         assert len(built) == 238
 
-    def test_not_built_for_other_suites(self, monkeypatch):
-        built = counting(monkeypatch, "projective_bundle")
+    def test_not_built_for_other_suites(self, built):
         verify.run_suites(["ghrr", "duality"])
         assert built == []
 
