@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidParameter
-from .rings import LaurentY, RationalFunctionY
+from .rings import LaurentY
 from .spaces import BundleClass
 
 
@@ -238,14 +238,6 @@ def _as_laurent(x):
     return LaurentY({0: Fraction(x)})
 
 
-def _invert_y_coeff(c):
-    if isinstance(c, LaurentY):
-        return c.invert_y()
-    if isinstance(c, RationalFunctionY):
-        return c.invert_y()
-    return c
-
-
 class KPolyClass:
     """A Laurent-in-y combination of K-theory classes, carried as a virtual
     rank polynomial together with its Chern character."""
@@ -341,6 +333,6 @@ def k_dual(k, space=None):
     m = space.dim
     sign = Fraction((-1) ** m)
     omega_ch = class_exp(space.canonical_chern_root())
-    ch = k.ch.degree_sign().map_coeffs(_invert_y_coeff) * omega_ch * sign
+    ch = k.ch.degree_sign().invert_y() * omega_ch * sign
     rank = k.rank_poly.invert_y() * sign
     return KPolyClass(rank, ch)

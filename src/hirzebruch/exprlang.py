@@ -10,7 +10,9 @@ Two small languages live here:
   arrangement complements ``Arr(n,k)``.
 
 Parsers report a ``ParseError`` carrying the offset and the set of token
-kinds acceptable at that point.
+kinds acceptable at that point.  Nesting (parentheses, ``Proj(``, juxtaposed
+scalars, chains of ``+ - *``) deeper than ``MAX_DEPTH`` is a ``ParseError``
+where the tree is built, so evaluation and rendering never recurse deeper.
 """
 
 from __future__ import annotations
@@ -21,12 +23,20 @@ from .errors import ParseError
 from . import motivic
 from . import spaces as sp
 
+MAX_DEPTH = 100
+
+
+def _check_depth(depth, position):
+    if depth > MAX_DEPTH:
+        raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", position)
+
 
 # -- motivic expressions ------------------------------------------------------
 
 
 class Atom:
     __slots__ = ("name",)
+    depth = 0
 
     def __init__(self, name):
         self.name = name
@@ -40,6 +50,7 @@ class Atom:
 
 class IntLit:
     __slots__ = ("value",)
+    depth = 0
 
     def __init__(self, value):
         self.value = value
@@ -52,12 +63,13 @@ class IntLit:
 
 
 class BinOp:
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "depth")
 
     def __init__(self, op, left, right):
         self.op = op
         self.left = left
         self.right = right
+        self.depth = 1 + max(left.depth, right.depth)
 
     def __eq__(self, other):
         return (isinstance(other, BinOp) and self.op == other.op
@@ -119,8 +131,14 @@ def parse_expr(src):
         pos += 1
         return tok
 
-    def parse_factor():
+    def binop(op, left, right, position):
+        tree = BinOp(op, left, right)
+        _check_depth(tree.depth, position)
+        return tree
+
+    def parse_factor(level):
         tok = peek()
+        _check_depth(level, tok[2])
         if tok[0] == "atom":
             advance()
             return Atom(tok[1])
@@ -129,11 +147,11 @@ def parse_expr(src):
             lit = IntLit(int(tok[1]))
             # integer juxtaposition: "2 P1" or "2(...)" is a scalar multiple
             if peek()[0] in factor_start:
-                return BinOp("*", lit, parse_factor())
+                return binop("*", lit, parse_factor(level + 1), tok[2])
             return lit
         if tok[0] == "(":
             advance()
-            inner = parse_sum()
+            inner = parse_sum(level + 1)
             closing = peek()
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[2], {")"})
@@ -141,21 +159,21 @@ def parse_expr(src):
             return inner
         raise ParseError(f"expected an atom, integer or '('", tok[2], factor_start)
 
-    def parse_term():
-        node = parse_factor()
+    def parse_term(level):
+        node = parse_factor(level)
         while peek()[0] == "*":
-            advance()
-            node = BinOp("*", node, parse_factor())
+            op = advance()
+            node = binop("*", node, parse_factor(level), op[2])
         return node
 
-    def parse_sum():
-        node = parse_term()
+    def parse_sum(level):
+        node = parse_term(level)
         while peek()[0] in ("+", "-"):
-            op = advance()[0]
-            node = BinOp(op, node, parse_term())
+            op = advance()
+            node = binop(op[0], node, parse_term(level), op[2])
         return node
 
-    tree = parse_sum()
+    tree = parse_sum(0)
     tok = peek()
     if tok[0] != "end":
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], {"+", "-", "*", "end"})
@@ -249,15 +267,16 @@ def parse_space(src):
     def parse_int():
         return int(expect("int")[1])
 
-    def parse_atom():
+    def parse_atom(level):
         tok = peek()
+        _check_depth(level, tok[2])
         if tok[0] == "P":
             expect("P")
             return sp.projective(int(tok[1][1:]))
         if tok[0] == "Proj":
             expect("Proj")
             expect("(")
-            base = parse_product()
+            base = parse_product(level + 1)
             expect(";")
             twists = [parse_int()]
             while peek()[0] == ",":
@@ -283,19 +302,19 @@ def parse_space(src):
             return sp.with_arrangement(sp.projective(n), k)
         if tok[0] == "(":
             expect("(")
-            inner = parse_product()
+            inner = parse_product(level + 1)
             expect(")")
             return inner
         raise ParseError("expected a space atom", tok[2], {"P<n>", "Proj", "Hyp", "Arr", "("})
 
-    def parse_product():
-        factors = [parse_atom()]
+    def parse_product(level):
+        factors = [parse_atom(level)]
         while peek()[0] == "x":
             expect("x")
-            factors.append(parse_atom())
+            factors.append(parse_atom(level))
         return sp.product(*factors) if len(factors) > 1 else factors[0]
 
-    space = parse_product()
+    space = parse_product(0)
     tok = peek()
     if tok[0] != "end":
         raise ParseError(f"unexpected token {tok[1]!r} in space spec", tok[2], {"x", "end"})

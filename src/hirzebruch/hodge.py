@@ -6,15 +6,19 @@ structures: h(p, q) is the virtual dimension of the (p, q) graded piece.
 Only these graded dimensions are modeled; actual filtrations, morphisms and
 polarizations never enter any formula computed here.
 
-The two genera attached to a table are the E-polynomial (in u, v, seeing
-both gradings) and chi_y (in y, seeing only the first grading).  Both are
-ring homomorphisms for the tensor product.
+A table is stored as its E-polynomial, the ``PolyUV`` sum of h(p, q) u^p v^q,
+so the group and ring operations are those of the polynomial: sums add
+tables, the tensor product multiplies them, duality is (u, v) -> (1/u, 1/v)
+and a Tate twist multiplies by a monomial.  The two genera attached to a
+table are the E-polynomial itself (in u, v, seeing both gradings) and
+chi_y (in y, seeing only the first grading).  Both are ring homomorphisms
+for the tensor product.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidParameter
-from .rings import LaurentY, PolyUV
+from .rings import PolyUV, chi_substitute, invert_uv
 
 
 class HodgeDiamond:
@@ -24,27 +28,26 @@ class HodgeDiamond:
     anti-diagonal p + q = n and to satisfy the symmetry h(p, q) = h(q, p).
     """
 
-    __slots__ = ("_h", "pure_weight")
+    __slots__ = ("_e", "pure_weight")
 
     def __init__(self, entries=None, pure_weight=None):
-        h = {}
-        if entries:
-            for (p, q), v in entries.items():
-                v = int(v)
-                if v:
-                    h[(int(p), int(q))] = v
+        e = PolyUV(entries)
         if pure_weight is not None:
-            for (p, q), v in h.items():
+            for (p, q), v in e.items():
                 if p + q != pure_weight:
-                    raise InvalidParameter(
-                        f"entry at ({p},{q}) violates pure weight {pure_weight}"
-                    )
-                if h.get((q, p)) != v:
-                    raise InvalidParameter(
-                        f"pure table is not symmetric at ({p},{q})"
-                    )
-        self._h = h
+                    raise InvalidParameter(f"entry at ({p},{q}) violates pure weight {pure_weight}")
+                if e.coeff(q, p) != v:
+                    raise InvalidParameter(f"pure table is not symmetric at ({p},{q})")
+        self._e = e
         self.pure_weight = pure_weight
+
+    @classmethod
+    def _of(cls, e, pure_weight=None):
+        """The table with E-polynomial ``e``, known to satisfy ``pure_weight``."""
+        out = cls.__new__(cls)
+        out._e = e
+        out.pure_weight = pure_weight
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -63,16 +66,14 @@ class HodgeDiamond:
 
     @classmethod
     def from_triples(cls, triples, pure_weight=None):
-        entries = {}
-        for p, q, v in triples:
-            entries[(p, q)] = entries.get((p, q), 0) + v
-        return cls(entries, pure_weight=pure_weight)
+        return cls(sum((PolyUV({(p, q): v}) for p, q, v in triples), PolyUV()),
+                   pure_weight=pure_weight)
 
     # -- basic structure ---------------------------------------------------
 
     def entries(self):
         """Nonzero entries as ((p, q), h) sorted lexicographically."""
-        return sorted(self._h.items())
+        return sorted(self._e.items())
 
     def triples(self):
         """Entries as [p, q, h] lists (the text/JSON interchange form)."""
@@ -84,48 +85,36 @@ class HodgeDiamond:
         return json.dumps(self.triples())
 
     def entry(self, p, q):
-        return self._h.get((p, q), 0)
+        return self._e.coeff(p, q)
 
     def total_dimension(self):
         """Sum of all entries; equals chi_y evaluated at y = -1."""
-        return sum(self._h.values())
+        return sum(v for _, v in self._e.items())
 
     def is_zero(self):
-        return not self._h
+        return self._e.is_zero()
 
     def __bool__(self):
-        return bool(self._h)
+        return bool(self._e)
 
     def __eq__(self, other):
         if not isinstance(other, HodgeDiamond):
             return NotImplemented
-        return self._h == other._h
+        return self._e == other._e
 
     def __hash__(self):
-        return hash(tuple(sorted(self._h.items())))
+        return hash(self._e)
 
     # -- group and ring operations ------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, HodgeDiamond):
             return NotImplemented
-        h = dict(self._h)
-        for k, v in other._h.items():
-            w = h.get(k, 0) + v
-            if w:
-                h[k] = w
-            else:
-                h.pop(k, None)
-        out = HodgeDiamond()
-        out._h = h
-        out.pure_weight = self.pure_weight if self.pure_weight == other.pure_weight else None
-        return out
+        weight = self.pure_weight if self.pure_weight == other.pure_weight else None
+        return HodgeDiamond._of(self._e + other._e, weight)
 
     def __neg__(self):
-        out = HodgeDiamond()
-        out._h = {k: -v for k, v in self._h.items()}
-        out.pure_weight = self.pure_weight
-        return out
+        return HodgeDiamond._of(-self._e, self.pure_weight)
 
     def __sub__(self, other):
         if not isinstance(other, HodgeDiamond):
@@ -134,10 +123,7 @@ class HodgeDiamond:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = HodgeDiamond()
-            out._h = {} if other == 0 else {k: other * v for k, v in self._h.items()}
-            out.pure_weight = self.pure_weight
-            return out
+            return HodgeDiamond._of(self._e * other, self.pure_weight)
         if isinstance(other, HodgeDiamond):
             return self.tensor(other)
         return NotImplemented
@@ -146,63 +132,41 @@ class HodgeDiamond:
 
     def tensor(self, other):
         """Tensor product: convolution of tables, weights add."""
-        h = {}
-        for (p1, q1), v1 in self._h.items():
-            for (p2, q2), v2 in other._h.items():
-                k = (p1 + p2, q1 + q2)
-                w = h.get(k, 0) + v1 * v2
-                if w:
-                    h[k] = w
-                else:
-                    h.pop(k, None)
-        out = HodgeDiamond()
-        out._h = h
-        if self.pure_weight is not None and other.pure_weight is not None:
-            out.pure_weight = self.pure_weight + other.pure_weight
-        else:
-            out.pure_weight = None
-        return out
+        weight = (None if self.pure_weight is None or other.pure_weight is None
+                  else self.pure_weight + other.pure_weight)
+        return HodgeDiamond._of(self._e * other._e, weight)
 
     def __pow__(self, n):
         n = int(n)
         if n < 0:
             raise InvalidParameter("negative tensor power")
-        out = HodgeDiamond.point()
-        for _ in range(n):
-            out = out.tensor(self)
-        return out
+        weight = 0 if n == 0 else None if self.pure_weight is None else n * self.pure_weight
+        return HodgeDiamond._of(self._e ** n, weight)
 
     def dual(self):
         """h'(p, q) = h(-p, -q); inverts the weight."""
-        out = HodgeDiamond()
-        out._h = {(-p, -q): v for (p, q), v in self._h.items()}
-        out.pure_weight = None if self.pure_weight is None else -self.pure_weight
-        return out
+        weight = None if self.pure_weight is None else -self.pure_weight
+        return HodgeDiamond._of(invert_uv(self._e), weight)
 
     def tate_twist(self, n):
         """Tensor with the rank-one type (-n, -n) class: shift by (-n, -n)."""
-        out = HodgeDiamond()
-        out._h = {(p - n, q - n): v for (p, q), v in self._h.items()}
-        out.pure_weight = None if self.pure_weight is None else self.pure_weight - 2 * n
-        return out
+        weight = None if self.pure_weight is None else self.pure_weight - 2 * n
+        return HodgeDiamond._of(self._e * PolyUV({(-n, -n): 1}), weight)
 
     # -- genera --------------------------------------------------------------
 
     def e_polynomial(self):
         """E = sum of h(p, q) u^p v^q."""
-        return PolyUV({(p, q): v for (p, q), v in self._h.items()})
+        return self._e
 
     def chi_y(self):
         """chi_y = sum over p of (sum over q of h(p, q)) (-y)^p."""
-        cols = {}
-        for (p, _q), v in self._h.items():
-            cols[p] = cols.get(p, 0) + v
-        return LaurentY({p: (v if p % 2 == 0 else -v) for p, v in cols.items()})
+        return chi_substitute(self._e)
 
     # -- rendering -------------------------------------------------------------
 
     def __str__(self):
-        if not self._h:
+        if not self._e:
             return "0"
         return " + ".join(
             f"{v}@({p},{q})" for (p, q), v in self.entries()

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .errors import InvalidParameter
 from .hodge import HodgeDiamond
-from .rings import chi_substitute
 
 # Display trees are nested tuples:
 #   ("atom", label), ("int", n), ("add"|"sub"|"mul", left, right),
@@ -126,7 +125,7 @@ class MotivicClass:
 
     def chi_y(self):
         """Compactly supported chi_y genus."""
-        return chi_substitute(self.realization.e_polynomial())
+        return self.realization.chi_y()
 
     def __str__(self):
         return render_expr(self.expr)

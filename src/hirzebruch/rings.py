@@ -397,8 +397,15 @@ def substitute(p, u_value, v_value):
 
 
 def chi_substitute(p):
-    """The specialization (u, v) -> (-y, 1), from E-polynomials to LaurentY."""
-    return substitute(p, LaurentY({1: -1}), LaurentY.one())
+    """The specialization (u, v) -> (-y, 1), from E-polynomials to LaurentY.
+
+    It sums each u-column of coefficients into one term (-1)^a y^a,
+    without the generic ``substitute``'s powers of LaurentY values.
+    """
+    cols = {}
+    for (a, _b), c in p._c.items():
+        cols[a] = cols.get(a, 0) + (c if a % 2 == 0 else -c)
+    return LaurentY(cols)
 
 
 def invert_uv(p):

@@ -21,11 +21,11 @@ identically.  A numerator is a plain
 int when it is constant in y.  Arithmetic runs on these integers and
 normalizes once per result; ``Fraction``, ``LaurentY`` and
 ``RationalFunctionY`` values are accepted by the constructors and scalar
-operations and handed out by ``coeff``, ``items``, ``map_coeffs`` and
-``integrate``: each coefficient as a Fraction when it is constant in y, a
-LaurentY when it is a Laurent polynomial, and a RationalFunctionY when a
-pole at y = -1 remains.  Built-in proper/smooth maps between models
-support Gysin pushforward and ring pullback.
+operations and handed out by ``coeff``, ``items`` and ``map_coeffs``: each
+coefficient as a Fraction when it is constant in y, a LaurentY when it is a
+Laurent polynomial, and a RationalFunctionY when a pole at y = -1 remains.
+``integrate`` always returns a RationalFunctionY.  Built-in proper/smooth
+maps between models support Gysin pushforward and ring pullback.
 
 Multiplying two classes looks up each pair of monomials in the model's
 product table, which maps the pair to the reduced product: the monomials
@@ -64,7 +64,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .errors import InvalidParameter, ParseError, UnsupportedMap
+from .errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
 from .rings import LaurentY, RationalFunctionY
 
 # Rewrite rules attached to a generator slot:
@@ -172,6 +172,11 @@ def _parts(v):
     return None
 
 
+def _laurent(n, den):
+    """The value n / den of a numerator, as a LaurentY."""
+    return LaurentY({y: Fraction(m, den) for y, m in _ydict(n).items()})
+
+
 def _coefficient(n, den, k):
     """The value n / (den*(1+y)^k) of a numerator: a Fraction when it is
     constant in y, a LaurentY when it is a Laurent polynomial, a
@@ -183,8 +188,7 @@ def _coefficient(n, den, k):
         k -= 1
     if n.__class__ is int and not k:
         return Fraction(n, den)
-    lau = LaurentY({y: Fraction(m, den) for y, m in _ydict(n).items()})
-    return RationalFunctionY(lau, k) if k else lau
+    return RationalFunctionY(_laurent(n, den), k) if k else _laurent(n, den)
 
 
 def _reduced(nums, den, k):
@@ -421,6 +425,30 @@ class CohClass:
             {e: (n if _total(e) % 2 == 0 else _negated(n)) for e, n in self._c.items()},
             self._d, self._k)
 
+    def invert_y(self):
+        """Substitute y -> 1/y: as 1 + 1/y = (1+y)/y, each numerator n(y)
+        becomes y^k n(1/y) over the same denominator d*(1+y)^k."""
+        k = self._k
+        return CohClass._raw(
+            self.space,
+            {e: _numerator({k - y: m for y, m in _ydict(n).items()}) for e, n in self._c.items()},
+            self._d, k)
+
+    def at_minus_one(self):
+        """The class at y = -1.  Raises NotPolynomial when a coefficient has a
+        pole there, which in canonical form is when k > 0."""
+        if self._k:
+            raise NotPolynomial(f"{self} has a pole at y = -1")
+        return CohClass._raw(self.space, *_canonical(
+            {e: {0: _at_minus_one(n)} for e, n in self._c.items()}, self._d, 0))
+
+    def normalize_cycles(self):
+        """Divide the degree-j part by (1+y)^(dim - j), the normalization of
+        MHT_y: (1+y)^j times the numerator over dim more factors (1+y)."""
+        return CohClass._raw(self.space, *_reduced(
+            {e: _num_scaled(n, 1, _total(e)) for e, n in self._c.items()},
+            self._d, self._k + self.space.dim))
+
     def __str__(self):
         return self.space.render_class(self)
 
@@ -583,14 +611,15 @@ class SpaceModel:
         return CohClass(self, {tuple(exp): coeff})
 
     def integrate(self, c):
-        """Value of the degree-dim part under the integration functional."""
+        """Value of the degree-dim part under the integration functional, as
+        a RationalFunctionY."""
         w = lcm(*(x.denominator for x in self._integrals.values()))
         total = 0
         for exp, weight in self._integrals.items():
             n = c._c.get(exp)
             if n is not None:
                 total = _num_sum(total, _num_scaled(n, (weight * w).numerator, 0))
-        return _coefficient(total, c._d * w, c._k)
+        return RationalFunctionY(_laurent(total, c._d * w), c._k)
 
     def tangent_bundle(self):
         return BundleClass(self.dim, self.tangent_chern)
@@ -900,15 +929,18 @@ def hypersurface(n, d):
         extra={"ambient_n": n, "degree": d},
     )
     h = m.gen_class(0)
-    numer = (m.one() + h) ** (n + 1)
-    inv = m.one()
-    term = m.one()
-    for _ in range(n - 1):
-        term = term * (h * Fraction(-d))
-        inv = inv + term
-    m.tangent_chern = numer * inv
+    m.tangent_chern = (m.one() + h) ** (n + 1) * _inverse_one_plus(h * d)
     m.extra["virtual_rank"] = n - 1
     return m
+
+
+def _inverse_one_plus(x):
+    """1/(1 + x) = 1 - x + x^2 - ... for a class x with no constant term."""
+    out = term = x.space.one()
+    for _ in range(x.space.dim):
+        term = term * -x
+        out = out + term
+    return out
 
 
 def with_arrangement(space, k):
@@ -1001,8 +1033,7 @@ def gysin_pushforward(m, c):
     if m.kind in ("identity", "open_restriction"):
         return CohClass._raw(tgt, c._c, c._d, c._k)
     if m.kind == "constant":
-        val = m.source.integrate(c)
-        return tgt.constant(val) if val != 0 else tgt.zero()
+        return tgt.constant(m.source.integrate(c))
     if m.kind == "bundle_projection":
         r = m.source.extra["rank"]
         nb = len(tgt.gens)
@@ -1022,18 +1053,11 @@ def gysin_pushforward(m, c):
         for exp, v in c.items():
             weight = Fraction(1)
             for i, f in enumerate(factors):
-                if i == axis:
-                    continue
-                part = exp[offs[i]:offs[i] + len(f.gens)]
-                w = f._integrals.get(part)
-                if w is None:
-                    weight = None
-                    break
-                weight *= w
-            if weight is None:
-                continue
-            e = exp[start:stop]
-            raw[e] = raw.get(e, 0) + v * weight
+                if i != axis:  # integrate the other factors out
+                    weight *= f._integrals.get(exp[offs[i]:offs[i] + len(f.gens)], 0)
+            if weight:
+                e = exp[start:stop]
+                raw[e] = raw.get(e, 0) + v * weight
         return CohClass(tgt, raw)
     if m.kind == "hypersurface_inclusion":
         d = m.extra["degree"]
@@ -1084,26 +1108,10 @@ def relative_tangent(m):
             rank += f.dim
         return BundleClass(rank, chern)
     if m.kind == "hypersurface_inclusion":
-        d = m.extra["degree"]
-        h = src.gen_class(0)
-        inv = src.one()
-        term = src.one()
-        for _ in range(src.dim):
-            term = term * (h * Fraction(-d))
-            inv = inv + term
-        return BundleClass(-1, inv)
+        return BundleClass(-1, _inverse_one_plus(src.gen_class(0) * m.extra["degree"]))
     if m.kind == "linear_embedding":
         codim = m.target.dim - src.dim
-        h = src.gen_class(0)
-        invser = src.one()
-        term = src.one()
-        for _ in range(src.dim):
-            term = term * (-h)
-            invser = invser + term
-        total = src.one()
-        for _ in range(codim):
-            total = total * invser
-        return BundleClass(-codim, total)
+        return BundleClass(-codim, _inverse_one_plus(src.gen_class(0)) ** codim)
     raise UnsupportedMap(m.kind)
 
 

@@ -12,16 +12,23 @@ by cycle dimension, and the normalized one additionally scales the
 dimension-k part by (1+y)^(-k).  Its dimension-0 part is the genus; its
 normalized value at y = -1 is a rational homology class that the hyperplane
 arrangement oracle reproduces by pure inclusion-exclusion.
+
+A homology ledger (``HomClassY``) is one ``CohClass``: on a smooth model
+H_*(X) is the cohomology ring with the degree-(dim - k) monomials standing
+for dimension-k cycles, and the coefficients live in the ring
+Q[y, 1/y, 1/(1+y)] of class coefficients.  Every ledger operation is one
+class operation: ``mht`` is ch * td (then ``normalize_cycles``),
+pushforward is one Gysin pushforward (the built-in maps keep cycle
+dimension), duality is ``degree_sign().invert_y()`` up to the sign
+(-1)^dim, and the y = -1 specialization is ``at_minus_one``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvalidParameter, MissingLogStructure, UnsupportedMap
-from .rings import LaurentY, RationalFunctionY
+from .rings import LaurentY
 from . import bundles
-from .bundles import KPolyClass, apply_series, chern_character, lambda_y
+from .bundles import KPolyClass, apply_series, lambda_y
 from . import spaces as sp
 from .spaces import CohClass
 
@@ -34,14 +41,6 @@ def _todd(space):
         memo = space._classes["todd"] = (
             series, apply_series(series, space.tangent_bundle(), space))
     return memo[1]
-
-
-def _as_rf(c):
-    if isinstance(c, RationalFunctionY):
-        return c
-    if isinstance(c, LaurentY):
-        return RationalFunctionY(c)
-    return RationalFunctionY(LaurentY({0: Fraction(c)}))
 
 
 class VariationData:
@@ -71,15 +70,12 @@ class VariationData:
 
 def mhc_cohomological(space, data):
     """Sum over pieces of (-y)^p [piece_p], as a K-class on the space."""
-    rank_poly = LaurentY()
-    ch = space.zero()
+    out = KPolyClass(LaurentY(), space.zero())
     for p, V in data.pieces:
         if V.space.key != space.key:
             raise InvalidParameter("variation piece lives on the wrong space")
-        sign = LaurentY({p: (-1) ** p})
-        rank_poly = rank_poly + sign * V.rank
-        ch = ch + chern_character(V) * sign
-    return KPolyClass(rank_poly, ch)
+        out = out + KPolyClass.from_bundle(V) * LaurentY({p: (-1) ** p})
+    return out
 
 
 def mhc_y(space, mode="closed", data=None):
@@ -114,80 +110,79 @@ def mhc_y(space, mode="closed", data=None):
 
 
 class HomClassY:
-    """A homology ledger: cycle-dimension-graded coordinate vectors.
+    """A homology ledger: a class in H_*(X) (x) Q[y, 1/y, 1/(1+y)].
 
-    ``comps[k]`` maps a degree-(dim - k) monomial exponent to a coefficient;
-    coefficients are RationalFunctionY for transformation outputs and plain
-    Fractions for specialized (y = -1) classes.
+    On a smooth model the ledger is a cohomology class read by cycle
+    dimension: the degree-(dim - k) monomials stand for dimension-k cycles.
+    The ledger holds that ``CohClass`` and does its arithmetic there.
+    ``comps[k]`` maps each degree-(dim - k) monomial exponent to its
+    coefficient, typed as ``CohClass.items`` hands it out.
     """
 
-    __slots__ = ("space", "comps")
+    __slots__ = ("coh",)
 
     def __init__(self, space, comps):
-        clean = {}
+        raw = {}
         for k, row in comps.items():
-            row = {tuple(e): v for e, v in row.items() if v}
-            if row:
-                clean[int(k)] = row
-        self.space = space
-        self.comps = clean
+            for e, v in row.items():
+                e = tuple(e)
+                if sum(e) != space.dim - k:
+                    raise InvalidParameter(f"a degree-{sum(e)} monomial is no dimension-{k} cycle")
+                raw[e] = v
+        self.coh = CohClass(space, raw)
+
+    @classmethod
+    def _of(cls, coh):
+        out = cls.__new__(cls)
+        out.coh = coh
+        return out
+
+    @property
+    def space(self):
+        return self.coh.space
+
+    @property
+    def comps(self):
+        out = {}
+        for e, v in self.coh.items():
+            out.setdefault(self.space.dim - sum(e), {})[e] = v
+        return out
 
     def component(self, k):
-        return dict(self.comps.get(k, {}))
+        return self.comps.get(k, {})
 
     def component_class(self, k):
         """The dimension-k component as a cohomology class."""
-        return CohClass(self.space, self.comps.get(k, {}))
+        return self.coh.component(self.space.dim - k)
 
     def dims(self):
         return sorted(self.comps)
 
     def __bool__(self):
-        return bool(self.comps)
+        return bool(self.coh)
 
     def __eq__(self, other):
         if not isinstance(other, HomClassY):
             return NotImplemented
-        if self.space.key != other.space.key or set(self.comps) != set(other.comps):
-            return False
-        for k, row in self.comps.items():
-            orow = other.comps[k]
-            if set(row) != set(orow):
-                return False
-            if any(orow[e] != v for e, v in row.items()):
-                return False
-        return True
+        return self.coh == other.coh
 
     def __add__(self, other):
         if not isinstance(other, HomClassY):
             return NotImplemented
-        if self.space.key != other.space.key:
-            raise InvalidParameter("classes live on different spaces")
-        comps = {k: dict(row) for k, row in self.comps.items()}
-        for k, row in other.comps.items():
-            mine = comps.setdefault(k, {})
-            for e, v in row.items():
-                w = mine.get(e, 0) + v
-                if w:
-                    mine[e] = w
-                else:
-                    mine.pop(e, None)
-        return HomClassY(self.space, comps)
+        return HomClassY._of(self.coh + other.coh)
 
     def __sub__(self, other):
         return self + (other * -1)
 
     def __mul__(self, scalar):
-        return HomClassY(self.space, {
-            k: {e: v * scalar for e, v in row.items()} for k, row in self.comps.items()
-        })
+        if isinstance(scalar, (CohClass, HomClassY)):
+            return NotImplemented
+        return HomClassY._of(self.coh * scalar)
 
     __rmul__ = __mul__
 
     def map_coeffs(self, fn):
-        return HomClassY(self.space, {
-            k: {e: fn(v) for e, v in row.items()} for k, row in self.comps.items()
-        })
+        return HomClassY._of(self.coh.map_coeffs(fn))
 
     def __repr__(self):
         rows = ", ".join(
@@ -200,31 +195,18 @@ class HomClassY:
 def mht(k, normalized=True):
     """The Todd-twisted homology class of a K-class on a smooth model.
 
-    Unnormalized: ch(k) * td(TM) against the fundamental class, regraded by
+    Unnormalized: ch(k) * td(TM) against the fundamental class, read by
     cycle dimension.  Normalized: the dimension-j part is additionally
-    scaled by (1+y)^(-j), on top of any (1+y) denominator the Chern
-    character already carries.
+    divided by (1+y)^j, on top of any (1+y) denominator the Chern character
+    already carries.
     """
-    space = k.space
-    total = k.ch * _todd(space)
-    comps = {}
-    for degree, part in total.by_degree().items():
-        j = space.dim - degree
-        if j < 0:
-            continue
-        row = {}
-        for e, v in part.items():
-            rf = _as_rf(v)
-            row[e] = RationalFunctionY(rf.num, rf.den_pow + (j if normalized else 0))
-        comps[j] = row
-    return HomClassY(space, comps)
+    total = k.ch * _todd(k.space)
+    return HomClassY._of(total.normalize_cycles() if normalized else total)
 
 
 def degree(c):
     """The dimension-0 component, evaluated by the integration functional."""
-    top = c.component_class(0)
-    val = c.space.integrate(top)
-    return _as_rf(val)
+    return c.space.integrate(c.coh)
 
 
 def chi_y_genus(space, mode="closed", data=None):
@@ -237,10 +219,18 @@ def chi_y_genus(space, mode="closed", data=None):
     full ledger that ``mht`` builds is never formed.
     """
     top = mhc_y(space, mode, data).ch.multiply(_todd(space), space.dim)
-    return _as_rf(space.integrate(top)).reduce_unit_denominator()
+    return space.integrate(top).reduce_unit_denominator()
 
 
 # -- functorialities -----------------------------------------------------------
+
+
+def _exterior_class(prod, a, b):
+    raw = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            raw[e1 + e2] = raw.get(e1 + e2, 0) + v1 * v2
+    return CohClass(prod, raw)
 
 
 def exterior(a, b):
@@ -250,31 +240,14 @@ def exterior(a, b):
             return b * a.rank_poly
         if sp.is_point(b.space):
             return a * b.rank_poly
-        prod = sp.product(a.space, b.space)
-        raw = {}
-        for e1, v1 in a.ch.items():
-            for e2, v2 in b.ch.items():
-                raw[e1 + e2] = raw.get(e1 + e2, 0) + v1 * v2
-        return KPolyClass(a.rank_poly * b.rank_poly, CohClass(prod, raw))
+        return KPolyClass(a.rank_poly * b.rank_poly,
+                          _exterior_class(sp.product(a.space, b.space), a.ch, b.ch))
     if isinstance(a, HomClassY) and isinstance(b, HomClassY):
         if sp.is_point(a.space):
             return b * degree(a)
         if sp.is_point(b.space):
             return a * degree(b)
-        prod = sp.product(a.space, b.space)
-        comps = {}
-        for k1, row1 in a.comps.items():
-            for k2, row2 in b.comps.items():
-                row = comps.setdefault(k1 + k2, {})
-                for e1, v1 in row1.items():
-                    for e2, v2 in row2.items():
-                        e = e1 + e2
-                        w = row.get(e, 0) + v1 * v2
-                        if w:
-                            row[e] = w
-                        else:
-                            row.pop(e, None)
-        return HomClassY(prod, comps)
+        return HomClassY._of(_exterior_class(sp.product(a.space, b.space), a.coh, b.coh))
     raise InvalidParameter("exterior product needs two classes of the same kind")
 
 
@@ -289,17 +262,10 @@ def pushforward(m, c):
         tdrel = apply_series(bundles.genus_series("todd", max(m.source.dim, 1)),
                              sp.relative_tangent(m), m.source)
         pushed = sp.gysin_pushforward(m, c.ch * tdrel)
-        rank = pushed.coeff(m.target._zero_exp)
-        if not isinstance(rank, LaurentY):
-            rank = LaurentY({0: Fraction(rank)})
-        return KPolyClass(rank, pushed)
+        return KPolyClass(pushed.coeff(m.target._zero_exp), pushed)
     if isinstance(c, HomClassY):
-        comps = {}
-        for k, row in c.comps.items():
-            pushed = sp.gysin_pushforward(m, CohClass(c.space, row))
-            if pushed:
-                comps[k] = dict(pushed.items())
-        return HomClassY(m.target, comps)
+        # every built-in map keeps cycle dimension
+        return HomClassY._of(sp.gysin_pushforward(m, c.coh))
     raise InvalidParameter("pushforward needs a K-class or a homology class")
 
 
@@ -321,11 +287,7 @@ def pullback_smooth(m, c):
 def homology_dual(c):
     """Duality on the homology ledger: (-1)^k on the dimension-k part and
     y -> 1/y in every coefficient."""
-    comps = {}
-    for k, row in c.comps.items():
-        sign = (-1) ** k
-        comps[k] = {e: _as_rf(v).invert_y() * sign for e, v in row.items()}
-    return HomClassY(c.space, comps)
+    return HomClassY._of(c.coh.degree_sign().invert_y() * (-1) ** c.space.dim)
 
 
 def specialize_minus_one(c):
@@ -333,10 +295,7 @@ def specialize_minus_one(c):
 
     Raises NotPolynomial when a component has a genuine pole at y = -1.
     """
-    comps = {}
-    for k, row in c.comps.items():
-        comps[k] = {e: _as_rf(v).at_minus_one() for e, v in row.items()}
-    return HomClassY(c.space, comps)
+    return HomClassY._of(c.coh.at_minus_one())
 
 
 def csm_arrangement(n, k):
@@ -348,37 +307,23 @@ def csm_arrangement(n, k):
     """
     if not (0 <= k <= n + 1):
         raise InvalidParameter("need 0 <= k <= n+1 hyperplanes in general position")
-    target = sp.projective(n)
-    comps = {}
-    binom_k = 1
-    for s in range(0, min(k, n) + 1):
-        if s > 0:
-            binom_k = binom_k * (k - s + 1) // s
-        sign = (-1) ** s
+    raw = {}
+    for s in range(min(k, n) + 1):
         m = n - s
         for j in range(m + 1):
             # dimension-j part of c(TP^m) against [P^m], pushed into P^n
-            value = Fraction(sign * binom_k * sp._binomial(m + 1, m - j))
-            row = comps.setdefault(j, {})
             e = (n - j,)
-            w = row.get(e, 0) + value
-            if w:
-                row[e] = w
-            else:
-                row.pop(e, None)
-    return HomClassY(target, comps)
+            raw[e] = raw.get(e, 0) + (-1) ** s * sp._binomial(k, s) * sp._binomial(m + 1, m - j)
+    return HomClassY._of(CohClass(sp.projective(n), raw))
 
 
-def render_homology_on_projective(c, at=None):
+def render_homology_on_projective(c):
     """Render a ledger class on a P^n model in cycle notation: the
     fundamental class as [Pn], dimension-one as l, dimension-zero as [pt]."""
-    space = c.space
-    n = space.dim
+    n = c.space.dim
     pieces = []
-    for k in sorted(c.comps, reverse=True):
-        (val,) = c.comps[k].values()
-        if at is not None:
-            val = _as_rf(val).reduce_unit_denominator()(Fraction(at))
+    for k, row in sorted(c.comps.items(), reverse=True):
+        (val,) = row.values()
         if k == n:
             sym = f"[P{n}]"
         elif k == 1 and n != 1:

@@ -57,29 +57,28 @@ def _eq(name, got, want, render=str):
     return Check(name, ok, detail)
 
 
-def ch_difference(got, want):
-    """Where two K-classes on one space differ: the first degree and monomial
-    (in the order of ``CohClass.items``) at which their Chern characters
-    disagree, with both coefficients; empty when they are equal."""
+def _difference(what, got, want, grade):
+    """The first monomial (in the order of ``CohClass.items``, lowest degree
+    first) at which two classes on one space differ, named by ``grade`` and
+    with both coefficients; empty when they are equal."""
     if got == want:
         return ""
-    e, _ = (got.ch - want.ch).items()[0]
-    return (f"ch differs first in degree {sum(e)} at {got.space.render_monomial(e) or '1'}: "
-            f"{got.ch.coeff(e)} vs {want.ch.coeff(e)}")
+    e, _ = (got - want).items()[0]
+    return (f"{what} differs first in {grade(e)} at {got.space.render_monomial(e) or '1'}: "
+            f"{got.coeff(e)} vs {want.coeff(e)}")
+
+
+def ch_difference(got, want):
+    """Where two K-classes differ: the first degree and monomial of their
+    Chern characters."""
+    return _difference("ch", got.ch, want.ch, lambda e: f"degree {sum(e)}")
 
 
 def hom_difference(got, want):
     """Where two homology ledgers differ: the first cycle dimension (from
-    the top) and monomial at which their coefficients disagree, with both
-    coefficients; empty when they agree."""
-    for j in sorted(set(got.comps) | set(want.comps), reverse=True):
-        a, b = got.component(j), want.component(j)
-        for e in sorted(set(a) | set(b)):
-            if a.get(e, 0) != b.get(e, 0):
-                return (f"ledger differs first in dimension {j} at "
-                        f"{got.space.render_monomial(e) or '1'}: "
-                        f"{a.get(e, 0)} vs {b.get(e, 0)}")
-    return ""
+    the top) and monomial."""
+    return _difference("ledger", got.coh, want.coh,
+                       lambda e: f"dimension {got.space.dim - sum(e)}")
 
 
 def _chi_projective(n):
@@ -187,7 +186,8 @@ def suite_vrr():
                             ch_difference(got, want)))
     idm = sp.identity_map(sp.projective(2))
     c = mhc_y(sp.projective(2))
-    checks.append(_eq("VRR along the identity", pullback_smooth(idm, c) == c, True))
+    got = pullback_smooth(idm, c)
+    checks.append(Check("VRR along the identity", got == c, ch_difference(got, c)))
     return checks
 
 
@@ -214,15 +214,17 @@ def suite_duality():
               sp.product(sp.projective(1), sp.projective(1))]
     for space in spaces:
         c = mhc_y(space)
+        dual = k_dual(c)
         want = c * LaurentY({-space.dim: (-1) ** space.dim})
-        checks.append(_eq(f"k_dual on {space.name} is (-y)^(-{space.dim}) times the class",
-                          k_dual(c) == want, True))
-        checks.append(_eq(f"k_dual is an involution on {space.name}",
-                          k_dual(k_dual(c)) == c, True))
+        checks.append(Check(f"k_dual on {space.name} is (-y)^(-{space.dim}) times the class",
+                            dual == want, ch_difference(dual, want)))
+        twice = k_dual(dual)
+        checks.append(Check(f"k_dual is an involution on {space.name}",
+                            twice == c, ch_difference(twice, c)))
         lhs = homology_dual(mht(c, normalized=False))
-        rhs = mht(k_dual(c), normalized=False)
-        checks.append(_eq(f"homology duality matches K duality on {space.name}",
-                          lhs == rhs, True))
+        rhs = mht(dual, normalized=False)
+        checks.append(Check(f"homology duality matches K duality on {space.name}",
+                            lhs == rhs, hom_difference(lhs, rhs)))
     return checks
 
 

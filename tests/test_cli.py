@@ -123,6 +123,22 @@ class TestCommands:
         assert code == 2 and not out
         assert err.startswith("error:") and "(lines 3, 4)" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("epoly", "(" * 3000 + "P1" + ")" * 3000),
+        ("genus", "--motivic", "(" * 3000 + "P1" + ")" * 3000),
+        ("genus", "--space", "(" * 3000 + "P1" + ")" * 3000),
+        ("epoly", "+".join(["P1"] * 3000)),
+        ("epoly", "*".join(["pt"] * 3000)),
+        ("epoly", "2 " * 3000 + "P1"),
+        ("genus", "--space", "Proj(" * 3000 + "P1" + ";0)" * 3000),
+    ], ids=["epoly-parentheses", "motivic-parentheses", "space-parentheses", "long-sum",
+            "long-product", "juxtaposed-scalars", "nested-proj"])
+    def test_deep_nesting_exit_code(self, capsys, time_limit, argv):
+        with time_limit(10):
+            code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "nesting deeper than" in err and "offset" in err
+
     def test_epoly_unknown_atom(self, capsys):
         code, _, err = run(capsys, "epoly", "Q1")
         assert code == 2 and "offset" in err

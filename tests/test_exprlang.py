@@ -60,6 +60,35 @@ def rand_tree(rng, depth=0):
     return ex.BinOp(op, rand_tree(rng, depth + 1), rand_tree(rng, depth + 1))
 
 
+class TestDepthCap:
+    def test_nesting_up_to_the_cap_parses(self):
+        deep = "(" * ex.MAX_DEPTH + "P1" + ")" * ex.MAX_DEPTH
+        assert ex.evaluate(ex.parse_expr(deep)) == mo.projective(1)
+        chain = "+".join(["pt"] * ex.MAX_DEPTH)
+        tree = ex.parse_expr(chain)
+        assert tree.depth == ex.MAX_DEPTH - 1
+        assert ex.parse_expr(ex.render(tree)) == tree
+        assert ex.evaluate(tree) == mo.point() * ex.MAX_DEPTH
+        space = ex.parse_space("(" * ex.MAX_DEPTH + "P1" + ")" * ex.MAX_DEPTH)
+        assert space.key == ("proj", 1)
+
+    @pytest.mark.parametrize("src, offset", [
+        ("(" * (ex.MAX_DEPTH + 1) + "P1" + ")" * (ex.MAX_DEPTH + 1), ex.MAX_DEPTH + 1),
+        ("+".join(["pt"] * (ex.MAX_DEPTH + 2)), 3 * ex.MAX_DEPTH + 2),
+        ("2 " * (ex.MAX_DEPTH + 1) + "P1", 2 * ex.MAX_DEPTH + 2),
+    ], ids=["parentheses", "sum", "juxtaposition"])
+    def test_one_level_more_is_a_parse_error(self, src, offset):
+        with pytest.raises(ParseError) as err:
+            ex.parse_expr(src)
+        assert err.value.position == offset
+
+    def test_space_spec_nesting(self):
+        deep = "Proj(" * (ex.MAX_DEPTH + 1) + "P1" + ";0)" * (ex.MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as err:
+            ex.parse_space(deep)
+        assert err.value.position == 5 * (ex.MAX_DEPTH + 1)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(25))
     def test_parse_render_identity(self, seed):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirzebruch import spaces as sp
-from hirzebruch.errors import InvalidParameter, ParseError, UnsupportedMap
+from hirzebruch.errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
 from hirzebruch.rings import LaurentY, RationalFunctionY
 
 
@@ -429,3 +429,40 @@ class TestMultiplyKernel:
         assert (h * h * h).is_zero()
         assert p2._products[(2,)][(1,)] == ()
         assert p2._products[(1,)][(1,)] == (((2,), 1),)
+
+
+def _invert(v):
+    return v if isinstance(v, Fraction) else v.invert_y()
+
+
+class TestCoefficientMaps:
+    """invert_y, at_minus_one and normalize_cycles on the integer numerators
+    agree with the same maps applied coefficient by coefficient."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_invert_y(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        c = data.draw(classes_on(space))
+        assert c.invert_y() == c.map_coeffs(_invert)
+        assert c.invert_y().invert_y() == c
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_at_minus_one(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        c = data.draw(classes_on(space))
+        if any(isinstance(v, RationalFunctionY) for _, v in c.items()):
+            with pytest.raises(NotPolynomial):
+                c.at_minus_one()
+        else:
+            assert c.at_minus_one() == sp.CohClass(space, {
+                e: v if isinstance(v, Fraction) else v(-1) for e, v in c.items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_normalize_cycles(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        c = data.draw(classes_on(space))
+        assert c.normalize_cycles() == sp.CohClass(space, {
+            e: RationalFunctionY(LaurentY.one(), space.dim - sum(e)) * v for e, v in c.items()})

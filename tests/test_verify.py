@@ -2,6 +2,7 @@
 bundle family shared within one run."""
 
 import inspect
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,38 @@ class TestChDifference:
     def test_equal_classes_have_no_detail(self):
         c = mhc_y(sp.projective(2))
         assert verify.ch_difference(c, c * 1) == ""
+
+
+def skewed(fn):
+    """``fn`` with y*g added to the Chern character of its K-class result,
+    for the first generator g of the space."""
+    def wrapper(*args):
+        k = fn(*args)
+        return KPolyClass(k.rank_poly, k.ch + k.space.gen_class(0) * LaurentY({1: 1}))
+    return wrapper
+
+
+WHERE = re.compile(r"^(ch differs first in degree \d+|ledger differs first in dimension \d+) "
+                   r"at [a-z0-9^*]+: .+ vs .+$")
+
+
+class TestFailureDetails:
+    def test_duality_names_where_the_classes_differ(self, monkeypatch):
+        monkeypatch.setattr(verify, "k_dual", skewed(verify.k_dual))
+        checks = verify.suite_duality()
+        failed = [c for c in checks if not c.ok]
+        assert len(failed) == 9 and checks[0].ok
+        for c in failed:
+            assert WHERE.match(c.detail), (c.name, c.detail)
+        assert failed[0].detail.startswith("ch differs first in degree 1 at h: ")
+        assert failed[2].detail.startswith("ledger differs first in dimension 0 at h: ")
+
+    def test_vrr_along_the_identity_names_where_the_classes_differ(self, monkeypatch):
+        monkeypatch.setattr(verify, "pullback_smooth", skewed(verify.pullback_smooth))
+        (check,) = [c for c in verify.suite_vrr() if c.name == "VRR along the identity"]
+        assert not check.ok
+        assert check.detail.startswith("ch differs first in degree 1 at h: ")
+        assert WHERE.match(check.detail), check.detail
 
 
 def test_only_series_limits_takes_an_order():
