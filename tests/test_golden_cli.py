@@ -56,6 +56,12 @@ COMMANDS = (
        for s in ("P2", "Hyp(3,4)", "Proj(P1;0,1)", "Arr(2,3)", "P1xP2")]
     + [("epoly", e) for e in ("C1", "P2 - 2 P1 + pt", "Gm*Gm + 3 A2")]
     + [("genus", "--motivic", e) for e in ("P2*P1 - L", "C2", "P3 - Gm")]
+    # parse-heavy inputs: scalars, parentheses, nesting and twist signs
+    + [("epoly", e) for e in ("2*(P1 + pt)", "L*L - 1", "P2 - (P1 - (pt - A0))",
+                              "3 (C2 + 2 Gm)*A1")]
+    + [("genus", "--motivic", e) for e in ("2 2 P1 - (Gm + L)", "P02 + 1")]
+    + [("describe", "--space", "Proj(P2; -1,2,0)")]
+    + [("genus", "--space", s) for s in ("(P1xP1)xP1", "Proj((P1); 0 ,1)")]
     + [("verify", "--suite", s) for s in FAST_SUITES + ["integrality", "all"]]
 )
 
