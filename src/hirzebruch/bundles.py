@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidParameter
-from .rings import LaurentY
+from .rings import LaurentY, RationalFunctionY
 from .spaces import BundleClass
 
 
@@ -235,6 +235,8 @@ def bundle_tensor(a, b):
 def _as_laurent(x):
     if isinstance(x, LaurentY):
         return x
+    if isinstance(x, RationalFunctionY):
+        return x.reduce_unit_denominator()  # NotPolynomial while a pole remains
     return LaurentY({0: Fraction(x)})
 
 

@@ -23,11 +23,13 @@ class MissingLogStructure(ValueError):
 class ParseError(ValueError):
     """Syntax error in an expression, space spec, or polynomial string.
 
-    Carries the offset of the offending token and the set of token kinds
-    that would have been accepted there.
+    Carries the message without its offset (``reason``), the offset of the
+    offending token and the set of token kinds that would have been
+    accepted there.
     """
 
     def __init__(self, message, position, expected=()):
         super().__init__(f"{message} at offset {position}")
+        self.reason = message
         self.position = position
         self.expected = frozenset(expected)

@@ -3,23 +3,35 @@
 Two small languages live here:
 
 * Motivic expressions over the atoms P<n>, A<n>, Gm, C<g>, L, pt with
-  ``+ - *``, parentheses and integer scalar multiples (juxtaposition or
-  ``*``), e.g. ``P2 - 2 P1 + pt``.
+  ``+ - *``, parentheses, integer scalar multiples (juxtaposition or
+  ``*``, e.g. ``P2 - 2 P1 + pt``), powers ``X^n`` with a nonnegative
+  integer literal n, the duality involution ``D(X)``, and signed integer
+  literals ``-n`` where a factor starts (a binary ``-`` is read first, so
+  ``P2 -1`` is ``P2 - 1``).  ``parse_expr`` returns the display tree of
+  ``motivic`` (``("atom", "P2")``, ``("mul", left, right)``, ...),
+  ``evaluate`` rebuilds that tree through the ``MotivicClass`` operations,
+  and ``render`` is ``motivic.render_expr``, so every tree the renderer
+  writes parses back to itself: ``parse_expr(render(t)) == t``.
 * Space specs: ``P<n>``, products ``<spec>x<spec>``, split projective
   bundles ``Proj(<base>; c1,...,cr)``, hypersurfaces ``Hyp(n,d)``, and
   arrangement complements ``Arr(n,k)``.
 
-Parsers report a ``ParseError`` carrying the offset and the set of token
-kinds acceptable at that point.  Nesting (parentheses, ``Proj(``, juxtaposed
-scalars, chains of ``+ - *``) deeper than ``MAX_DEPTH`` is a ``ParseError``
-where the tree is built, so evaluation and rendering never recurse deeper.
+Both read their input through ``rings.Tokens``.  Parsers report a
+``ParseError`` carrying the offset and the set of token kinds acceptable at
+that point.  Nesting deeper than ``MAX_DEPTH`` is a ``ParseError`` where the
+tree is built, so evaluation and rendering never recurse deeper: each
+parenthesis, ``D(``, ``Proj(`` and juxtaposed scalar opens one level, each
+``+ - *`` node counts one, and ``X^n`` counts n - 1 (at least one), as the
+product ``X*X*...*X`` would.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import ParseError
+from .rings import Tokens
 from . import motivic
 from . import spaces as sp
 
@@ -34,290 +46,166 @@ def _check_depth(depth, position):
 # -- motivic expressions ------------------------------------------------------
 
 
-class Atom:
-    __slots__ = ("name",)
-    depth = 0
-
-    def __init__(self, name):
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.name == other.name
-
-    def __repr__(self):
-        return f"Atom({self.name})"
-
-
-class IntLit:
-    __slots__ = ("value",)
-    depth = 0
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, IntLit) and self.value == other.value
-
-    def __repr__(self):
-        return f"IntLit({self.value})"
-
-
-class BinOp:
-    __slots__ = ("op", "left", "right", "depth")
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-        self.depth = 1 + max(left.depth, right.depth)
-
-    def __eq__(self, other):
-        return (isinstance(other, BinOp) and self.op == other.op
-                and self.left == other.left and self.right == other.right)
-
-    def __repr__(self):
-        return f"BinOp({self.op}, {self.left!r}, {self.right!r})"
-
-
+_EXPR_TOKEN = re.compile(r"(?P<int>\d+)|(?P<op>[-+*()^]|D\()")
 _ATOM_RE = re.compile(r"(P|A|C)(\d+)$|^(Gm|L|pt)$")
+_ATOM_NAMES = {"P<n>", "A<n>", "C<g>", "Gm", "L", "pt"}
+_FACTOR_START = {"atom", "int", "(", "D("}
+_BINARY = {"+": "add", "-": "sub", "*": "mul"}
 
 
-def _tokenize_expr(src):
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(("int", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and src[j].isalnum():
-                j += 1
-            word = src[i:j]
-            if not (_ATOM_RE.match(word)):
-                raise ParseError(f"unknown atom {word!r}", i,
-                                 {"P<n>", "A<n>", "C<g>", "Gm", "L", "pt"})
-            tokens.append(("atom", word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+def _atom_kind(word, offset):
+    if not _ATOM_RE.match(word):
+        raise ParseError(f"unknown atom {word!r}", offset, _ATOM_NAMES)
+    return "atom"
 
 
 def parse_expr(src):
-    """Parse a motivic expression into an AST of Atom/IntLit/BinOp nodes."""
-    tokens = _tokenize_expr(src)
-    pos = 0
-    factor_start = {"atom", "int", "("}
+    """Parse a motivic expression into a ``motivic`` display tree."""
+    toks = Tokens(src, _EXPR_TOKEN, str.isalnum, _atom_kind)
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", "", len(src))
-
-    def advance():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def binop(op, left, right, position):
-        tree = BinOp(op, left, right)
-        _check_depth(tree.depth, position)
-        return tree
+    # each parser returns (tree, depth): depth counts the +, -, * and ^
+    # levels, `level` the open parentheses, D( and juxtapositions
+    def binary(kind, left, right, position):
+        depth = 1 + max(left[1], right[1])
+        _check_depth(depth, position)
+        return (kind, left[0], right[0]), depth
 
     def parse_factor(level):
-        tok = peek()
-        _check_depth(level, tok[2])
-        if tok[0] == "atom":
-            advance()
-            return Atom(tok[1])
-        if tok[0] == "int":
-            advance()
-            lit = IntLit(int(tok[1]))
+        kind, value, at = toks.peek()
+        _check_depth(level, at)
+        if kind == "-" and toks.peek(1)[0] == "int" and toks.peek(1)[2] == at + 1:
+            toks.take()
+            kind, value = "int", -toks.peek()[1]
+        if kind == "int":
+            toks.take()
+            lit = (("int", value), 0)
             # integer juxtaposition: "2 P1" or "2(...)" is a scalar multiple
-            if peek()[0] in factor_start:
-                return binop("*", lit, parse_factor(level + 1), tok[2])
-            return lit
-        if tok[0] == "(":
-            advance()
-            inner = parse_sum(level + 1)
-            closing = peek()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2], {")"})
-            advance()
-            return inner
-        raise ParseError(f"expected an atom, integer or '('", tok[2], factor_start)
+            if toks.peek()[0] in _FACTOR_START:
+                return binary("mul", lit, parse_factor(level + 1), at)
+            node = lit
+        elif kind == "atom":
+            toks.take()
+            node = (("atom", value), 0)
+        elif kind in ("(", "D("):
+            toks.take()
+            inner, depth = parse_sum(level + 1)
+            toks.take(")")
+            node = (inner if kind == "(" else ("dual", inner)), depth
+        else:
+            raise ParseError("expected an atom, integer, '(' or 'D('", at, _FACTOR_START)
+        while toks.peek()[0] == "^":
+            at = toks.take()[2]
+            n = toks.take("int")[1]
+            depth = node[1] + max(n - 1, 1)
+            _check_depth(depth, at)
+            node = ("pow", node[0], n), depth
+        return node
 
     def parse_term(level):
         node = parse_factor(level)
-        while peek()[0] == "*":
-            op = advance()
-            node = binop("*", node, parse_factor(level), op[2])
+        while toks.peek()[0] == "*":
+            at = toks.take()[2]
+            node = binary("mul", node, parse_factor(level), at)
         return node
 
     def parse_sum(level):
         node = parse_term(level)
-        while peek()[0] in ("+", "-"):
-            op = advance()
-            node = binop(op[0], node, parse_term(level), op[2])
+        while toks.peek()[0] in ("+", "-"):
+            op, _, at = toks.take()
+            node = binary(_BINARY[op], node, parse_term(level), at)
         return node
 
-    tree = parse_sum(0)
-    tok = peek()
-    if tok[0] != "end":
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2], {"+", "-", "*", "end"})
+    tree = parse_sum(0)[0]
+    kind, value, at = toks.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected token {value!r}", at, {"+", "-", "*", "^", "end"})
     return tree
 
 
-def render(tree, parent_prec=0):
-    """Deterministic rendering; parse(render(t)) == t."""
-    if isinstance(tree, Atom):
-        return tree.name
-    if isinstance(tree, IntLit):
-        return str(tree.value)
-    prec = 1 if tree.op in "+-" else 2
-    left = render(tree.left, prec)
-    right = render(tree.right, prec + 1)
-    sep = tree.op if tree.op == "*" else f" {tree.op} "
-    body = f"{left}{sep}{right}"
-    return f"({body})" if prec < parent_prec else body
+render = motivic.render_expr
+
+
+_NAMED_ATOMS = {"pt": motivic.point, "L": motivic.lefschetz, "Gm": motivic.torus}
+_INDEXED_ATOMS = {"P": motivic.projective, "A": motivic.affine, "C": motivic.curve}
+_APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def evaluate(tree):
-    """Evaluate an AST to a MotivicClass."""
-    if isinstance(tree, Atom):
-        name = tree.name
-        if name == "pt":
-            return motivic.point()
-        if name == "L":
-            return motivic.lefschetz()
-        if name == "Gm":
-            return motivic.torus()
-        kind, arg = name[0], int(name[1:])
-        if kind == "P":
-            return motivic.projective(arg)
-        if kind == "A":
-            return motivic.affine(arg)
-        return motivic.curve(arg)
-    if isinstance(tree, IntLit):
-        return motivic.point() * tree.value
-    left, right = evaluate(tree.left), evaluate(tree.right)
-    if tree.op == "+":
-        return left + right
-    if tree.op == "-":
-        return left - right
-    return left * right
+    """Rebuild a display tree through the ``MotivicClass`` operations.
+
+    ``evaluate(t).expr == t`` whenever the atom labels of ``t`` are the
+    ones the atom constructors write (``P2``, not ``P02``).
+    """
+    kind = tree[0]
+    if kind == "atom":
+        name = tree[1]
+        if name in _NAMED_ATOMS:
+            return _NAMED_ATOMS[name]()
+        return _INDEXED_ATOMS[name[0]](int(name[1:]))
+    if kind == "int":
+        return motivic.integer(tree[1])
+    if kind == "pow":
+        return evaluate(tree[1]) ** tree[2]
+    if kind == "dual":
+        return evaluate(tree[1]).dual()
+    return _APPLY[kind](evaluate(tree[1]), evaluate(tree[2]))
 
 
 # -- space specs ---------------------------------------------------------------
 
 
-_SPEC_TOKEN = re.compile(r"\s*(Proj|Hyp|Arr|P\d+|x|-?\d+|[();,])")
-
-
-def _tokenize_spec(src):
-    tokens = []
-    i = 0
-    while i < len(src):
-        if src[i].isspace():
-            i += 1
-            continue
-        m = _SPEC_TOKEN.match(src, i)
-        if not m:
-            raise ParseError(f"unexpected character {src[i]!r} in space spec", i)
-        text = m.group(1)
-        if text in ("Proj", "Hyp", "Arr", "x", "(", ")", ";", ","):
-            kind = text
-        elif text.startswith("P"):
-            kind = "P"
-        else:
-            kind = "int"
-        tokens.append((kind, text, i))
-        i = m.end()
-    return tokens
+_SPEC_TOKEN = re.compile(r"(?P<op>Proj|Hyp|Arr|x|[();,])|(?P<P>P\d+)|(?P<int>-?\d+)")
 
 
 def parse_space(src):
     """Parse a space spec into a SpaceModel."""
-    tokens = _tokenize_spec(src)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", "", len(src))
-
-    def expect(kind):
-        nonlocal pos
-        tok = peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], {kind})
-        pos += 1
-        return tok
-
-    def parse_int():
-        return int(expect("int")[1])
+    toks = Tokens(src, _SPEC_TOKEN)
+    take = toks.take
 
     def parse_atom(level):
-        tok = peek()
-        _check_depth(level, tok[2])
-        if tok[0] == "P":
-            expect("P")
-            return sp.projective(int(tok[1][1:]))
-        if tok[0] == "Proj":
-            expect("Proj")
-            expect("(")
-            base = parse_product(level + 1)
-            expect(";")
-            twists = [parse_int()]
-            while peek()[0] == ",":
-                expect(",")
-                twists.append(parse_int())
-            expect(")")
-            return sp.projective_bundle(base, sp.sum_of_line_bundles(base, twists))
-        if tok[0] == "Hyp":
-            expect("Hyp")
-            expect("(")
-            n = parse_int()
-            expect(",")
-            d = parse_int()
-            expect(")")
-            return sp.hypersurface(n, d)
-        if tok[0] == "Arr":
-            expect("Arr")
-            expect("(")
-            n = parse_int()
-            expect(",")
-            k = parse_int()
-            expect(")")
-            return sp.with_arrangement(sp.projective(n), k)
-        if tok[0] == "(":
-            expect("(")
+        kind, value, at = toks.peek()
+        _check_depth(level, at)
+        if kind == "P":
+            take()
+            return sp.projective(int(value[1:]))
+        if kind == "(":
+            take()
             inner = parse_product(level + 1)
-            expect(")")
+            take(")")
             return inner
-        raise ParseError("expected a space atom", tok[2], {"P<n>", "Proj", "Hyp", "Arr", "("})
+        if kind == "Proj":
+            take()
+            take("(")
+            base = parse_product(level + 1)
+            take(";")
+            twists = [take("int")[1]]
+            while toks.peek()[0] == ",":
+                take()
+                twists.append(take("int")[1])
+            take(")")
+            return sp.projective_bundle(base, sp.sum_of_line_bundles(base, twists))
+        if kind in ("Hyp", "Arr"):
+            take()
+            take("(")
+            n = take("int")[1]
+            take(",")
+            m = take("int")[1]
+            take(")")
+            return sp.hypersurface(n, m) if kind == "Hyp" else \
+                sp.with_arrangement(sp.projective(n), m)
+        raise ParseError("expected a space atom", at, {"P<n>", "Proj", "Hyp", "Arr", "("})
 
     def parse_product(level):
         factors = [parse_atom(level)]
-        while peek()[0] == "x":
-            expect("x")
+        while toks.peek()[0] == "x":
+            take()
             factors.append(parse_atom(level))
         return sp.product(*factors) if len(factors) > 1 else factors[0]
 
     space = parse_product(0)
-    tok = peek()
-    if tok[0] != "end":
-        raise ParseError(f"unexpected token {tok[1]!r} in space spec", tok[2], {"x", "end"})
+    kind, value, at = toks.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected token {value!r} in space spec", at, {"x", "end"})
     return space
 
 

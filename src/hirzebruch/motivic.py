@@ -6,7 +6,9 @@ complex algebraic varieties over a point, carried by its Hodge realization
 display expression tree recording how it was built.  Equality is equality of
 realizations: every invariant computed in this package factors through the
 realization, and localization at the Lefschetz class is free because tables
-already admit negative diagonal entries.
+already admit negative diagonal entries.  The display tree is the parse tree
+of ``exprlang``'s expression grammar; ``render_expr`` writes it back in that
+grammar.
 
 Atoms: point, affine n-space, the Lefschetz class L, the one-torus Gm,
 projective n-space, a smooth projective curve of genus g, and arbitrary
@@ -19,15 +21,22 @@ from __future__ import annotations
 from .errors import InvalidParameter
 from .hodge import HodgeDiamond
 
-# Display trees are nested tuples:
+# Display trees are nested tuples, one kind per production of the
+# expression grammar in ``exprlang``:
 #   ("atom", label), ("int", n), ("add"|"sub"|"mul", left, right),
-#   ("scale", n, tree), ("pow", tree, n), ("dual", tree)
+#   ("pow", tree, n) with n >= 0, ("dual", tree)
+# An integer factor on either side, and unary minus, make
+# ("mul", ("int", n), tree).  ``exprlang.parse_expr`` returns these trees and
+# ``exprlang.evaluate`` rebuilds them, so ``render_expr`` output re-parses
+# to the same tree.
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "scale": 2, "pow": 3}
+_PREC = {"add": 1, "sub": 1, "mul": 2, "pow": 3}
+_OPS = {"add": " + ", "sub": " - ", "mul": "*"}
 
 
 def render_expr(tree, parent_prec=0):
-    """Render a display tree; output re-parses to an equal class."""
+    """Render a display tree.  A right operand of equal precedence is
+    parenthesized, so ``exprlang.parse_expr(render_expr(t)) == t``."""
     kind = tree[0]
     if kind == "atom":
         return tree[1]
@@ -35,17 +44,11 @@ def render_expr(tree, parent_prec=0):
         return str(tree[1])
     if kind == "dual":
         return f"D({render_expr(tree[1])})"
+    prec = _PREC[kind]
     if kind == "pow":
-        body = f"{render_expr(tree[1], _PREC['pow'])}^{tree[2]}"
-        prec = _PREC["pow"]
-    elif kind == "scale":
-        body = f"{tree[1]}*{render_expr(tree[2], _PREC['scale'])}"
-        prec = _PREC["scale"]
+        body = f"{render_expr(tree[1], prec)}^{tree[2]}"
     else:
-        op = {"add": " + ", "sub": " - ", "mul": "*"}[kind]
-        prec = _PREC[kind]
-        right_prec = prec + 1 if kind == "sub" else prec
-        body = f"{render_expr(tree[1], prec)}{op}{render_expr(tree[2], right_prec)}"
+        body = f"{render_expr(tree[1], prec)}{_OPS[kind]}{render_expr(tree[2], prec + 1)}"
     return f"({body})" if prec < parent_prec else body
 
 
@@ -70,7 +73,7 @@ class MotivicClass:
         if isinstance(other, MotivicClass):
             return other
         if isinstance(other, int):
-            return MotivicClass(HodgeDiamond.point() * other, ("int", other))
+            return integer(other)
         return None
 
     def __add__(self, other):
@@ -91,7 +94,8 @@ class MotivicClass:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MotivicClass(self.realization * other, ("scale", other, self.expr))
+            return MotivicClass(self.realization * other,
+                                ("mul", ("int", other), self.expr))
         if not isinstance(other, MotivicClass):
             return NotImplemented
         return MotivicClass(self.realization.tensor(other.realization),
@@ -99,11 +103,11 @@ class MotivicClass:
 
     def __rmul__(self, other):
         if isinstance(other, int):
-            return MotivicClass(self.realization * other, ("scale", other, self.expr))
+            return self * other
         return NotImplemented
 
     def __neg__(self):
-        return MotivicClass(-self.realization, ("scale", -1, self.expr))
+        return self * -1
 
     def __pow__(self, n):
         n = int(n)
@@ -139,6 +143,11 @@ class MotivicClass:
 
 def point():
     return MotivicClass(HodgeDiamond.point(), ("atom", "pt"))
+
+
+def integer(n):
+    """n times the point, displayed as the literal n."""
+    return MotivicClass(HodgeDiamond.point() * n, ("int", n))
 
 
 def lefschetz():

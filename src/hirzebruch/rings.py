@@ -15,11 +15,15 @@ Polynomials are stored as finitely supported dictionaries from exponents to
 coefficients with no explicit zeros; values are immutable and arithmetic
 never mutates its operands.  ``render_y``/``parse_y`` and
 ``render_uv``/``parse_uv`` give a canonical text form (terms in increasing
-exponent order) that round-trips exactly.
+exponent order) that round-trips exactly.  Its parser reads through
+``Tokens``, the one scanner and cursor of every text form in the package
+(motivic expressions and space specs use it too); the parser also accepts
+the polynomials of custom space documents.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import NotPolynomial, ParseError
@@ -582,87 +586,117 @@ def render_uv(p):
     return _render_terms([(c, _mono_uv(a, b)) for (a, b), c in p.items()])
 
 
-def _tokenize_poly(src):
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^/":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(("int", src[i:j], i))
+# ---------------------------------------------------------------------------
+# the token scanner shared by every parser of the package
+
+
+class Tokens:
+    """The tokens of one source string, with a cursor over them.
+
+    Polynomials here, and motivic expressions and space specs in
+    ``exprlang``, read their input through this class.  A token is a
+    ``(kind, value, offset)`` triple; white space between tokens is
+    dropped.  ``pattern`` is tried first: its matching group names the
+    kind, except that the group ``op`` makes the text its own kind.
+    Failing that, with ``tail`` given, a letter (``str.isalpha``) and the
+    characters after it for which ``tail`` holds make a word of kind
+    ``classify(word, offset)`` (default ``"name"``), which may raise.
+    Integer patterns use ``\\d``, the digits ``int`` reads (``str.isdigit``
+    also takes "²"); an ``int`` token's value is the integer.  The whole
+    string is read before parsing, so an unreadable character raises
+    ``ParseError`` at its offset wherever it sits.
+    """
+
+    __slots__ = ("tokens", "pos", "end")
+
+    def __init__(self, src, pattern, tail=None, classify=None):
+        tokens = []
+        i, n = 0, len(src)
+        while i < n:
+            ch = src[i]
+            if ch.isspace():
+                i += 1
+                continue
+            m = pattern.match(src, i)
+            if m:
+                kind, j, value = m.lastgroup, m.end(), m.group()
+                if kind == "op":
+                    kind = value
+                elif kind == "int":
+                    try:
+                        value = int(value)
+                    except ValueError:  # more digits than int() converts
+                        raise ParseError("integer literal too long", i) from None
+            elif tail is not None and ch.isalpha():
+                j = i + 1
+                while j < n and tail(src[j]):
+                    j += 1
+                value = src[i:j]
+                kind = "name" if classify is None else classify(value, i)
+            else:
+                raise ParseError(f"unexpected character {ch!r}", i)
+            tokens.append((kind, value, i))
             i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and src[j].isalpha():
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+        self.tokens = tokens
+        self.pos = 0
+        self.end = ("end", "", n)
+
+    def peek(self, ahead=0):
+        """The token ``ahead`` places past the cursor; ``("end", "",
+        len(src))`` once the tokens run out."""
+        k = self.pos + ahead
+        return self.tokens[k] if k < len(self.tokens) else self.end
+
+    def take(self, kind=None):
+        """The token at the cursor, moving past it; with ``kind``, a
+        ``ParseError`` unless the token is of that kind."""
+        tok = self.peek()
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], {kind})
+        self.pos += 1
+        return tok
+
+
+_POLY_TOKEN = re.compile(r"(?P<int>\d+)|(?P<op>[-+*^/])")
 
 
 def _parse_poly(src, names):
     """Shared polynomial parser.  Returns list of (coeff, {name: exp}) terms."""
-    tokens = _tokenize_poly(src)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", "", len(src))
-
-    def take(kind):
-        nonlocal pos
-        tok = peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2], {kind})
-        pos += 1
-        return tok
+    toks = Tokens(src, _POLY_TOKEN, str.isalpha)
 
     def parse_int():
         sign = 1
-        while peek()[0] == "-":
-            take("-")
+        while toks.peek()[0] == "-":
+            toks.take()
             sign = -sign
-        return sign * int(take("int")[1])
+        return sign * toks.take("int")[1]
 
     def parse_factor():
-        tok = peek()
-        if tok[0] == "int":
-            take("int")
-            num = int(tok[1])
-            if peek()[0] == "/":
-                take("/")
-                den_tok = take("int")
-                den = int(den_tok[1])
+        kind, value, at = toks.peek()
+        if kind == "int":
+            toks.take()
+            if toks.peek()[0] == "/":
+                toks.take()
+                den, den_at = toks.take("int")[1:]
                 if not den:
-                    raise ParseError("division by zero", den_tok[2])
-                return Fraction(num, den), {}
-            return Fraction(num), {}
-        if tok[0] == "name":
-            take("name")
-            if tok[1] not in names:
-                raise ParseError(f"unknown variable {tok[1]!r}", tok[2], set(names))
+                    raise ParseError("division by zero", den_at)
+                return Fraction(value, den), {}
+            return Fraction(value), {}
+        if kind == "name":
+            toks.take()
+            if value not in names:
+                raise ParseError(f"unknown variable {value!r}", at, set(names))
             exp = 1
-            if peek()[0] == "^":
-                take("^")
+            if toks.peek()[0] == "^":
+                toks.take()
                 exp = parse_int()
-            return Fraction(1), {tok[1]: exp}
-        raise ParseError(f"expected a term, found {tok[1]!r}", tok[2], {"int", "name"})
+            return Fraction(1), {value: exp}
+        raise ParseError(f"expected a term, found {value!r}", at, {"int", "name"})
 
     def parse_term():
         coeff, expd = parse_factor()
-        while peek()[0] == "*":
-            take("*")
+        while toks.peek()[0] == "*":
+            toks.take()
             c2, e2 = parse_factor()
             coeff *= c2
             for k, v in e2.items():
@@ -671,23 +705,18 @@ def _parse_poly(src, names):
 
     terms = []
     sign = 1
-    if peek()[0] == "-":
-        take("-")
+    if toks.peek()[0] == "-":
+        toks.take()
         sign = -1
     while True:
         c, e = parse_term()
         terms.append((sign * c, e))
-        tok = peek()
-        if tok[0] == "end":
+        kind, value, at = toks.take()
+        if kind == "end":
             break
-        if tok[0] == "+":
-            take("+")
-            sign = 1
-        elif tok[0] == "-":
-            take("-")
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2], {"+", "-"})
+        if kind not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', found {value!r}", at, {"+", "-"})
+        sign = 1 if kind == "+" else -1
     return terms
 
 

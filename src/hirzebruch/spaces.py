@@ -1163,6 +1163,8 @@ def from_document(text):
                 raise ParseError(f"dim must be an integer (line {lineno})", 0) from None
         elif head == "gens":
             gens = rest.split()
+            if len(set(gens)) < len(gens):
+                raise ParseError(f"a generator is listed twice (line {lineno})", 0)
         elif head == "relation":
             lhs, _, rhs = rest.partition("=")
             relations.append((lhs.strip(), rhs.strip(), lineno))
@@ -1184,14 +1186,19 @@ def from_document(text):
     slots = {g: i for i, g in enumerate(gens)}
     width = len(gens)
 
-    def parse_class_terms(src):
+    def parse_class_terms(src, lineno):
         from .rings import _parse_poly  # shared term parser
+        try:
+            terms = _parse_poly(src, set(gens))
+        except ParseError as exc:
+            raise ParseError(f"{exc.reason} in {src!r} (line {lineno})",
+                             exc.position, exc.expected) from None
         raw = {}
-        for coeff, expd in _parse_poly(src, set(gens)):
+        for coeff, expd in terms:
             exp = [0] * width
             for g, e in expd.items():
                 if e < 0:
-                    raise ParseError("negative exponents are not allowed here", 0)
+                    raise ParseError(f"negative exponent in {src!r} (line {lineno})", 0)
                 exp[slots[g]] += e
             raw[tuple(exp)] = raw.get(tuple(exp), 0) + coeff
         return raw
@@ -1199,7 +1206,7 @@ def from_document(text):
     rules = [None] * width
     relation_line = {}  # generator slot -> line of its relation
     for lhs, rhs, lineno in relations:
-        lterm = parse_class_terms(lhs)
+        lterm = parse_class_terms(lhs, lineno)
         if len(lterm) != 1:
             raise ParseError(f"relation left side must be a single monomial (line {lineno})", 0)
         (lexp, lc), = lterm.items()
@@ -1211,7 +1218,7 @@ def from_document(text):
                              f"(lines {relation_line[i]}, {lineno})", 0)
         relation_line[i] = lineno
         r = lexp[i]
-        rel = {} if rhs in ("0", "") else parse_class_terms(rhs)
+        rel = {} if rhs in ("0", "") else parse_class_terms(rhs, lineno)
         for rexp in rel:
             if rexp[i] >= r:
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)
@@ -1235,7 +1242,7 @@ def from_document(text):
     integral_exps = {}
     integral_line = {}
     for mono_src, value, lineno in integrals:
-        raw = parse_class_terms(mono_src)
+        raw = parse_class_terms(mono_src, lineno)
         if len(raw) != 1:
             raise ParseError(f"integral left side must be a single monomial (line {lineno})", 0)
         (exp, c), = raw.items()
@@ -1253,7 +1260,7 @@ def from_document(text):
 
     if tangent_src is None:
         raise ParseError("document needs a 'tangent' line", 0)
-    tangent_raw = parse_class_terms(tangent_src)
+    tangent_raw = parse_class_terms(tangent_src, once["tangent"])
     key = ("custom", dim, tuple(gens), tuple(sorted(str(r) for r in rules)),
            tuple(sorted((e, str(v)) for e, v in integral_exps.items())),
            tuple(sorted((e, str(v)) for e, v in tangent_raw.items())))
@@ -1268,5 +1275,6 @@ def from_document(text):
     )
     m.tangent_chern = CohClass(m, tangent_raw)
     if m.tangent_chern.coeff(m._zero_exp) != 1:
-        raise ParseError("tangent Chern class must have constant term 1", 0)
+        raise ParseError(f"tangent Chern class must have constant term 1 "
+                         f"(line {once['tangent']})", 0)
     return m

@@ -104,9 +104,16 @@ class TestCommands:
         ("dim 1\ngens h\ndim 1\nintegral h = 1\ntangent 1 + 2*h\n", "(lines 1, 3)"),
         ("dim 1\ngens h\nintegral h = 1\ngens h\ntangent 1 + 2*h\n", "(lines 2, 4)"),
         ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h\ntangent 1\n", "(lines 4, 5)"),
+        ("dim 1\ngens h\nrelation h^2 = h*q\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
+        ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*z\n", "(line 4)"),
+        ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h^-1\n", "(line 4)"),
+        ("dim 1\ngens h h\nintegral h = 1\ntangent 1 + 2*h\n", "(line 2)"),
+        ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h^²\n", "(line 4)"),
     ], ids=["dim-not-integer", "integral-divides-by-zero", "integral-two-monomials",
             "relation-lowers-degree", "second-relation", "second-integral", "second-dim",
-            "second-gens", "second-tangent"])
+            "second-gens", "second-tangent", "relation-unknown-variable",
+            "tangent-unknown-variable", "negative-exponent", "generator-twice",
+            "superscript-exponent"])
     def test_malformed_document_exit_code(self, capsys, tmp_path, doc, where):
         path = tmp_path / "bad.space"
         path.write_text(doc)
@@ -138,6 +145,20 @@ class TestCommands:
             code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error:") and "nesting deeper than" in err and "offset" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("epoly", "²"),
+        ("epoly", "P1^²"),
+        ("genus", "--motivic", "P1 + 2²"),
+        ("genus", "--space", "P²"),
+        ("epoly", "9" * 5000),
+        ("epoly", "P1^" + "9" * 5000),
+    ], ids=["superscript", "superscript-exponent", "superscript-scalar", "superscript-space",
+            "long-literal", "long-exponent"])
+    def test_unreadable_input_exit_code(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "offset" in err
 
     def test_epoly_unknown_atom(self, capsys):
         code, _, err = run(capsys, "epoly", "Q1")

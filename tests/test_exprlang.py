@@ -1,21 +1,23 @@
 """The expression language and space-spec syntax."""
 
+import operator
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hirzebruch import exprlang as ex
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
 from hirzebruch.errors import ParseError
-from hirzebruch.rings import PolyUV
+from hirzebruch.rings import PolyUV, parse_uv, parse_y
 
 
 class TestParse:
     def test_product_and_difference(self):
         tree = ex.parse_expr("P2 * P1 - L")
-        assert tree == ex.BinOp("-", ex.BinOp("*", ex.Atom("P2"), ex.Atom("P1")),
-                                ex.Atom("L"))
+        assert tree == ("sub", ("mul", ("atom", "P2"), ("atom", "P1")), ("atom", "L"))
 
     def test_scalar_juxtaposition(self):
         tree = ex.parse_expr("P2 - 2 P1 + pt")
@@ -54,10 +56,23 @@ def rand_tree(rng, depth=0):
     if depth > 3 or rng.random() < 0.4:
         choice = rng.randint(0, 5)
         if choice == 0:
-            return ex.IntLit(rng.randint(0, 9))
-        return ex.Atom(rng.choice(["P1", "P2", "A2", "C1", "Gm", "L", "pt"]))
-    op = rng.choice(["+", "-", "*"])
-    return ex.BinOp(op, rand_tree(rng, depth + 1), rand_tree(rng, depth + 1))
+            return ("int", rng.randint(0, 9))
+        return ("atom", rng.choice(["P1", "P2", "A2", "C1", "Gm", "L", "pt"]))
+    op = rng.choice(["add", "sub", "mul"])
+    return (op, rand_tree(rng, depth + 1), rand_tree(rng, depth + 1))
+
+
+def depth(tree):
+    """The depth the parser caps: one level per + - * node, n - 1 (at least
+    one) per power X^n."""
+    kind = tree[0]
+    if kind in ("atom", "int"):
+        return 0
+    if kind == "dual":
+        return depth(tree[1])
+    if kind == "pow":
+        return depth(tree[1]) + max(tree[2] - 1, 1)
+    return 1 + max(depth(tree[1]), depth(tree[2]))
 
 
 class TestDepthCap:
@@ -66,7 +81,7 @@ class TestDepthCap:
         assert ex.evaluate(ex.parse_expr(deep)) == mo.projective(1)
         chain = "+".join(["pt"] * ex.MAX_DEPTH)
         tree = ex.parse_expr(chain)
-        assert tree.depth == ex.MAX_DEPTH - 1
+        assert depth(tree) == ex.MAX_DEPTH - 1
         assert ex.parse_expr(ex.render(tree)) == tree
         assert ex.evaluate(tree) == mo.point() * ex.MAX_DEPTH
         space = ex.parse_space("(" * ex.MAX_DEPTH + "P1" + ")" * ex.MAX_DEPTH)
@@ -98,6 +113,131 @@ class TestRoundTrip:
     def test_render_examples(self):
         tree = ex.parse_expr("P2 - 2 P1 + pt")
         assert ex.render(tree) == "P2 - 2*P1 + pt"
+
+
+class TestPowersDualsAndSignedLiterals:
+    def test_trees(self):
+        assert ex.parse_expr("P2^2 - D(P1)") == \
+            ("sub", ("pow", ("atom", "P2"), 2), ("dual", ("atom", "P1")))
+        assert ex.parse_expr("-1*P1 + P2") == \
+            ("add", ("mul", ("int", -1), ("atom", "P1")), ("atom", "P2"))
+        assert ex.parse_expr("P2 + -3") == ("add", ("atom", "P2"), ("int", -3))
+        assert ex.parse_expr("P1^2^3") == ("pow", ("pow", ("atom", "P1"), 2), 3)
+
+    def test_binary_minus_is_read_first(self):
+        assert ex.parse_expr("P2 -1") == ("sub", ("atom", "P2"), ("int", 1))
+        assert ex.parse_expr("2 -1") == ("sub", ("int", 2), ("int", 1))
+
+    def test_values_match_the_python_built_classes(self):
+        p1, p2 = mo.projective(1), mo.projective(2)
+        assert ex.evaluate(ex.parse_expr("P2^2 - D(P1)")) == p2 ** 2 - p1.dual()
+        assert ex.evaluate(ex.parse_expr("-1*P1 + P2")) == -p1 + p2
+        assert ex.evaluate(ex.parse_expr("(P1 - pt)^3")) == mo.lefschetz() ** 3
+        assert ex.evaluate(ex.parse_expr("P1^0")) == mo.point()
+
+    @pytest.mark.parametrize("src, offset", [
+        ("P1^-1", 3), ("P1^x", 3), ("P1^", 3), ("- 1", 0), ("-P1", 0), ("D (P1)", 0),
+        ("D(P1", 4), ("P1 D(P1)", 3),
+    ])
+    def test_malformed(self, src, offset):
+        with pytest.raises(ParseError) as err:
+            ex.parse_expr(src)
+        assert err.value.position == offset
+
+    def test_a_power_counts_like_the_product_it_stands_for(self):
+        top = f"P1^{ex.MAX_DEPTH + 1}"
+        assert depth(ex.parse_expr(top)) == ex.MAX_DEPTH
+        with pytest.raises(ParseError) as err:
+            ex.parse_expr(f"P1^{ex.MAX_DEPTH + 2}")
+        assert err.value.position == 2 and "nesting" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            ex.parse_expr("P1" + "^1" * (ex.MAX_DEPTH + 1))  # at least one level each
+        assert err.value.position == 2 * ex.MAX_DEPTH + 2
+        with pytest.raises(ParseError) as err:
+            ex.parse_expr("P1^" + "9" * 5000)
+        assert err.value.position == 3
+
+    def test_dual_opens_a_level(self):
+        deep = "D(" * ex.MAX_DEPTH + "P1" + ")" * ex.MAX_DEPTH
+        assert ex.evaluate(ex.parse_expr(deep)) == mo.projective(1)  # an involution
+        assert ex.evaluate(ex.parse_expr(deep[2:-1])) == mo.projective(1).dual()
+        with pytest.raises(ParseError) as err:
+            ex.parse_expr("D(" * (ex.MAX_DEPTH + 1) + "P1" + ")" * (ex.MAX_DEPTH + 1))
+        assert err.value.position == 2 * (ex.MAX_DEPTH + 1)
+
+    def test_python_built_classes_display_their_nesting(self):
+        p1, p2, p3 = mo.projective(1), mo.projective(2), mo.projective(3)
+        assert str(p1 + (p2 + p3)) == "P1 + (P2 + P3)"
+        assert str(p1 * (p2 * p3)) == "P1*(P2*P3)"
+        assert str(p3 - p2 * 2 + p1) == "P3 - 2*P2 + P1"
+        assert str(-p1) == "-1*P1"
+        assert str((p1 ** 2).dual() - 3) == "D(P1^2) - 3"
+
+
+ATOM_NAMES = ["P0", "P1", "P2", "A0", "A2", "C0", "C2", "Gm", "L", "pt"]
+
+trees = st.recursive(
+    st.one_of(st.sampled_from(ATOM_NAMES).map(lambda a: ("atom", a)),
+              st.integers(-12, 12).map(lambda n: ("int", n))),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), kids, kids),
+        st.tuples(st.just("pow"), kids, st.integers(0, 4)),
+        st.tuples(st.just("dual"), kids)),
+    max_leaves=10)
+
+ATOMS = [mo.point(), mo.lefschetz(), mo.torus(), mo.projective(1), mo.affine(2),
+         mo.curve(1)]
+
+
+def _combine(kids):
+    ints = st.integers(-4, 4)
+    return st.one_of(
+        *[st.builds(op, kids, kids) for op in (operator.add, operator.sub, operator.mul)],
+        st.builds(operator.add, kids, ints), st.builds(operator.add, ints, kids),
+        st.builds(operator.sub, kids, ints),
+        st.builds(operator.mul, kids, ints), st.builds(operator.mul, ints, kids),
+        st.builds(operator.neg, kids),
+        st.builds(operator.pow, kids, st.integers(0, 3)),
+        kids.map(lambda c: c.dual()))
+
+
+classes = st.recursive(st.sampled_from(ATOMS), _combine, max_leaves=6)
+
+# superscript and other non-decimal digits, non-ASCII letters and the
+# grammar's own characters, mixed into arbitrary text
+texts = st.text(st.one_of(st.sampled_from("P2AC0Gm Lpt+-*()^D/uvy²³½٣éß"),
+                          st.characters()), max_size=40)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(trees)
+    def test_render_parses_back_to_the_tree(self, tree):
+        assume(depth(tree) <= ex.MAX_DEPTH)
+        assert ex.parse_expr(ex.render(tree)) == tree
+        assert ex.evaluate(tree).expr == tree
+
+    @settings(max_examples=200, deadline=None)
+    @given(classes)
+    def test_a_class_survives_its_display(self, cls):
+        back = ex.evaluate(ex.parse_expr(str(cls)))
+        assert back.expr == cls.expr
+        assert back == cls
+
+    @settings(max_examples=500, deadline=None)
+    @given(texts)
+    def test_parsers_return_or_raise_parse_error(self, src):
+        for parse in (ex.parse_expr, parse_y, parse_uv):
+            try:
+                parse(src)
+            except ParseError:
+                pass
+
+    @pytest.mark.parametrize("src", ["²", "P1 + ²", "2²", "y^²", "u²"])
+    def test_superscript_digits_are_parse_errors(self, src):
+        for parse in (ex.parse_expr, parse_y, parse_uv):
+            with pytest.raises(ParseError):
+                parse(src)
 
 
 class TestSpaceSpec:

@@ -58,7 +58,7 @@ COMMANDS = (
     + [("genus", "--motivic", e) for e in ("P2*P1 - L", "C2", "P3 - Gm")]
     # parse-heavy inputs: scalars, parentheses, nesting and twist signs
     + [("epoly", e) for e in ("2*(P1 + pt)", "L*L - 1", "P2 - (P1 - (pt - A0))",
-                              "3 (C2 + 2 Gm)*A1")]
+                              "3 (C2 + 2 Gm)*A1", "P2^2 - D(P1)", "-1*P1 + P2")]
     + [("genus", "--motivic", e) for e in ("2 2 P1 - (Gm + L)", "P02 + 1")]
     + [("describe", "--space", "Proj(P2; -1,2,0)")]
     + [("genus", "--space", s) for s in ("(P1xP1)xP1", "Proj((P1); 0 ,1)")]

@@ -292,6 +292,21 @@ class TestDocuments:
         with pytest.raises(ParseError, match=rf"\(lines {lines}\)"):
             sp.from_document(QUADRIC_DOCUMENT.strip() + "\n" + extra + "\n")
 
+    @pytest.mark.parametrize("doc, line", [
+        ("dim 2\ngens a\nrelation a^2 = a*q\nintegral a^2 = 1\ntangent 1\n", 3),
+        ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*z\n", 4),
+        ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h^-1\n", 4),
+        ("dim 1\ngens h\nintegral h^ = 1\ntangent 1 + 2*h\n", 3),
+        ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h^²\n", 4),
+        ("dim 1\ngens a a\nintegral a = 1\ntangent 1 + 2*a\n", 2),
+        ("dim 1\ngens h\nintegral h = 1\ntangent 2 + 2*h\n", 4),
+    ], ids=["relation-unknown-variable", "tangent-unknown-variable", "negative-exponent",
+            "dangling-power", "superscript-exponent", "generator-twice",
+            "tangent-constant-term"])
+    def test_malformed_line_is_named(self, doc, line):
+        with pytest.raises(ParseError, match=rf"\(line {line}\)"):
+            sp.from_document(doc)
+
     @pytest.mark.parametrize("relation", ["h^2 = h", "h^2 = h*k + k", "k^2 = h^3"])
     def test_relation_must_be_homogeneous(self, relation):
         doc = f"dim 2\ngens h k\nrelation {relation}\nintegral h*k = 1\ntangent 1\n"

@@ -342,6 +342,28 @@ class TestPushforward:
         p2 = sp.projective(2)
         assert got == hom_from(p2, {1: {(1,): LaurentY.one()}, 0: {(2,): LaurentY.const(2)}})
 
+    def test_k_pushforward_keeping_a_pole_is_a_domain_error(self):
+        p1 = sp.projective(1)
+        h = p1.gen_class(0)
+        c = KPolyClass(LaurentY.one(), p1.one() + h * RationalFunctionY(LaurentY.one(), 1))
+        with pytest.raises(NotPolynomial):
+            pushforward(sp.constant_map(p1), c)
+
+    def test_k_pushforward_whose_poles_cancel(self):
+        # the integral of (1 + 2h/(1+y) - 3h^2/(1+y)) * td(P2) is 1 + 3/(1+y) - 3/(1+y)
+        p2 = sp.projective(2)
+        h = p2.gen_class(0)
+        c = KPolyClass(LaurentY.one(), p2.one() + h * RationalFunctionY(LaurentY.const(2), 1)
+                       + h * h * RationalFunctionY(LaurentY.const(-3), 1))
+        assert pushforward(sp.constant_map(p2), c).rank_poly == LaurentY.one()
+
+    def test_rank_given_as_a_rational_function_without_pole(self):
+        p1 = sp.projective(1)
+        k = KPolyClass(RationalFunctionY(ONE_Y, 1), p1.one())
+        assert type(k.rank_poly) is LaurentY and k.rank_poly == LaurentY.one()
+        with pytest.raises(NotPolynomial):
+            KPolyClass(RationalFunctionY(LaurentY.one(), 1), p1.one())
+
     def test_homology_pushforward_to_point(self):
         p2 = sp.projective(2)
         t = mht(mhc_y(p2), normalized=False)
