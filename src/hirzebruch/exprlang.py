@@ -73,9 +73,10 @@ def parse_expr(src):
     def parse_factor(level):
         kind, value, at = toks.peek()
         _check_depth(level, at)
-        if kind == "-" and toks.peek(1)[0] == "int" and toks.peek(1)[2] == at + 1:
+        after = toks.peek(1)
+        if kind == "-" and after[0] == "int" and after[2] == at + 1:  # signed literal
             toks.take()
-            kind, value = "int", -toks.peek()[1]
+            kind, value = "int", -after[1]
         if kind == "int":
             toks.take()
             lit = (("int", value), 0)
