@@ -21,8 +21,8 @@ Both read their input through ``rings.Tokens``.  Parsers report a
 that point.  Nesting deeper than ``MAX_DEPTH`` is a ``ParseError`` where the
 tree is built, so evaluation and rendering never recurse deeper: each
 parenthesis, ``D(``, ``Proj(`` and juxtaposed scalar opens one level, each
-``+ - *`` node counts one, and ``X^n`` counts n - 1 (at least one), as the
-product ``X*X*...*X`` would.
+``+ - *`` node counts one, and a power counts as the product it stands for:
+``X^n`` counts n - 1 (at least one), ``(X^a)^b`` counts ab - 1.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import operator
 import re
 
 from .errors import ParseError
-from .rings import Tokens
+from .rings import Tokens, read_int
 from . import motivic
 from . import spaces as sp
 
@@ -54,8 +54,11 @@ _BINARY = {"+": "add", "-": "sub", "*": "mul"}
 
 
 def _atom_kind(word, offset):
-    if not _ATOM_RE.match(word):
+    m = _ATOM_RE.match(word)
+    if not m:
         raise ParseError(f"unknown atom {word!r}", offset, _ATOM_NAMES)
+    if m.group(2):  # an index int() cannot read is refused here, not in evaluate
+        read_int(m.group(2), offset)
     return "atom"
 
 
@@ -97,7 +100,7 @@ def parse_expr(src):
         while toks.peek()[0] == "^":
             at = toks.take()[2]
             n = toks.take("int")[1]
-            depth = node[1] + max(n - 1, 1)
+            depth = (node[1] + 1) * max(n, 2) - 1
             _check_depth(depth, at)
             node = ("pow", node[0], n), depth
         return node
@@ -160,7 +163,7 @@ _SPEC_TOKEN = re.compile(r"(?P<op>Proj|Hyp|Arr|x|[();,])|(?P<P>P\d+)|(?P<int>-?\
 
 def parse_space(src):
     """Parse a space spec into a SpaceModel."""
-    toks = Tokens(src, _SPEC_TOKEN)
+    toks = Tokens(src, _SPEC_TOKEN, where=" in space spec")
     take = toks.take
 
     def parse_atom(level):
@@ -168,7 +171,7 @@ def parse_space(src):
         _check_depth(level, at)
         if kind == "P":
             take()
-            return sp.projective(int(value[1:]))
+            return sp.projective(read_int(value[1:], at))
         if kind == "(":
             take()
             inner = parse_product(level + 1)

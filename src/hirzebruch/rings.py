@@ -590,6 +590,14 @@ def render_uv(p):
 # the token scanner shared by every parser of the package
 
 
+def read_int(digits, offset):
+    """``int(digits)``; a ``ParseError`` at ``offset`` for more digits than it converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer literal too long", offset) from None
+
+
 class Tokens:
     """The tokens of one source string, with a cursor over them.
 
@@ -604,12 +612,12 @@ class Tokens:
     Integer patterns use ``\\d``, the digits ``int`` reads (``str.isdigit``
     also takes "²"); an ``int`` token's value is the integer.  The whole
     string is read before parsing, so an unreadable character raises
-    ``ParseError`` at its offset wherever it sits.
+    ``ParseError`` at its offset wherever it sits; ``where`` ends its message.
     """
 
     __slots__ = ("tokens", "pos", "end")
 
-    def __init__(self, src, pattern, tail=None, classify=None):
+    def __init__(self, src, pattern, tail=None, classify=None, where=""):
         tokens = []
         i, n = 0, len(src)
         while i < n:
@@ -623,10 +631,7 @@ class Tokens:
                 if kind == "op":
                     kind = value
                 elif kind == "int":
-                    try:
-                        value = int(value)
-                    except ValueError:  # more digits than int() converts
-                        raise ParseError("integer literal too long", i) from None
+                    value = read_int(value, i)
             elif tail is not None and ch.isalpha():
                 j = i + 1
                 while j < n and tail(src[j]):
@@ -634,7 +639,7 @@ class Tokens:
                 value = src[i:j]
                 kind = "name" if classify is None else classify(value, i)
             else:
-                raise ParseError(f"unexpected character {ch!r}", i)
+                raise ParseError(f"unexpected character {ch!r}{where}", i)
             tokens.append((kind, value, i))
             i = j
         self.tokens = tokens

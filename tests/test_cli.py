@@ -138,8 +138,11 @@ class TestCommands:
         ("epoly", "*".join(["pt"] * 3000)),
         ("epoly", "2 " * 3000 + "P1"),
         ("genus", "--space", "Proj(" * 3000 + "P1" + ";0)" * 3000),
+        ("epoly", "P1" + "^2" * 20),
+        ("epoly", "2" + "^2" * 14),
     ], ids=["epoly-parentheses", "motivic-parentheses", "space-parentheses", "long-sum",
-            "long-product", "juxtaposed-scalars", "nested-proj"])
+            "long-product", "juxtaposed-scalars", "nested-proj", "power-tower",
+            "integer-power-tower"])
     def test_deep_nesting_exit_code(self, capsys, time_limit, argv):
         with time_limit(10):
             code, out, err = run(capsys, *argv)
@@ -153,8 +156,10 @@ class TestCommands:
         ("genus", "--space", "P²"),
         ("epoly", "9" * 5000),
         ("epoly", "P1^" + "9" * 5000),
+        ("epoly", "P" + "9" * 5000),
+        ("genus", "--space", "P" + "9" * 5000),
     ], ids=["superscript", "superscript-exponent", "superscript-scalar", "superscript-space",
-            "long-literal", "long-exponent"])
+            "long-literal", "long-exponent", "long-atom-index", "long-space-index"])
     def test_unreadable_input_exit_code(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out

@@ -63,15 +63,16 @@ def rand_tree(rng, depth=0):
 
 
 def depth(tree):
-    """The depth the parser caps: one level per + - * node, n - 1 (at least
-    one) per power X^n."""
+    """The depth the parser caps: one level per + - * node; a power counts as
+    the product it stands for, so X^n adds n - 1 (at least one) and
+    (X^a)^b counts ab - 1."""
     kind = tree[0]
     if kind in ("atom", "int"):
         return 0
     if kind == "dual":
         return depth(tree[1])
     if kind == "pow":
-        return depth(tree[1]) + max(tree[2] - 1, 1)
+        return (depth(tree[1]) + 1) * max(tree[2], 2) - 1
     return 1 + max(depth(tree[1]), depth(tree[2]))
 
 
@@ -150,9 +151,22 @@ class TestPowersDualsAndSignedLiterals:
         with pytest.raises(ParseError) as err:
             ex.parse_expr(f"P1^{ex.MAX_DEPTH + 2}")
         assert err.value.position == 2 and "nesting" in str(err.value)
+        with pytest.raises(ParseError) as err:  # ^1 and ^0 count as ^2
+            ex.parse_expr("P1" + "^1" * 7)  # depth 1, 3, 7, ..., 127
+        assert err.value.position == 14
         with pytest.raises(ParseError) as err:
-            ex.parse_expr("P1" + "^1" * (ex.MAX_DEPTH + 1))  # at least one level each
-        assert err.value.position == 2 * ex.MAX_DEPTH + 2
+            ex.parse_expr("P1" + "^0" * 7)
+        assert err.value.position == 14
+
+    def test_nested_powers_count_the_product_of_their_exponents(self):
+        assert depth(ex.parse_expr("P1^10^10")) == 99
+        assert depth(ex.parse_expr("(P1 + pt)^2^5")) == 19  # (1 + 1)*2*5 - 1
+        assert depth(ex.parse_expr("P1" + "^2" * 6)) == 63
+        for src, offset in [("P1^10^11", 5), ("P1" + "^2" * 20, 14), ("2" + "^2" * 14, 13),
+                            (f"(P1^{ex.MAX_DEPTH // 2})^3", 7)]:
+            with pytest.raises(ParseError) as err:
+                ex.parse_expr(src)
+            assert err.value.position == offset and "nesting" in str(err.value)
         with pytest.raises(ParseError) as err:
             ex.parse_expr("P1^" + "9" * 5000)
         assert err.value.position == 3
@@ -220,6 +234,7 @@ class TestRoundTripProperties:
     @settings(max_examples=200, deadline=None)
     @given(classes)
     def test_a_class_survives_its_display(self, cls):
+        assume(depth(cls.expr) <= ex.MAX_DEPTH)  # the parser refuses deeper displays
         back = ex.evaluate(ex.parse_expr(str(cls)))
         assert back.expr == cls.expr
         assert back == cls
@@ -270,6 +285,22 @@ class TestSpaceSpec:
         for bad in ("P", "Proj(P1)", "Hyp(3)", "P1yP2", "Arr(2,3"):
             with pytest.raises(ParseError):
                 ex.parse_space(bad)
+
+    @pytest.mark.parametrize("src, offset, message", [
+        ("P1xé", 3, "unexpected character 'é' in space spec"),
+        ("P²", 0, "unexpected character 'P' in space spec"),
+        ("P1x(P" + "9" * 5000 + ")", 4, "integer literal too long"),
+    ])
+    def test_error_messages(self, src, offset, message):
+        with pytest.raises(ParseError) as err:
+            ex.parse_space(src)
+        assert err.value.position == offset and err.value.reason == message
+
+    @pytest.mark.parametrize("atom", ["P", "A", "C"])
+    def test_an_unreadable_atom_index_is_a_parse_error(self, atom):
+        with pytest.raises(ParseError) as err:
+            ex.parse_expr("pt + " + atom + "9" * 5000)
+        assert err.value.position == 5
 
     def test_document_reference(self, tmp_path):
         doc = tmp_path / "plane.space"
