@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import InvalidParameter
 from .rings import LaurentY, RationalFunctionY
@@ -68,17 +69,10 @@ def _series_log(a, order):
     return out
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 class ChernRootSeries:
     """A normalized one-root genus series: coefficients of x^0..x^order."""
 
-    __slots__ = ("kind", "coeffs", "order")
+    __slots__ = ("kind", "coeffs", "order", "_log")
 
     def __init__(self, kind, coeffs, order):
         if coeffs[0] != 1:
@@ -86,6 +80,14 @@ class ChernRootSeries:
         self.kind = kind
         self.coeffs = tuple(coeffs)
         self.order = order
+        self._log = None
+
+    def log(self):
+        """log(series) to x^order, computed on first use and kept; its x^k
+        coefficient needs the series to x^k only, so a lower order reads a prefix."""
+        if self._log is None:
+            self._log = tuple(_series_log(list(self.coeffs), self.order))
+        return self._log
 
     def at_y(self, value):
         """Evaluate the y-dependence at a rational value, as a plain list."""
@@ -104,19 +106,19 @@ def genus_series(kind, order):
         coeffs = [LaurentY.one(), LaurentY.one()] + [LaurentY()] * (order - 1)
     elif kind == "todd":
         # (1 - exp(-x))/x, then reciprocal
-        g = [LaurentY.const(Fraction((-1) ** k, _factorial(k + 1))) for k in range(order + 1)]
+        g = [LaurentY.const(Fraction((-1) ** k, factorial(k + 1))) for k in range(order + 1)]
         coeffs = _series_recip(g, order)
     elif kind == "lclass":
         # cosh(x) / (sinh(x)/x)
-        sh = [LaurentY.const(Fraction(1, _factorial(k + 1))) if k % 2 == 0 else LaurentY()
+        sh = [LaurentY.const(Fraction(1, factorial(k + 1))) if k % 2 == 0 else LaurentY()
               for k in range(order + 1)]
-        co = [LaurentY.const(Fraction(1, _factorial(k))) if k % 2 == 0 else LaurentY()
+        co = [LaurentY.const(Fraction(1, factorial(k))) if k % 2 == 0 else LaurentY()
               for k in range(order + 1)]
         coeffs = _series_mul(co, _series_recip(sh, order), order)
     elif kind == "hirzebruch":
         # x(1+y)/(1 - exp(-x(1+y))) = 1/g with g_k = (-1)^k (1+y)^k / (k+1)!
         one_y = LaurentY({0: 1, 1: 1})
-        g = [one_y**k * Fraction((-1) ** k, _factorial(k + 1)) for k in range(order + 1)]
+        g = [one_y**k * Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)]
         coeffs = _series_recip(g, order)
         coeffs[1] = coeffs[1] - LaurentY.y()
     else:
@@ -172,7 +174,7 @@ def chern_character(V, order=None):
         order = space.dim
     total = space.constant(Fraction(V.rank))
     for m, p in enumerate(power_sums(V, order), start=1):
-        total = total + p * Fraction(1, _factorial(m))
+        total = total + p * Fraction(1, factorial(m))
     return total
 
 
@@ -199,7 +201,7 @@ def apply_series(series, V, space=None):
         raise InvalidParameter(
             f"series order {series.order} is below the space dimension {space.dim}"
         )
-    lcoeffs = _series_log(list(series.coeffs), space.dim)
+    lcoeffs = series.log()
     X = space.zero()
     for m, p in enumerate(power_sums(V, space.dim), start=1):
         if lcoeffs[m]:
@@ -301,30 +303,22 @@ class KPolyClass:
 def lambda_y(V):
     """The total exterior-power class of a bundle, sum of y^i [Lambda^i V].
 
-    The Chern character is assembled from elementary symmetric functions of
-    the root exponentials, whose power sums are rank + sum of k^m p_m / m!;
-    all coefficients stay in Q[y].
+    Its Chern character is sum of y^i e_i, the elementary symmetric
+    functions of the root exponentials.  Their power sums are the Adams
+    operations q_k = ch(psi^k V) = rank + sum of k^m p_m / m!, each read off
+    ch(V) by ``CohClass.adams``, and Newton's identities turn them into the
+    e_i; all coefficients stay in Q[y].
     """
     if V.rank < 0:
         raise InvalidParameter("lambda_y needs an honest (non-virtual) rank")
     space = V.space
-    d = space.dim
-    p = power_sums(V, d)
-    q = []
-    for k in range(1, V.rank + 1):
-        acc = space.constant(Fraction(V.rank))
-        for m in range(1, d + 1):
-            acc = acc + p[m - 1] * Fraction(k**m, _factorial(m))
-        q.append(acc)
-    e = _elementary_from_power_sums(space, q, V.rank)
+    ch_v = chern_character(V)
+    e = _elementary_from_power_sums(
+        space, [ch_v.adams(k) for k in range(1, V.rank + 1)], V.rank)
     ch = space.zero()
-    rank_poly = LaurentY()
-    binom = 1
-    for i in range(V.rank + 1):
-        ch = ch + e[i] * LaurentY.y(i)
-        rank_poly = rank_poly + LaurentY({i: binom})
-        binom = binom * (V.rank - i) // (i + 1)
-    return KPolyClass(rank_poly, ch)
+    for i, c in enumerate(e):
+        ch = ch + c * LaurentY.y(i)
+    return KPolyClass(LaurentY({0: 1, 1: 1}) ** V.rank, ch)
 
 
 def k_dual(k, space=None):
@@ -335,6 +329,6 @@ def k_dual(k, space=None):
     m = space.dim
     sign = Fraction((-1) ** m)
     omega_ch = class_exp(space.canonical_chern_root())
-    ch = k.ch.degree_sign().invert_y() * omega_ch * sign
+    ch = k.ch.adams(-1).invert_y() * omega_ch * sign
     rank = k.rank_poly.invert_y() * sign
     return KPolyClass(rank, ch)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import NotPolynomial, ParseError
+from .errors import InvalidParameter, NotPolynomial, ParseError
 
 
 def _as_fraction(x):
@@ -546,12 +546,16 @@ def _render_terms(terms):
     for i, (c, mono) in enumerate(terms):
         neg = c < 0
         c = -c if neg else c
+        try:
+            digits = str(c)  # ValueError past the interpreter's digit limit
+        except ValueError:
+            raise InvalidParameter("coefficient too large to print") from None
         if not mono:
-            body = str(c)
+            body = digits
         elif c == 1:
             body = mono
         else:
-            body = f"{c}*{mono}"
+            body = f"{digits}*{mono}"
         if i == 0:
             pieces.append(f"-{body}" if neg else body)
         else:

@@ -61,7 +61,7 @@ table, the entries live on the instance and are never keyed on
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 
 from .errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
@@ -418,12 +418,16 @@ class CohClass:
                 c[e] = w
         return CohClass._raw(self.space, *_from_values(c))
 
-    def degree_sign(self):
-        """Multiply the degree-j part by (-1)^j (Chern classes of a dual)."""
-        return CohClass._raw(
-            self.space,
-            {e: (n if _total(e) % 2 == 0 else _negated(n)) for e, n in self._c.items()},
-            self._d, self._k)
+    def adams(self, k):
+        """The Adams operation psi^k on a Chern character: the degree-j part
+        times k^j, on the integer numerators.  ``adams(-1)`` turns the Chern
+        character or total Chern class of a bundle into that of its dual."""
+        nums = {}
+        for e, n in self._c.items():
+            s = k ** _total(e)
+            if s:
+                nums[e] = _num_scaled(n, s, 0)
+        return CohClass._raw(self.space, *_reduced(nums, self._d, self._k))
 
     def invert_y(self):
         """Substitute y -> 1/y: as 1 + 1/y = (1+y)/y, each numerator n(y)
@@ -491,7 +495,7 @@ class BundleClass:
 
     def dual(self):
         """c_i -> (-1)^i c_i."""
-        return BundleClass(self.rank, self.total_chern.degree_sign())
+        return BundleClass(self.rank, self.total_chern.adams(-1))
 
     def __repr__(self):
         return f"BundleClass(rank={self.rank}, c={self.space.render_class(self.total_chern)!r})"
@@ -679,15 +683,6 @@ class SpaceModel:
 # constructors
 
 
-def _binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def projective(n):
     """P^n: ring Q[h]/(h^(n+1)), integral of h^n is 1, c(T) = (1+h)^(n+1)."""
     if n < 0:
@@ -701,7 +696,7 @@ def projective(n):
         rules=[("nilpotent", n + 1)],
         integrals={(n,): Fraction(1)},
     )
-    m.tangent_chern = CohClass(m, {(j,): Fraction(_binomial(n + 1, j)) for j in range(n + 1)})
+    m.tangent_chern = CohClass(m, {(j,): Fraction(comb(n + 1, j)) for j in range(n + 1)})
     return m
 
 
@@ -781,7 +776,7 @@ def product(*factors):
                 log_c = log_c * pull_to_product(m, i, f.log.log_cotangent.total_chern)
                 rank += f.log.log_cotangent.rank
             else:
-                log_c = log_c * pull_to_product(m, i, f.tangent_chern.degree_sign())
+                log_c = log_c * pull_to_product(m, i, f.tangent_chern.adams(-1))
                 rank += f.dim
         m.log = LogStructure(divisors, BundleClass(rank, log_c))
     return m
@@ -839,18 +834,13 @@ def sum_of_line_bundles(space, multiples, gen=0):
 def _twisted_chern(E, t):
     """Total Chern class of E tensor L for a line bundle L with c1 = t.
 
-    c_k(E(x)L) = sum over j of C(rank-j, k-j) c_j(E) t^(k-j).
+    A root x of E becomes x + t, so c(E(x)L) = sum over j <= rank of
+    c_j(E) (1+t)^(rank-j), summed by Horner's rule in rank multiplies.
     """
-    space = t.space
-    r = E.rank
-    total = space.zero()
-    for k in range(space.dim + 1):
-        part = space.zero()
-        for j in range(k + 1):
-            b = _binomial(r - j, k - j)
-            if b:
-                part = part + E.chern(j) * (t ** (k - j)) * Fraction(b)
-        total = total + part
+    one_t = t.space.one() + t
+    total = E.chern(0)
+    for j in range(1, E.rank + 1):
+        total = total * one_t + E.chern(j)
     return total
 
 
@@ -1035,13 +1025,15 @@ def gysin_pushforward(m, c):
     if m.kind == "constant":
         return tgt.constant(m.source.integrate(c))
     if m.kind == "bundle_projection":
+        # the xi^(r-1) monomials, read as base monomials (already reduced there)
         r = m.source.extra["rank"]
         nb = len(tgt.gens)
-        raw = {}
-        for exp, v in c.items():
+        nums = {}
+        for exp, n in c._c.items():
             if exp[nb] == r - 1:
-                raw[exp[:nb]] = raw.get(exp[:nb], 0) + v
-        return CohClass(tgt, raw)
+                e = exp[:nb]
+                nums[e] = _num_sum(nums[e], n) if e in nums else n
+        return CohClass._raw(tgt, *_reduced({e: n for e, n in nums.items() if n}, c._d, c._k))
     if m.kind == "product_projection":
         axis = m.extra["axis"]
         prod = m.source
@@ -1166,7 +1158,9 @@ def from_document(text):
             if len(set(gens)) < len(gens):
                 raise ParseError(f"a generator is listed twice (line {lineno})", 0)
         elif head == "relation":
-            lhs, _, rhs = rest.partition("=")
+            lhs, eq, rhs = rest.partition("=")
+            if not eq:
+                raise ParseError(f"relation needs '=' (line {lineno})", 0)
             relations.append((lhs.strip(), rhs.strip(), lineno))
         elif head == "integral":
             lhs, _, rhs = rest.partition("=")

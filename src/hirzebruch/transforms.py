@@ -19,11 +19,13 @@ for dimension-k cycles, and the coefficients live in the ring
 Q[y, 1/y, 1/(1+y)] of class coefficients.  Every ledger operation is one
 class operation: ``mht`` is ch * td (then ``normalize_cycles``),
 pushforward is one Gysin pushforward (the built-in maps keep cycle
-dimension), duality is ``degree_sign().invert_y()`` up to the sign
+dimension), duality is ``adams(-1).invert_y()`` up to the sign
 (-1)^dim, and the y = -1 specialization is ``at_minus_one``.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import InvalidParameter, MissingLogStructure, UnsupportedMap
 from .rings import LaurentY
@@ -287,7 +289,7 @@ def pullback_smooth(m, c):
 def homology_dual(c):
     """Duality on the homology ledger: (-1)^k on the dimension-k part and
     y -> 1/y in every coefficient."""
-    return HomClassY._of(c.coh.degree_sign().invert_y() * (-1) ** c.space.dim)
+    return HomClassY._of(c.coh.adams(-1).invert_y() * (-1) ** c.space.dim)
 
 
 def specialize_minus_one(c):
@@ -313,7 +315,7 @@ def csm_arrangement(n, k):
         for j in range(m + 1):
             # dimension-j part of c(TP^m) against [P^m], pushed into P^n
             e = (n - j,)
-            raw[e] = raw.get(e, 0) + (-1) ** s * sp._binomial(k, s) * sp._binomial(m + 1, m - j)
+            raw[e] = raw.get(e, 0) + (-1) ** s * comb(k, s) * comb(m + 1, m - j)
     return HomClassY._of(CohClass(sp.projective(n), raw))
 
 

@@ -13,6 +13,12 @@ without a family, a suite builds its own.  The models of the family keep
 their closed K-class and Todd class (see ``spaces``), so a later suite
 reuses what an earlier one computed on them; within one identity the two
 sides are still computed on different models.
+
+``integrality`` checks genera that ``ghrr``, ``multiplicativity`` and
+``arrangements`` compute anyway.  ``run_suites`` hands these four suites
+one ``genera`` dict per call, keyed by the names ``integrality`` reports;
+a genus already kept there is read, not recomputed.  Run alone,
+``integrality`` computes every genus itself, with the same check.
 """
 
 from __future__ import annotations
@@ -81,19 +87,28 @@ def hom_difference(got, want):
                        lambda e: f"dimension {got.space.dim - sum(e)}")
 
 
+def _genus(genera, name, build, mode="closed"):
+    """chi_y of the model ``build()`` in ``mode``, kept in ``genera`` (when
+    given) under ``name``; the model is not built when the genus is kept."""
+    if genera is None:
+        return chi_y_genus(build(), mode)
+    if name not in genera:
+        genera[name] = chi_y_genus(build(), mode)
+    return genera[name]
+
+
 def _chi_projective(n):
     return LaurentY({p: (-1) ** p for p in range(n + 1)})
 
 
-def suite_ghrr():
+def suite_ghrr(genera=None):
     """Genus of projective spaces and of the quartic surface, via the
     transformation pipeline against directly known values."""
     checks = []
     for n in range(1, 5):
-        got = chi_y_genus(sp.projective(n))
+        got = _genus(genera, f"P{n}", lambda: sp.projective(n))
         checks.append(_eq(f"chi_y(P{n})", got, _chi_projective(n), render_y))
-    quartic = sp.hypersurface(3, 4)
-    chi = chi_y_genus(quartic)
+    chi = _genus(genera, "quartic surface", lambda: sp.hypersurface(3, 4))
     checks.append(_eq("chi_y(quartic surface)", chi,
                       LaurentY({0: 2, 1: -20, 2: 2}), render_y))
     checks.append(_eq("quartic Euler number", chi(Fraction(-1)), 24))
@@ -136,14 +151,14 @@ def bundle_family():
     return out
 
 
-def suite_multiplicativity(family=None):
+def suite_multiplicativity(family=None, genera=None):
     """chi_y of a projective bundle equals the fiber genus times the base
     genus, for split bundles of rank <= 3 over P1 and P2."""
     checks = []
     for base_n, (base, members) in (family or bundle_family()).items():
         chi_base = chi_y_genus(base)
         for twists, E, tot in members:
-            got = chi_y_genus(tot)
+            got = _genus(genera, f"{tot.name}O({twists})", lambda: tot)
             want = _chi_projective(E.rank - 1) * chi_base
             checks.append(_eq(f"chi_y(P(O({','.join(map(str, twists))})) over P{base_n})",
                               got, want, render_y))
@@ -243,21 +258,28 @@ def suite_chern_limit():
     return checks
 
 
-def suite_arrangements():
+def _gm(n):
+    """The torus Gm^n, as (P^1 minus two points)^n."""
+    return sp.product(*[_arrangement(1, 2)] * n)
+
+
+def _arrangement(n, k):
+    return sp.with_arrangement(sp.projective(n), k)
+
+
+def suite_arrangements(genera=None):
     """Compact-support versus ordinary genus duality for torus powers and
     arrangement complements: chi^c_y = (-y)^dim chi_{1/y}."""
     checks = []
-    gm1 = sp.with_arrangement(sp.projective(1), 2)
     for n in range(1, 4):
-        gm = sp.product(*[gm1] * n)
-        ordinary = chi_y_genus(gm, "open_complement")
+        ordinary = _genus(genera, f"Gm^{n}", lambda: _gm(n), "open_complement")
         compact = (motivic.torus() ** n).chi_y()
         want = ordinary.invert_y() * LaurentY({n: (-1) ** n})
         checks.append(_eq(f"compact-support duality for Gm^{n}", compact, want, render_y))
     for n in range(1, 4):
         for k in range(0, n + 2):
-            arr = sp.with_arrangement(sp.projective(n), k)
-            ordinary = chi_y_genus(arr, "open_complement")
+            ordinary = _genus(genera, f"P{n} minus {k}H", lambda: _arrangement(n, k),
+                              "open_complement")
             compact = motivic.arrangement_complement(n, k).chi_y()
             want = ordinary.invert_y() * LaurentY({n: (-1) ** n})
             checks.append(_eq(f"compact-support duality for P{n} minus {k} hyperplanes",
@@ -266,32 +288,32 @@ def suite_arrangements():
                       motivic.arrangement_complement(2, 2).chi_y(),
                       LaurentY({1: 1, 2: 1}), render_y))
     checks.append(_eq("2-line complement, ordinary genus",
-                      chi_y_genus(sp.with_arrangement(sp.projective(2), 2), "open_complement"),
+                      _genus(genera, "P2 minus 2H", lambda: _arrangement(2, 2), "open_complement"),
                       LaurentY({0: 1, 1: 1}), render_y))
     return checks
 
 
-def suite_integrality(family=None):
+def suite_integrality(family=None, genera=None):
     """Every genus the other suites produce lies in Z[y] after cancelling
     the (1+y) denominators."""
-    genera = []
+    kept = []
+
+    def keep(name, build, mode="closed"):
+        kept.append((name, _genus(genera, name, build, mode)))
+
     for n in range(1, 5):
-        genera.append((f"P{n}", chi_y_genus(sp.projective(n))))
-    genera.append(("quartic surface", chi_y_genus(sp.hypersurface(3, 4))))
+        keep(f"P{n}", lambda: sp.projective(n))
+    keep("quartic surface", lambda: sp.hypersurface(3, 4))
     for _, members in (family or bundle_family()).values():
         for twists, _, tot in members:
-            genera.append((tot.name + f"O({twists})", chi_y_genus(tot)))
-    gm1 = sp.with_arrangement(sp.projective(1), 2)
+            keep(f"{tot.name}O({twists})", lambda: tot)
     for n in range(1, 4):
-        genera.append((f"Gm^{n}", chi_y_genus(sp.product(*[gm1] * n), "open_complement")))
+        keep(f"Gm^{n}", lambda: _gm(n), "open_complement")
         for k in range(0, n + 2):
-            arr = sp.with_arrangement(sp.projective(n), k)
-            genera.append((f"P{n} minus {k}H", chi_y_genus(arr, "open_complement")))
-    checks = []
-    bad = [(name, g) for name, g in genera if not g.is_integral_polynomial()]
-    checks.append(Check(f"all {len(genera)} computed genera lie in Z[y]", not bad,
-                        "" if not bad else "; ".join(f"{n}: {render_y(g)}" for n, g in bad)))
-    return checks
+            keep(f"P{n} minus {k}H", lambda: _arrangement(n, k), "open_complement")
+    bad = [(name, g) for name, g in kept if not g.is_integral_polynomial()]
+    return [Check(f"all {len(kept)} computed genera lie in Z[y]", not bad,
+                  "" if not bad else "; ".join(f"{n}: {render_y(g)}" for n, g in bad))]
 
 
 SUITES = {
@@ -308,6 +330,7 @@ SUITES = {
 
 
 _FAMILY_SUITES = ("multiplicativity", "updown", "integrality")
+_GENERA_SUITES = ("ghrr", "multiplicativity", "arrangements", "integrality")
 
 
 def run_suites(names, order=8):
@@ -315,23 +338,26 @@ def run_suites(names, order=8):
 
     ``order`` is the series order of ``series-limits``, the only suite that
     depends on one.  The bundle family is built once per call, on first
-    need, and handed to every suite that runs on it."""
+    need, and handed to every suite that runs on it; one ``genera`` dict
+    per call goes to every suite that computes or reads genera."""
     if names in ("all", None):
         names = list(SUITES)
     elif isinstance(names, str):
         names = [names]
     results = {}
     family = None
+    genera = {}
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+        kwargs = {}
         if name == "series-limits":
-            results[name] = SUITES[name](order=order)
-        elif name in _FAMILY_SUITES:
-            family = family or bundle_family()
-            results[name] = SUITES[name](family=family)
-        else:
-            results[name] = SUITES[name]()
+            kwargs["order"] = order
+        if name in _FAMILY_SUITES:
+            kwargs["family"] = family = family or bundle_family()
+        if name in _GENERA_SUITES:
+            kwargs["genera"] = genera
+        results[name] = SUITES[name](**kwargs)
     return results
 
 

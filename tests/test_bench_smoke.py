@@ -46,3 +46,15 @@ def test_traced_queries_smoke_run():
     assert result["failed"] == 0
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert sorted(result["metrics"]) == sorted(m["name"] for m in bench["per_layer"])
+
+
+def test_traced_registry_smoke_run():
+    """The tracer binds gysin_pushforward, lambda_y, chern_character and
+    each verify suite by name; a rename in the engine fails this run."""
+    proc = run_bench("--workload", "registry", "--seed", "3", "--seconds", "1", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in bench["per_layer"])

@@ -9,6 +9,11 @@ from hirzebruch import cli
 from hirzebruch.rings import LaurentY
 
 
+NESTING = ("nesting deeper than", "offset")
+TOO_LARGE = ("coefficient too large to print",)
+BIG = "7" * 3000  # its square has more digits than str() converts
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -109,11 +114,12 @@ class TestCommands:
         ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h^-1\n", "(line 4)"),
         ("dim 1\ngens h h\nintegral h = 1\ntangent 1 + 2*h\n", "(line 2)"),
         ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h^²\n", "(line 4)"),
+        ("dim 1\ngens h\nrelation h^2\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
     ], ids=["dim-not-integer", "integral-divides-by-zero", "integral-two-monomials",
             "relation-lowers-degree", "second-relation", "second-integral", "second-dim",
             "second-gens", "second-tangent", "relation-unknown-variable",
             "tangent-unknown-variable", "negative-exponent", "generator-twice",
-            "superscript-exponent"])
+            "superscript-exponent", "relation-without-equals"])
     def test_malformed_document_exit_code(self, capsys, tmp_path, doc, where):
         path = tmp_path / "bad.space"
         path.write_text(doc)
@@ -130,24 +136,28 @@ class TestCommands:
         assert code == 2 and not out
         assert err.startswith("error:") and "(lines 3, 4)" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("epoly", "(" * 3000 + "P1" + ")" * 3000),
-        ("genus", "--motivic", "(" * 3000 + "P1" + ")" * 3000),
-        ("genus", "--space", "(" * 3000 + "P1" + ")" * 3000),
-        ("epoly", "+".join(["P1"] * 3000)),
-        ("epoly", "*".join(["pt"] * 3000)),
-        ("epoly", "2 " * 3000 + "P1"),
-        ("genus", "--space", "Proj(" * 3000 + "P1" + ";0)" * 3000),
-        ("epoly", "P1" + "^2" * 20),
-        ("epoly", "2" + "^2" * 14),
+    @pytest.mark.parametrize("argv, says", [
+        (("epoly", "(" * 3000 + "P1" + ")" * 3000), NESTING),
+        (("genus", "--motivic", "(" * 3000 + "P1" + ")" * 3000), NESTING),
+        (("genus", "--space", "(" * 3000 + "P1" + ")" * 3000), NESTING),
+        (("epoly", "+".join(["P1"] * 3000)), NESTING),
+        (("epoly", "*".join(["pt"] * 3000)), NESTING),
+        (("epoly", "2 " * 3000 + "P1"), NESTING),
+        (("genus", "--space", "Proj(" * 3000 + "P1" + ";0)" * 3000), NESTING),
+        (("epoly", "P1" + "^2" * 20), NESTING),
+        (("epoly", "2" + "^2" * 14), NESTING),
+        (("epoly", f"{BIG}*{BIG}"), TOO_LARGE),
+        (("genus", "--motivic", f"{BIG}*{BIG}"), TOO_LARGE),
     ], ids=["epoly-parentheses", "motivic-parentheses", "space-parentheses", "long-sum",
             "long-product", "juxtaposed-scalars", "nested-proj", "power-tower",
-            "integer-power-tower"])
-    def test_deep_nesting_exit_code(self, capsys, time_limit, argv):
+            "integer-power-tower", "epoly-huge-coefficient", "motivic-huge-coefficient"])
+    def test_deep_nesting_exit_code(self, capsys, time_limit, argv, says):
+        """Input past a size cap: too deeply nested to parse, or with a
+        coefficient too long to print."""
         with time_limit(10):
             code, out, err = run(capsys, *argv)
         assert code == 2 and not out
-        assert err.startswith("error:") and "nesting deeper than" in err and "offset" in err
+        assert err.startswith("error:") and all(s in err for s in says)
 
     @pytest.mark.parametrize("argv", [
         ("epoly", "²"),

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -481,3 +482,151 @@ class TestCoefficientMaps:
         c = data.draw(classes_on(space))
         assert c.normalize_cycles() == sp.CohClass(space, {
             e: RationalFunctionY(LaurentY.one(), space.dim - sum(e)) * v for e, v in c.items()})
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic of one registry pass against the routes it replaced
+
+
+def old_degree_sign(c):
+    """(-1)^j on the degree-j part, term by term."""
+    return sp.CohClass(c.space, {e: v if sum(e) % 2 == 0 else -v for e, v in c.items()})
+
+
+def old_adams_power_sums(V):
+    """q_k = rank + sum of k^m p_m / m! for k = 1..rank, one scalar multiply
+    and one add per (k, m)."""
+    from math import factorial
+
+    from hirzebruch.bundles import power_sums
+    space = V.space
+    p = power_sums(V, space.dim)
+    q = []
+    for k in range(1, V.rank + 1):
+        acc = space.constant(Fraction(V.rank))
+        for m in range(1, space.dim + 1):
+            acc = acc + p[m - 1] * Fraction(k**m, factorial(m))
+        q.append(acc)
+    return q
+
+
+def old_lambda_y(V):
+    from hirzebruch.bundles import KPolyClass, _elementary_from_power_sums
+    e = _elementary_from_power_sums(V.space, old_adams_power_sums(V), V.rank)
+    ch = V.space.zero()
+    for i, c in enumerate(e):
+        ch = ch + c * LaurentY.y(i)
+    return KPolyClass(LaurentY({0: 1, 1: 1}) ** V.rank, ch)
+
+
+def old_twisted_chern(E, t):
+    """c_k(E(x)L) = sum over j of C(rank-j, k-j) c_j(E) t^(k-j), degree by degree."""
+    space = t.space
+    total = space.zero()
+    for k in range(space.dim + 1):
+        for j in range(k + 1):
+            b = comb(E.rank - j, k - j) if 0 <= k - j <= E.rank - j else 0
+            if b:
+                total = total + E.chern(j) * (t ** (k - j)) * Fraction(b)
+    return total
+
+
+def old_bundle_gysin(m, c):
+    """The xi^(r-1) coefficients summed as typed coefficients, then rebuilt."""
+    r = m.source.extra["rank"]
+    nb = len(m.target.gens)
+    raw = {}
+    for exp, v in c.items():
+        if exp[nb] == r - 1:
+            raw[exp[:nb]] = raw.get(exp[:nb], 0) + v
+    return sp.CohClass(m.target, raw)
+
+
+@pytest.fixture(scope="module")
+def family_members():
+    from hirzebruch.verify import bundle_family
+    return [member for _, members in bundle_family().values() for member in members]
+
+
+def _bundles_on(space):
+    out = [space.tangent_bundle(), space.tangent_bundle().dual()]
+    if space.log is not None:
+        out.append(space.log.log_cotangent)
+    return out
+
+
+class TestRegistryArithmetic:
+    """Adams operations, the closed-form twisted Chern class and the
+    numerator-level Gysin map agree with the routes they replaced."""
+
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
+    def test_lambda_y_through_adams_operations(self, space):
+        from hirzebruch.bundles import chern_character, lambda_y
+        for V in _bundles_on(space):
+            ch = chern_character(V)
+            assert [ch.adams(k) for k in range(1, V.rank + 1)] == old_adams_power_sums(V)
+            assert lambda_y(V) == old_lambda_y(V)
+
+    def test_lambda_y_on_the_bundle_family(self, family_members):
+        from hirzebruch.bundles import lambda_y
+        assert len(family_members) == 238
+        for _, _, tot in family_members:
+            for V in _bundles_on(tot):
+                assert lambda_y(V) == old_lambda_y(V), tot.name
+
+    def test_twisted_chern_on_the_bundle_family(self, family_members):
+        for twists, E, tot in family_members:
+            xi = tot.gen_class(len(tot.gens) - 1)
+            E_up = sp.BundleClass(E.rank, sp._lift_from_base(tot, E.total_chern))
+            assert sp._twisted_chern(E_up, xi) == old_twisted_chern(E_up, xi), twists
+            assert tot.extra["relative_tangent"].total_chern == old_twisted_chern(E_up, xi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+           st.integers(-3, 3))
+    def test_twisted_chern_on_split_bundles(self, n, twists, a):
+        base = sp.projective(n)
+        E = sp.sum_of_line_bundles(base, twists)
+        t = base.gen_class(0) * a
+        assert sp._twisted_chern(E, t) == old_twisted_chern(E, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_adams_scales_each_degree(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        c = data.draw(classes_on(space))
+        k = data.draw(st.integers(-3, 3))
+        want = space.zero()
+        for j in range(space.dim + 1):
+            want = want + c.component(j) * k**j
+        assert c.adams(k) == want
+        assert c.adams(-1) == old_degree_sign(c)
+
+    def test_adams_keeps_fractional_and_pole_denominators(self):
+        p2 = sp.projective(2)
+        c = sp.CohClass(p2, {(0,): Fraction(1, 3), (1,): RationalFunctionY(LaurentY.y(), 2),
+                             (2,): Fraction(5, 4)})
+        assert c.adams(2) == sp.CohClass(p2, {
+            (0,): Fraction(1, 3), (1,): RationalFunctionY(LaurentY({1: 2}), 2), (2,): 5})
+        assert c.adams(-1) == old_degree_sign(c)
+        assert c.adams(0) == p2.constant(Fraction(1, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bundle_gysin_on_numerators(self, data):
+        tot = data.draw(st.sampled_from([KERNEL_MODELS[5], sp.projective_bundle(
+            sp.projective(1), sp.sum_of_line_bundles(sp.projective(1), [-1, 2]))]))
+        c = data.draw(classes_on(tot))
+        pi = sp.bundle_projection(tot)
+        assert sp.gysin_pushforward(pi, c) == old_bundle_gysin(pi, c)
+
+    def test_bundle_gysin_with_a_pole_denominator(self):
+        tot = KERNEL_MODELS[5]  # P(O + O(1) + O(3)) over P2, fibers P2
+        h, xi = tot.gen_class(0), tot.gen_class(1)
+        c = (xi**2 * RationalFunctionY(LaurentY({0: 1, 2: 3}), 3)
+             + h * xi**2 * Fraction(2, 7) + xi * RationalFunctionY(LaurentY.one(), 1))
+        assert c._k == 3
+        pi = sp.bundle_projection(tot)
+        got = sp.gysin_pushforward(pi, c)
+        assert got == old_bundle_gysin(pi, c)
+        assert got._k == 3 and got.space is pi.target

@@ -1,12 +1,14 @@
-"""Verification suites: failure details, the series-order plumbing and the
-bundle family shared within one run."""
+"""Verification suites: failure details, the series-order plumbing, and the
+bundle family, genera and series logs shared within one run."""
 
 import inspect
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hirzebruch import bundles
 from hirzebruch import spaces as sp
 from hirzebruch import verify
 from hirzebruch.bundles import KPolyClass
@@ -137,3 +139,74 @@ class TestBundleFamily:
         assert alone == [c.as_tuple() for c in in_all[name]]
         assert alone == [c.as_tuple() for c in reversed_run[name]]
         assert all(status == "pass" for _, status, _ in alone)
+
+    def test_integrality_alone_after_multiplicativity_and_in_all(self, in_all):
+        alone = [c.as_tuple() for c in verify.run_suites("integrality")["integrality"]]
+        after = verify.run_suites(["multiplicativity", "integrality"])["integrality"]
+        assert alone == [c.as_tuple() for c in after]
+        assert alone == [c.as_tuple() for c in in_all["integrality"]]
+        assert alone == [("all 258 computed genera lie in Z[y]", "pass", "")]
+
+
+def counted(monkeypatch, owner, name):
+    """The arguments of every call to ``owner.name`` while the test runs."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestSharedGenera:
+    OTHERS = ["ghrr", "multiplicativity", "arrangements"]
+
+    def test_integrality_computes_no_genus_the_others_computed(self, monkeypatch):
+        calls = counted(monkeypatch, verify, "chi_y_genus")
+        verify.run_suites(self.OTHERS)
+        before = len(calls)
+        calls.clear()
+        results = verify.run_suites(self.OTHERS + ["integrality"])
+        assert len(calls) == before
+        assert verify.all_passed(results)
+
+    def test_integrality_alone_computes_every_genus(self, monkeypatch):
+        calls = counted(monkeypatch, verify, "chi_y_genus")
+        verify.run_suites("integrality")
+        assert len(calls) == 258
+
+
+class TestSeriesLog:
+    def test_one_log_per_series_object(self, monkeypatch):
+        bundles.genus_series.cache_clear()  # fresh series objects, no log kept yet
+        logs = counted(monkeypatch, bundles, "_series_log")
+        assert verify.all_passed(verify.run_suites("all"))
+        series = Counter((tuple(a), order) for a, order in logs)
+        assert series and max(series.values()) == 1
+        assert len(logs) <= bundles.genus_series.cache_info().currsize
+
+    def test_a_patched_todd_series_gets_its_own_log(self, monkeypatch):
+        # the series of the poisoned-Todd CLI test, one object per order
+        real = bundles.genus_series.__wrapped__
+        made = {}
+
+        def poisoned(kind, order):
+            if (kind, order) not in made:
+                series = real(kind, order)
+                if kind == "todd":
+                    coeffs = list(series.coeffs)
+                    coeffs[1] = coeffs[1] + LaurentY({0: 1})
+                    series = bundles.ChernRootSeries(kind, coeffs, order)
+                made[kind, order] = series
+            return made[kind, order]
+
+        monkeypatch.setattr(bundles, "genus_series", poisoned)
+        logs = counted(monkeypatch, bundles, "_series_log")
+        results = verify.run_suites("ghrr")
+        assert sorted(made) == [("todd", n) for n in range(1, 5)]
+        assert Counter((tuple(a), order) for a, order in logs) == Counter(
+            (s.coeffs, s.order) for s in made.values())
+        assert not verify.all_passed(results)
