@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .errors import InvalidParameter
 from .rings import LaurentY, RationalFunctionY
@@ -318,7 +318,7 @@ def lambda_y(V):
     ch = space.zero()
     for i, c in enumerate(e):
         ch = ch + c * LaurentY.y(i)
-    return KPolyClass(LaurentY({0: 1, 1: 1}) ** V.rank, ch)
+    return KPolyClass(LaurentY({i: comb(V.rank, i) for i in range(V.rank + 1)}), ch)
 
 
 def k_dual(k, space=None):

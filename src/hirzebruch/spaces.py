@@ -1212,7 +1212,7 @@ def from_document(text):
                              f"(lines {relation_line[i]}, {lineno})", 0)
         relation_line[i] = lineno
         r = lexp[i]
-        rel = {} if rhs in ("0", "") else parse_class_terms(rhs, lineno)
+        rel = {} if rhs == "0" else parse_class_terms(rhs, lineno)
         for rexp in rel:
             if rexp[i] >= r:
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)

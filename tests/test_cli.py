@@ -115,11 +115,12 @@ class TestCommands:
         ("dim 1\ngens h h\nintegral h = 1\ntangent 1 + 2*h\n", "(line 2)"),
         ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h^²\n", "(line 4)"),
         ("dim 1\ngens h\nrelation h^2\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
+        ("dim 1\ngens h\nrelation h^2 =\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
     ], ids=["dim-not-integer", "integral-divides-by-zero", "integral-two-monomials",
             "relation-lowers-degree", "second-relation", "second-integral", "second-dim",
             "second-gens", "second-tangent", "relation-unknown-variable",
             "tangent-unknown-variable", "negative-exponent", "generator-twice",
-            "superscript-exponent", "relation-without-equals"])
+            "superscript-exponent", "relation-without-equals", "relation-empty-right-side"])
     def test_malformed_document_exit_code(self, capsys, tmp_path, doc, where):
         path = tmp_path / "bad.space"
         path.write_text(doc)
