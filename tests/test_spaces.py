@@ -2,15 +2,23 @@
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirzebruch import spaces as sp
+from hirzebruch.bundles import (
+    KPolyClass,
+    _elementary_from_power_sums,
+    chern_character,
+    lambda_y,
+    power_sums,
+)
 from hirzebruch.errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
 from hirzebruch.rings import LaurentY, RationalFunctionY
+from hirzebruch.verify import bundle_family
 
 
 def series_quotient_oracle(num_coeffs, den_linear, order):
@@ -496,9 +504,6 @@ def old_degree_sign(c):
 def old_adams_power_sums(V):
     """q_k = rank + sum of k^m p_m / m! for k = 1..rank, one scalar multiply
     and one add per (k, m)."""
-    from math import factorial
-
-    from hirzebruch.bundles import power_sums
     space = V.space
     p = power_sums(V, space.dim)
     q = []
@@ -511,7 +516,6 @@ def old_adams_power_sums(V):
 
 
 def old_lambda_y(V):
-    from hirzebruch.bundles import KPolyClass, _elementary_from_power_sums
     e = _elementary_from_power_sums(V.space, old_adams_power_sums(V), V.rank)
     ch = V.space.zero()
     for i, c in enumerate(e):
@@ -544,7 +548,6 @@ def old_bundle_gysin(m, c):
 
 @pytest.fixture(scope="module")
 def family_members():
-    from hirzebruch.verify import bundle_family
     return [member for _, members in bundle_family().values() for member in members]
 
 
@@ -561,14 +564,12 @@ class TestRegistryArithmetic:
 
     @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
     def test_lambda_y_through_adams_operations(self, space):
-        from hirzebruch.bundles import chern_character, lambda_y
         for V in _bundles_on(space):
             ch = chern_character(V)
             assert [ch.adams(k) for k in range(1, V.rank + 1)] == old_adams_power_sums(V)
             assert lambda_y(V) == old_lambda_y(V)
 
     def test_lambda_y_on_the_bundle_family(self, family_members):
-        from hirzebruch.bundles import lambda_y
         assert len(family_members) == 238
         for _, _, tot in family_members:
             for V in _bundles_on(tot):
