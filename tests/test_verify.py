@@ -99,18 +99,23 @@ class TestHomDifference:
         assert verify.hom_difference(c, c * Fraction(1)) == ""
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """The arguments of every ``spaces.projective_bundle`` call in the test."""
+def counted(monkeypatch, owner, name):
+    """The arguments of every call to ``owner.name`` while the test runs."""
     calls = []
-    real = sp.projective_bundle
+    real = getattr(owner, name)
 
     def wrapper(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(sp, "projective_bundle", wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every ``spaces.projective_bundle`` call in the test."""
+    return counted(monkeypatch, sp, "projective_bundle")
 
 
 class TestBundleFamily:
@@ -146,19 +151,6 @@ class TestBundleFamily:
         assert alone == [c.as_tuple() for c in after]
         assert alone == [c.as_tuple() for c in in_all["integrality"]]
         assert alone == [("all 258 computed genera lie in Z[y]", "pass", "")]
-
-
-def counted(monkeypatch, owner, name):
-    """The arguments of every call to ``owner.name`` while the test runs."""
-    calls = []
-    real = getattr(owner, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
 
 
 class TestSharedGenera:
