@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InvalidParameter
-from .rings import LaurentY, RationalFunctionY
+from .rings import LaurentY, laurent_of
 from .spaces import BundleClass
 
 
@@ -234,14 +234,6 @@ def bundle_tensor(a, b):
 # -- K-theory classes with y-graded coefficients -----------------------------------
 
 
-def _as_laurent(x):
-    if isinstance(x, LaurentY):
-        return x
-    if isinstance(x, RationalFunctionY):
-        return x.reduce_unit_denominator()  # NotPolynomial while a pole remains
-    return LaurentY({0: Fraction(x)})
-
-
 class KPolyClass:
     """A Laurent-in-y combination of K-theory classes, carried as a virtual
     rank polynomial together with its Chern character."""
@@ -249,7 +241,7 @@ class KPolyClass:
     __slots__ = ("rank_poly", "ch")
 
     def __init__(self, rank_poly, ch):
-        rank_poly = _as_laurent(rank_poly)
+        rank_poly = laurent_of(rank_poly)  # NotPolynomial while a pole remains
         if ch.coeff(ch.space._zero_exp) != rank_poly:
             raise InvalidParameter("degree-0 part of the Chern character must equal the rank")
         self.rank_poly = rank_poly
@@ -286,10 +278,9 @@ class KPolyClass:
     def __mul__(self, other):
         if isinstance(other, KPolyClass):
             return KPolyClass(self.rank_poly * other.rank_poly, self.ch * other.ch)
-        scalar = _as_laurent(other) if isinstance(other, (int, Fraction, LaurentY)) else None
-        if scalar is None:
+        if not isinstance(other, (int, Fraction, LaurentY)):
             return NotImplemented
-        return KPolyClass(self.rank_poly * scalar, self.ch * scalar)
+        return KPolyClass(self.rank_poly * other, self.ch * other)
 
     __rmul__ = __mul__
 

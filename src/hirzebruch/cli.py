@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     UnsupportedMap,
 )
-from .rings import render_uv, render_y
+from .rings import printed, render_uv, render_y
 from . import bundles
 from . import exprlang
 from . import motivic
@@ -119,9 +119,9 @@ def _cmd_genus(args):
         inputs = {"space": space.name, "mode": mode}
     results.update({
         "chi_y": render_y(chi),
-        "euler": str(chi(Fraction(-1))),
-        "chi_0": str(chi(Fraction(0))),
-        "signature": str(chi(Fraction(1))),
+        "euler": printed(str, chi(Fraction(-1))),
+        "chi_0": printed(str, chi(Fraction(0))),
+        "signature": printed(str, chi(Fraction(1))),
     })
     return Report(command="genus", inputs=inputs, results=results)
 
@@ -138,7 +138,8 @@ def _cmd_classes(args):
     return Report(
         command="classes",
         inputs={"space": space.name, "series": args.series},
-        results={"class": by_degree, "integral": str(space.integrate(cls.component(space.dim)))},
+        results={"class": by_degree,
+                 "integral": printed(str, space.integrate(cls.component(space.dim)))},
     )
 
 
@@ -252,11 +253,12 @@ def main(argv=None):
             exit_code = 0 if ok else 1
         else:
             report = _cmd_describe(args)
+        text = printed(Report.to_json if args.format == "json" else Report.to_text, report)
     except (ParseError, InvalidParameter, NotPolynomial,
             MissingLogStructure, UnsupportedMap, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json() if args.format == "json" else report.to_text())
+    print(text)
     return exit_code
 
 

@@ -11,11 +11,20 @@ integers and ``fractions.Fraction`` (no floating point anywhere):
   only denominator normalized homology classes ever acquire, so the type
   tracks that power instead of a general denominator.
 
+This module alone knows how a value of Q[y, 1/y, 1/(1+y)] is stored: a
+numerator in Z[y, 1/y] -- an int when constant in y, else a LaurentY over
+1 -- over a positive integer times a power of (1+y).  A LaurentY holds
+integer numerators ``{exponent: int}`` over one denominator, in lowest
+terms; ``spaces.CohClass`` holds one numerator per monomial over one
+class-wide denominator.  The numerator helpers below are the only
+arithmetic on that format.
+
 Polynomials are stored as finitely supported dictionaries from exponents to
 coefficients with no explicit zeros; values are immutable and arithmetic
 never mutates its operands.  ``render_y``/``parse_y`` and
 ``render_uv``/``parse_uv`` give a canonical text form (terms in increasing
-exponent order) that round-trips exactly.  Its parser reads through
+exponent order) that round-trips exactly; ``printed`` turns every number
+into text.  Its parser reads through
 ``Tokens``, the one scanner and cursor of every text form in the package
 (motivic expressions and space specs use it too); the parser also accepts
 the polynomials of custom space documents.
@@ -25,31 +34,170 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvalidParameter, NotPolynomial, ParseError
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+# -- numerators in Z[y, 1/y] ---------------------------------------------------
+# The helpers read a LaurentY operand's terms ``_c`` alone, so a LaurentY over
+# any denominator passes as its numerator; they return canonical numerators.
+
+
+def _ydict(n):
+    """The {exponent: int} terms of a numerator; read-only."""
+    return {0: n} if n.__class__ is int else n._c
+
+
+def _raw(c, d=1):
+    """The LaurentY with the nonzero int terms c over d, already in lowest terms."""
+    out = LaurentY.__new__(LaurentY)
+    out._c, out._d = c, d
+    return out
+
+
+def _numerator(p):
+    """The numerator with the terms of a {exponent: int} dict (0 when none)."""
+    if len(p) == 1 and 0 in p:  # constant in y, the common case
+        return p[0]
+    p = {y: n for y, n in p.items() if n}
+    if len(p) == 1 and 0 in p:
+        return p[0]
+    return _raw(p) if p else 0
+
+
+def _negated(n):
+    return -n if n.__class__ is int else _raw({y: -m for y, m in n._c.items()})
+
+
+def _num_scaled(n, s, j):
+    """The numerator n * s * (1+y)^j, for an int s."""
+    if n.__class__ is int and not j:
+        return n * s
+    p = {y: m * s for y, m in _ydict(n).items()}
+    for _ in range(j):
+        q = dict(p)
+        for y, m in p.items():
+            q[y + 1] = q.get(y + 1, 0) + m
+        p = q
+    return _numerator(p)
+
+
+def _num_sum(a, b):
+    if a.__class__ is int and b.__class__ is int:
+        return a + b
+    p = dict(_ydict(a))
+    for y, m in _ydict(b).items():
+        p[y] = p.get(y, 0) + m
+    return _numerator(p)
+
+
+def _num_product(a, b):
+    if a.__class__ is int and b.__class__ is int:
+        return a * b
+    p = {}
+    t2 = _ydict(b).items()
+    for y1, m1 in _ydict(a).items():
+        for y2, m2 in t2:
+            p[y1 + y2] = p.get(y1 + y2, 0) + m1 * m2
+    return _numerator(p)
+
+
+def _y_inverted(n, k):
+    """The numerator y^k n(1/y)."""
+    return _numerator({k - y: m for y, m in _ydict(n).items()})
+
+
+def _at_minus_one(n):
+    return n if n.__class__ is int else sum(m if y % 2 == 0 else -m for y, m in n._c.items())
+
+
+def _div_one_plus_y(n):
+    """The exact quotient by (1+y) of a numerator that vanishes at y = -1."""
+    p = n._c
+    q = {}
+    carry = 0
+    for i in range(max(p), min(p), -1):
+        carry = p.get(i, 0) - carry
+        if carry:
+            q[i - 1] = carry
+    return _numerator(q)
+
+
+def _lowest(nums, d):
+    """(nums, d) with the gcd of d and every integer of the numerators
+    nums, a dict of canonical numerators, divided out."""
+    g = d
+    for n in nums.values():
+        if g == 1:
+            return nums, d
+        g = gcd(g, n) if n.__class__ is int else gcd(g, *n._c.values())
+    if g == 1:
+        return nums, d
+    return {e: n // g if n.__class__ is int else _raw({y: m // g for y, m in n._c.items()})
+            for e, n in nums.items()}, d // g
+
+
+def _over(n, d=1):
+    """The LaurentY n/d of a numerator n over a positive int d."""
+    if not n:
+        return _raw({})
+    nums, d = _lowest({0: n}, d)
+    return _raw(_ydict(nums[0]), d)
+
+
+def _parts(v):
+    """(numerator, denominator, power of (1+y)) of a scalar, or None for a
+    value that is not a coefficient."""
+    if isinstance(v, LaurentY):
+        c = v._c
+        if c.keys() <= {0}:
+            return c.get(0, 0), v._d, 0
+        return (v if v._d == 1 else _raw(c)), v._d, 0
+    if isinstance(v, int):
+        return v, 1, 0
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator, 0
+    if isinstance(v, RationalFunctionY):
+        n, d, _ = _parts(v.num)
+        return n, d, v.den_pow
     return None
 
 
-class LaurentY:
-    """Laurent polynomial in y over the rationals: {exponent: coefficient}."""
+def _sum(a, b, ja=0, jb=0):
+    """The LaurentY a*(1+y)^ja + b*(1+y)^jb."""
+    d = lcm(a._d, b._d)
+    return _over(_num_sum(_num_scaled(a, d // a._d, ja), _num_scaled(b, d // b._d, jb)), d)
 
-    __slots__ = ("_c",)
+
+def _operand(v):
+    """A LaurentY, int or Fraction operand as a LaurentY; None for any other
+    value, a RationalFunctionY included, whose reflected operation then runs."""
+    if isinstance(v, LaurentY):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return _over(v.numerator, v.denominator)
+    return None
+
+
+def laurent_of(v):
+    """An int, Fraction, LaurentY or RationalFunctionY as a LaurentY;
+    NotPolynomial while a pole at y = -1 remains."""
+    return v.reduce_unit_denominator() if isinstance(v, RationalFunctionY) else _operand(v)
+
+
+class LaurentY:
+    """Laurent polynomial in y over the rationals: integer numerators
+    {exponent: int} in ``_c`` over one positive denominator ``_d``, in lowest
+    terms, so that equal values are stored identically."""
+
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    c[int(e)] = v
-        self._c = c
+        terms = {int(e): Fraction(v) for e, v in (coeffs or {}).items()}
+        d = lcm(*(v.denominator for v in terms.values()))
+        self._c = {e: v.numerator * (d // v.denominator) for e, v in terms.items() if v}
+        self._d = d if self._c else 1
 
     @classmethod
     def zero(cls):
@@ -69,10 +217,11 @@ class LaurentY:
 
     def items(self):
         """Terms as (exponent, coefficient), exponents increasing."""
-        return sorted(self._c.items())
+        d = self._d
+        return [(e, Fraction(n, d)) for e, n in sorted(self._c.items())]
 
     def coeff(self, e):
-        return self._c.get(e, Fraction(0))
+        return Fraction(self._c.get(e, 0), self._d)
 
     def is_zero(self):
         return not self._c
@@ -80,135 +229,72 @@ class LaurentY:
     def is_monomial(self):
         return len(self._c) == 1
 
-    def min_exp(self):
-        return min(self._c) if self._c else 0
-
-    def max_exp(self):
-        return max(self._c) if self._c else 0
-
     def __bool__(self):
         return bool(self._c)
 
     def __eq__(self, other):
         if isinstance(other, LaurentY):
-            return self._c == other._c
-        f = _as_fraction(other)
-        if f is not None:
-            return self._c == ({0: f} if f else {})
+            return self._c == other._c and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return self._d == other.denominator and self._c == ({0: other.numerator}
+                                                                if other else {})
         return NotImplemented
 
     def __hash__(self):
-        if set(self._c) <= {0}:  # equal to the Fraction it holds
-            return hash(self._c.get(0, 0))
-        return hash(frozenset(self._c.items()))
+        if self._c.keys() <= {0}:  # equal to the Fraction it holds
+            return hash(Fraction(self._c.get(0, 0), self._d))
+        return hash((frozenset(self._c.items()), self._d))
 
     def __neg__(self):
-        return LaurentY({e: -v for e, v in self._c.items()})
+        return _raw(_negated(self)._c, self._d)
 
     def __add__(self, other):
-        if not isinstance(other, LaurentY):
-            f = _as_fraction(other)
-            if f is None:
-                return NotImplemented
-            other = LaurentY({0: f})
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, Fraction(0)) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = LaurentY()
-        out._c = c
-        return out
+        other = _operand(other)
+        return NotImplemented if other is None else _sum(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LaurentY) else -Fraction(other))
+        other = _operand(other)
+        return NotImplemented if other is None else _sum(self, -other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, LaurentY):
-            f = _as_fraction(other)
-            if f is None:
-                return NotImplemented
-            if not f:
-                return LaurentY()
-            return LaurentY({e: v * f for e, v in self._c.items()})
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, Fraction(0)) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        out = LaurentY()
-        out._c = c
-        return out
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _over(_num_product(self, other), self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        f = _as_fraction(other)
-        if f is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * (1 / f)
+        return self * (1 / Fraction(other))
 
     def __pow__(self, n):
         n = int(n)
         if n < 0:
             if not self.is_monomial():
                 raise ZeroDivisionError("negative power of a non-monomial Laurent polynomial")
-            (e, v), = self._c.items()
+            (e, v), = self.items()
             return LaurentY({e * n: v**n})
-        result = LaurentY.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentY.one())
 
     def invert_y(self):
         """Substitute y -> 1/y (negate every exponent)."""
-        return LaurentY({-e: v for e, v in self._c.items()})
+        return _over(_y_inverted(self, 0), self._d)
 
     def __call__(self, value):
         """Evaluate at a rational value of y (nonzero if negative exponents occur)."""
         value = Fraction(value)
-        total = Fraction(0)
-        for e, v in self._c.items():
-            total += v * value**e
-        return total
-
-    def div_one_plus_y(self):
-        """Divide by (1+y): return (quotient, remainder) with remainder rational.
-
-        remainder == 0 exactly when (1+y) divides self in Q[y, y^-1].
-        """
-        if not self._c:
-            return LaurentY(), Fraction(0)
-        lo = self.min_exp()
-        # shift to an ordinary polynomial, synthetic division at root -1
-        deg = self.max_exp() - lo
-        coeffs = [self.coeff(lo + i) for i in range(deg + 1)]
-        quot = [Fraction(0)] * deg
-        carry = Fraction(0)
-        for i in range(deg, 0, -1):
-            quot[i - 1] = coeffs[i] + carry
-            carry = -quot[i - 1]
-        rem = coeffs[0] + carry
-        return LaurentY({lo + i: q for i, q in enumerate(quot)}), rem
+        return sum((n * value**e for e, n in self._c.items()), Fraction(0)) / self._d
 
     def is_integral_polynomial(self):
         """True when the value lies in Z[y] (integer coefficients, exponents >= 0)."""
-        return all(e >= 0 and v.denominator == 1 for e, v in self._c.items())
+        return self._d == 1 and min(self._c, default=0) >= 0
 
     def __str__(self):
         return render_y(self)
@@ -341,14 +427,7 @@ class PolyUV:
             if v not in (1, -1):
                 raise ZeroDivisionError("monomial coefficient is not a unit over Z")
             return PolyUV({(a * n, b * n): v**n})
-        result = PolyUV.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, PolyUV.one())
 
     def __str__(self):
         return render_uv(self)
@@ -357,17 +436,14 @@ class PolyUV:
         return f"PolyUV({render_uv(self)!r})"
 
 
-def _lift_to(ring_elt_class, x):
-    if isinstance(x, ring_elt_class):
-        return x
-    f = _as_fraction(x)
-    if f is None:
-        raise TypeError(f"cannot lift {x!r} into {ring_elt_class.__name__}")
-    if ring_elt_class is LaurentY:
-        return LaurentY({0: f})
-    if f.denominator != 1:
-        raise TypeError("PolyUV has integer coefficients")
-    return PolyUV({(0, 0): f.numerator})
+def _power(base, n, one):
+    """base**n for an int n >= 0 by repeated squaring, starting from one."""
+    while n:
+        if n & 1:
+            one = one * base
+        base = base * base
+        n >>= 1
+    return one
 
 
 def substitute(p, u_value, v_value):
@@ -392,8 +468,8 @@ def substitute(p, u_value, v_value):
         for (a, b), c in p._c.items():
             total += c * uu**a * vv**b
         return total
-    uu = _lift_to(ring, u_value)
-    vv = _lift_to(ring, v_value)
+    uu = ring.one() * u_value
+    vv = ring.one() * v_value
     total = ring.zero()
     for (a, b), c in p._c.items():
         total = total + (uu**a) * (vv**b) * c
@@ -425,26 +501,16 @@ class RationalFunctionY:
 
     def __init__(self, num, den_pow=0):
         if not isinstance(num, LaurentY):
-            num = LaurentY({0: Fraction(num)})
+            num = LaurentY({0: num})
         den_pow = int(den_pow)
         if den_pow < 0:
             raise ValueError("denominator power must be >= 0")
-        while den_pow > 0 and num:
-            q, r = num.div_one_plus_y()
-            if r != 0:
-                break
-            num, den_pow = q, den_pow - 1
-        if not num:
-            den_pow = 0
-        self.num = num
-        self.den_pow = den_pow
-
-    @classmethod
-    def zero(cls):
-        return cls(LaurentY())
-
-    def is_zero(self):
-        return not self.num
+        n = num
+        while den_pow and n and not _at_minus_one(n):
+            n = _div_one_plus_y(n)
+            den_pow -= 1
+        self.num = num if n is num else _over(n, num._d)
+        self.den_pow = den_pow if n else 0
 
     def __bool__(self):
         return bool(self.num)
@@ -452,12 +518,9 @@ class RationalFunctionY:
     def _coerce(self, other):
         if isinstance(other, RationalFunctionY):
             return other
-        if isinstance(other, LaurentY):
+        if isinstance(other, (LaurentY, int, Fraction)):
             return RationalFunctionY(other)
-        f = _as_fraction(other)
-        if f is None:
-            return None
-        return RationalFunctionY(LaurentY({0: f}))
+        return None
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -480,10 +543,7 @@ class RationalFunctionY:
         if other is None:
             return NotImplemented
         k = max(self.den_pow, other.den_pow)
-        one_y = LaurentY({0: 1, 1: 1})
-        a = self.num * one_y ** (k - self.den_pow)
-        b = other.num * one_y ** (k - other.den_pow)
-        return RationalFunctionY(a + b, k)
+        return RationalFunctionY(_sum(self.num, other.num, k - self.den_pow, k - other.den_pow), k)
 
     __radd__ = __add__
 
@@ -506,7 +566,8 @@ class RationalFunctionY:
 
     def invert_y(self):
         """Substitute y -> 1/y.  Uses 1 + 1/y = (1+y)/y."""
-        return RationalFunctionY(self.num.invert_y() * LaurentY.y(self.den_pow), self.den_pow)
+        return RationalFunctionY(_over(_y_inverted(self.num, self.den_pow), self.num._d),
+                                 self.den_pow)
 
     def reduce_unit_denominator(self):
         """Return the numerator once every (1+y) factor has cancelled.
@@ -522,7 +583,8 @@ class RationalFunctionY:
 
     def at_minus_one(self):
         """Evaluate at y = -1 (after cancelling the denominator)."""
-        return self.reduce_unit_denominator()(Fraction(-1))
+        num = self.reduce_unit_denominator()
+        return Fraction(_at_minus_one(num), num._d)
 
     def __str__(self):
         if self.den_pow == 0:
@@ -538,6 +600,15 @@ class RationalFunctionY:
 # canonical rendering and parsing
 
 
+def printed(render, value):
+    """``render(value)``; ``InvalidParameter`` for a number in it with more
+    digits than ``str`` converts (``ValueError`` past the digit limit)."""
+    try:
+        return render(value)
+    except ValueError:
+        raise InvalidParameter("coefficient too large to print") from None
+
+
 def _render_terms(terms):
     # terms: list of (coefficient, monomial-string); coefficient Fraction/int
     if not terms:
@@ -546,10 +617,7 @@ def _render_terms(terms):
     for i, (c, mono) in enumerate(terms):
         neg = c < 0
         c = -c if neg else c
-        try:
-            digits = str(c)  # ValueError past the interpreter's digit limit
-        except ValueError:
-            raise InvalidParameter("coefficient too large to print") from None
+        digits = printed(str, c)
         if not mono:
             body = digits
         elif c == 1:

@@ -17,8 +17,9 @@ Q[y, 1/y, 1/(1+y)].  It stores one numerator in Z[y, 1/y] per monomial
 over a single class-wide denominator d*(1+y)^k, in a canonical form: d > 0,
 the gcd of d and all integer coefficients of the numerators is 1, and when
 k > 0, (1+y) does not divide every numerator, so equal classes are stored
-identically.  A numerator is a plain
-int when it is constant in y.  Arithmetic runs on these integers and
+identically.  The numerators and their arithmetic are those of ``rings``
+(an int when constant in y, else a LaurentY over 1); maps that only re-key
+monomials move them as they are.  Arithmetic runs on these integers and
 normalizes once per result; ``Fraction``, ``LaurentY`` and
 ``RationalFunctionY`` values are accepted by the constructors and scalar
 operations and handed out by ``coeff``, ``items`` and ``map_coeffs``: each
@@ -61,11 +62,27 @@ table, the entries live on the instance and are never keyed on
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import add
 
 from .errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
-from .rings import LaurentY, RationalFunctionY
+from .rings import (
+    RationalFunctionY,
+    _at_minus_one,
+    _div_one_plus_y,
+    _lowest,
+    _negated,
+    _num_product,
+    _num_scaled,
+    _num_sum,
+    _numerator,
+    _over,
+    _parts,
+    _power,
+    _y_inverted,
+    _ydict,
+    printed,
+)
 
 # Rewrite rules attached to a generator slot:
 #   ("nilpotent", c)          -- any monomial with exponent >= c dies
@@ -77,118 +94,21 @@ def _total(exp):
     return sum(exp)
 
 
-# -- numerators in Z[y, 1/y] ---------------------------------------------------
-# A class coefficient is a numerator over the class denominator: an int when
-# it is constant in y, else a _YPoly.  Helpers that work on the terms of a
-# numerator take them as a {exponent: int} dict.
-
-
-class _YPoly:
-    """A numerator that is not constant in y: {exponent: nonzero int}."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, c):
-        self._c = c
-
-    def __eq__(self, other):
-        return isinstance(other, _YPoly) and self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-
-def _ydict(n):
-    """The {exponent: int} terms of a numerator; read-only."""
-    return {0: n} if n.__class__ is int else n._c
-
-
-def _numerator(p):
-    """The numerator with the terms of a {exponent: int} dict (0 when none)."""
-    if len(p) == 1 and 0 in p:  # constant in y, the common case
-        return p[0]
-    p = {y: n for y, n in p.items() if n}
-    if len(p) == 1 and 0 in p:
-        return p[0]
-    return _YPoly(p) if p else 0
-
-
-def _negated(n):
-    return -n if n.__class__ is int else _YPoly({y: -m for y, m in n._c.items()})
-
-
-def _num_scaled(n, s, j):
-    """The numerator n * s * (1+y)^j, for an int s."""
-    if n.__class__ is int and not j:
-        return n * s
-    p = {y: m * s for y, m in _ydict(n).items()}
-    for _ in range(j):
-        q = dict(p)
-        for y, m in p.items():
-            q[y + 1] = q.get(y + 1, 0) + m
-        p = q
-    return _numerator(p)
-
-
-def _num_sum(a, b):
-    if a.__class__ is int and b.__class__ is int:
-        return a + b
-    p = dict(_ydict(a))
-    for y, m in _ydict(b).items():
-        p[y] = p.get(y, 0) + m
-    return _numerator(p)
-
-
-def _at_minus_one(n):
-    return n if n.__class__ is int else sum(m if y % 2 == 0 else -m for y, m in n._c.items())
-
-
-def _div_one_plus_y(n):
-    """The exact quotient by (1+y) of a numerator that vanishes at y = -1."""
-    p = n._c
-    q = {}
-    carry = 0
-    for i in range(max(p), min(p), -1):
-        carry = p.get(i, 0) - carry
-        if carry:
-            q[i - 1] = carry
-    return _numerator(q)
-
-
-def _parts(v):
-    """(numerator, denominator, power of (1+y)) of a scalar, or None for a
-    value that is not a coefficient."""
-    if isinstance(v, int):
-        return v, 1, 0
-    if isinstance(v, Fraction):
-        return v.numerator, v.denominator, 0
-    if isinstance(v, RationalFunctionY):
-        n, d, _ = _parts(v.num)
-        return n, d, v.den_pow
-    if isinstance(v, LaurentY):
-        terms = v.items()
-        d = lcm(*(c.denominator for _, c in terms))
-        return _numerator({y: c.numerator * (d // c.denominator) for y, c in terms}), d, 0
-    return None
-
-
-def _laurent(n, den):
-    """The value n / den of a numerator, as a LaurentY."""
-    return LaurentY({y: Fraction(m, den) for y, m in _ydict(n).items()})
+# -- class coefficients over one class denominator ------------------------------
+# A class coefficient is a numerator (``rings``: an int when it is constant in
+# y, else a LaurentY over 1) over the class denominator d*(1+y)^k.
 
 
 def _coefficient(n, den, k):
     """The value n / (den*(1+y)^k) of a numerator: a Fraction when it is
     constant in y, a LaurentY when it is a Laurent polynomial, a
     RationalFunctionY when a pole at y = -1 remains."""
-    if not n:
-        return Fraction(0)
     while k and not _at_minus_one(n):
         n = _div_one_plus_y(n)
         k -= 1
     if n.__class__ is int and not k:
         return Fraction(n, den)
-    return RationalFunctionY(_laurent(n, den), k) if k else _laurent(n, den)
+    return RationalFunctionY(_over(n, den), k) if k else _over(n, den)
 
 
 def _reduced(nums, den, k):
@@ -199,17 +119,7 @@ def _reduced(nums, den, k):
     while k and not any(_at_minus_one(n) for n in nums.values()):
         nums = {e: _div_one_plus_y(n) for e, n in nums.items()}
         k -= 1
-    g = den
-    for n in nums.values():
-        if g == 1:
-            break
-        g = gcd(g, n) if n.__class__ is int else gcd(g, *n._c.values())
-    if g != 1:
-        den //= g
-        nums = {e: n // g if n.__class__ is int
-                else _YPoly({y: m // g for y, m in n._c.items()})
-                for e, n in nums.items()}
-    return nums, den, k
+    return (*_lowest(nums, den), k)
 
 
 def _canonical(acc, den, k):
@@ -334,14 +244,8 @@ class CohClass:
             if part is None:
                 return NotImplemented
             n2, d, k = part
-            t2 = _ydict(n2).items()
-            acc = {}
-            for e, n1 in self._c.items():
-                a = acc[e] = {}
-                for y1, m1 in _ydict(n1).items():
-                    for y2, m2 in t2:
-                        a[y1 + y2] = a.get(y1 + y2, 0) + m1 * m2
-            return CohClass._raw(self.space, *_canonical(acc, self._d * d, self._k + k))
+            nums = {e: _num_product(n1, n2) for e, n1 in self._c.items()} if n2 else {}
+            return CohClass._raw(self.space, *_reduced(nums, self._d * d, self._k + k))
         return self.multiply(other)
 
     __rmul__ = __mul__
@@ -388,14 +292,7 @@ class CohClass:
         n = int(n)
         if n < 0:
             raise InvalidParameter("negative power of a cohomology class")
-        out = self.space.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.space.one())
 
     def component(self, degree):
         """The part in cohomological degree ``degree``."""
@@ -432,11 +329,8 @@ class CohClass:
     def invert_y(self):
         """Substitute y -> 1/y: as 1 + 1/y = (1+y)/y, each numerator n(y)
         becomes y^k n(1/y) over the same denominator d*(1+y)^k."""
-        k = self._k
-        return CohClass._raw(
-            self.space,
-            {e: _numerator({k - y: m for y, m in _ydict(n).items()}) for e, n in self._c.items()},
-            self._d, k)
+        return CohClass._raw(self.space, {e: _y_inverted(n, self._k) for e, n in self._c.items()},
+                             self._d, self._k)
 
     def at_minus_one(self):
         """The class at y = -1.  Raises NotPolynomial when a coefficient has a
@@ -623,7 +517,7 @@ class SpaceModel:
             n = c._c.get(exp)
             if n is not None:
                 total = _num_sum(total, _num_scaled(n, (weight * w).numerator, 0))
-        return RationalFunctionY(_laurent(total, c._d * w), c._k)
+        return RationalFunctionY(_over(total, c._d * w), c._k)
 
     def tangent_bundle(self):
         return BundleClass(self.dim, self.tangent_chern)
@@ -647,7 +541,7 @@ class SpaceModel:
             return "0"
         pieces = []
         for exp, v in c.items():
-            coeff = str(v)
+            coeff = printed(str, v)
             if " " in coeff:
                 coeff = f"({coeff})"
             mono = self.render_monomial(exp)
@@ -666,7 +560,7 @@ class SpaceModel:
             "dim": self.dim,
             "generators": list(self.gens),
             "tangent_chern": self.render_class(self.tangent_chern),
-            "integrals": {self.render_monomial(e) or "1": str(w)
+            "integrals": {self.render_monomial(e) or "1": printed(str, w)
                           for e, w in sorted(self._integrals.items())},
         }
         if self.log is not None:
@@ -805,13 +699,18 @@ def _product_integrals(flat):
 
 def pull_to_product(prod, axis, c):
     """Pull a class on factor ``axis`` back to the product ring."""
-    offs = prod.extra["offsets"]
-    start = offs[axis]
+    start = prod.extra["offsets"][axis]
     width = len(prod.gens)
-    raw = {}
-    for exp, v in c.items():
-        raw[_pad_exp(exp, start, width)] = v
-    return CohClass(prod, raw)
+    return CohClass._raw(prod, {_pad_exp(e, start, width): n for e, n in c._c.items()},
+                         c._d, c._k)
+
+
+def exterior_product(a, b):
+    """The exterior product of two classes on positive-dimensional models,
+    on the product of the models: a product monomial is the concatenation
+    of a monomial of each factor."""
+    nums = {e1 + e2: _num_product(n1, n2) for e1, n1 in a._c.items() for e2, n2 in b._c.items()}
+    return CohClass._raw(product(a.space, b.space), *_reduced(nums, a._d * b._d, a._k + b._k))
 
 
 def line_bundle(space, multiple, gen=0):
@@ -873,7 +772,7 @@ def projective_bundle(base, E):
     rules.append(("relation", r, rel) if rel else ("nilpotent", r))
 
     xi_name = "xi" if "xi" not in base.gens else f"xi{sum(1 for g in base.gens if g.startswith('xi')) + 1}"
-    chern_key = tuple(sorted((exp, str(v)) for exp, v in E.total_chern.items()))
+    chern_key = tuple(sorted((exp, printed(str, v)) for exp, v in E.total_chern.items()))
     key = ("projbundle", base.key, r, chern_key)
     integrals = {exp + (r - 1,): w for exp, w in base._integrals.items()}
     m = SpaceModel(
@@ -895,8 +794,7 @@ def projective_bundle(base, E):
 
 
 def _lift_from_base(total, c):
-    raw = {exp + (0,): v for exp, v in c.items()}
-    return CohClass(total, raw)
+    return CohClass._raw(total, {e + (0,): n for e, n in c._c.items()}, c._d, c._k)
 
 
 def hypersurface(n, d):
@@ -1053,12 +951,11 @@ def gysin_pushforward(m, c):
         return CohClass(tgt, raw)
     if m.kind == "hypersurface_inclusion":
         d = m.extra["degree"]
-        raw = {(exp[0] + 1,): v * d for exp, v in c.items()}
-        return CohClass(tgt, raw)
+        return CohClass._raw(tgt, *_reduced(
+            {(e[0] + 1,): _num_scaled(n, d, 0) for e, n in c._c.items()}, c._d, c._k))
     if m.kind == "linear_embedding":
         shift = tgt.dim - m.source.dim
-        raw = {(exp[0] + shift,): v for exp, v in c.items()}
-        return CohClass(tgt, raw)
+        return CohClass._raw(tgt, {(e[0] + shift,): n for e, n in c._c.items()}, c._d, c._k)
     raise UnsupportedMap(m.kind)
 
 
@@ -1157,6 +1054,9 @@ def from_document(text):
             gens = rest.split()
             if len(set(gens)) < len(gens):
                 raise ParseError(f"a generator is listed twice (line {lineno})", 0)
+            for g in gens:  # the polynomial scanner reads a name as a run of letters
+                if not g.isalpha():
+                    raise ParseError(f"generator {g!r} is not letters only (line {lineno})", 0)
         elif head == "relation":
             lhs, eq, rhs = rest.partition("=")
             if not eq:
@@ -1255,9 +1155,9 @@ def from_document(text):
     if tangent_src is None:
         raise ParseError("document needs a 'tangent' line", 0)
     tangent_raw = parse_class_terms(tangent_src, once["tangent"])
-    key = ("custom", dim, tuple(gens), tuple(sorted(str(r) for r in rules)),
-           tuple(sorted((e, str(v)) for e, v in integral_exps.items())),
-           tuple(sorted((e, str(v)) for e, v in tangent_raw.items())))
+    key = ("custom", dim, tuple(gens), tuple(sorted(printed(str, r) for r in rules)),
+           tuple(sorted((e, printed(str, v)) for e, v in integral_exps.items())),
+           tuple(sorted((e, printed(str, v)) for e, v in tangent_raw.items())))
     m = SpaceModel(
         kind="custom",
         key=key,

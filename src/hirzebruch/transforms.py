@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import InvalidParameter, MissingLogStructure, UnsupportedMap
-from .rings import LaurentY
+from .rings import LaurentY, printed
 from . import bundles
 from .bundles import KPolyClass, apply_series, lambda_y
 from . import spaces as sp
@@ -227,14 +227,6 @@ def chi_y_genus(space, mode="closed", data=None):
 # -- functorialities -----------------------------------------------------------
 
 
-def _exterior_class(prod, a, b):
-    raw = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            raw[e1 + e2] = raw.get(e1 + e2, 0) + v1 * v2
-    return CohClass(prod, raw)
-
-
 def exterior(a, b):
     """Exterior product of two classes, on the product of their spaces."""
     if isinstance(a, KPolyClass) and isinstance(b, KPolyClass):
@@ -243,13 +235,13 @@ def exterior(a, b):
         if sp.is_point(b.space):
             return a * b.rank_poly
         return KPolyClass(a.rank_poly * b.rank_poly,
-                          _exterior_class(sp.product(a.space, b.space), a.ch, b.ch))
+                          sp.exterior_product(a.ch, b.ch))
     if isinstance(a, HomClassY) and isinstance(b, HomClassY):
         if sp.is_point(a.space):
             return b * degree(a)
         if sp.is_point(b.space):
             return a * degree(b)
-        return HomClassY._of(_exterior_class(sp.product(a.space, b.space), a.coh, b.coh))
+        return HomClassY._of(sp.exterior_product(a.coh, b.coh))
     raise InvalidParameter("exterior product needs two classes of the same kind")
 
 
@@ -334,7 +326,7 @@ def render_homology_on_projective(c):
             sym = "[pt]"
         else:
             sym = f"[P{k}]"
-        text = str(val)
+        text = printed(str, val)
         if " " in text:
             text = f"({text})"
         if k == n and val == 1:

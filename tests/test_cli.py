@@ -116,11 +116,14 @@ class TestCommands:
         ("dim 1\ngens h\nintegral h = 1\ntangent 1 + 2*h^²\n", "(line 4)"),
         ("dim 1\ngens h\nrelation h^2\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
         ("dim 1\ngens h\nrelation h^2 =\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
+        ("dim 1\ngens x1 x2\nintegral x1 = 1\ntangent 1 + 2*x1\n", "(line 2)"),
+        ("dim 1\ngens h x-1\nintegral h = 1\ntangent 1 + 2*h\n", "(line 2)"),
     ], ids=["dim-not-integer", "integral-divides-by-zero", "integral-two-monomials",
             "relation-lowers-degree", "second-relation", "second-integral", "second-dim",
             "second-gens", "second-tangent", "relation-unknown-variable",
             "tangent-unknown-variable", "negative-exponent", "generator-twice",
-            "superscript-exponent", "relation-without-equals", "relation-empty-right-side"])
+            "superscript-exponent", "relation-without-equals", "relation-empty-right-side",
+            "generator-with-digits", "generator-with-minus"])
     def test_malformed_document_exit_code(self, capsys, tmp_path, doc, where):
         path = tmp_path / "bad.space"
         path.write_text(doc)
@@ -149,9 +152,13 @@ class TestCommands:
         (("epoly", "2" + "^2" * 14), NESTING),
         (("epoly", f"{BIG}*{BIG}"), TOO_LARGE),
         (("genus", "--motivic", f"{BIG}*{BIG}"), TOO_LARGE),
+        # chi_y is 0 here; the Hodge table holds the huge numbers
+        (("genus", "--motivic", f"{BIG}*{BIG}*C1"), TOO_LARGE),
+        (("genus", "--motivic", f"{BIG}*{BIG}*C1", "--format", "json"), TOO_LARGE),
     ], ids=["epoly-parentheses", "motivic-parentheses", "space-parentheses", "long-sum",
             "long-product", "juxtaposed-scalars", "nested-proj", "power-tower",
-            "integer-power-tower", "epoly-huge-coefficient", "motivic-huge-coefficient"])
+            "integer-power-tower", "epoly-huge-coefficient", "motivic-huge-coefficient",
+            "motivic-huge-hodge-table", "motivic-huge-hodge-table-json"])
     def test_deep_nesting_exit_code(self, capsys, time_limit, argv, says):
         """Input past a size cap: too deeply nested to parse, or with a
         coefficient too long to print."""
@@ -159,6 +166,18 @@ class TestCommands:
             code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error:") and all(s in err for s in says)
+
+    @pytest.mark.parametrize("series", ["todd", "l"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_class_coefficient_exit_code(self, capsys, tmp_path, series, fmt):
+        """A tangent class whose square has more digits than str() converts."""
+        path = tmp_path / "big.space"
+        path.write_text(f"dim 2\ngens h\nrelation h^3 = 0\nintegral h^2 = 1\n"
+                        f"tangent 1 + {'7' * 2500}*h\n")
+        code, out, err = run(capsys, "classes", "--series", series, "--space", f"@{path}",
+                             "--format", fmt)
+        assert code == 2 and not out
+        assert err.startswith("error:") and all(s in err for s in TOO_LARGE)
 
     @pytest.mark.parametrize("argv", [
         ("epoly", "²"),

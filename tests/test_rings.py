@@ -1,5 +1,6 @@
 """Coefficient ring arithmetic, substitution, and the canonical text form."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from hirzebruch.rings import (
     render_y,
     substitute,
 )
+
+import reference_rings as ref
 
 ONE_Y = LaurentY({0: 1, 1: 1})  # 1 + y
 
@@ -191,3 +194,115 @@ def test_a_set_holds_one_copy_of_a_value():
     assert len({three, Fraction(3)}) == 1
     assert len({RationalFunctionY(three), three, 3}) == 1
     assert len({PolyUV.const(3), 3}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator types against the Fraction-dict types they replaced
+
+small_terms = st.dictionaries(
+    st.integers(-3, 3), st.fractions(min_value=-6, max_value=6, max_denominator=6), max_size=4)
+scalars = st.one_of(st.integers(-6, 6),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=6))
+REF_ONE_Y = ref.LaurentY({0: 1, 1: 1})
+
+
+def both(d):
+    return LaurentY(d), ref.LaurentY(d)
+
+
+def agrees(new, old):
+    """``new`` holds the value ``old`` holds, in the matching type; a
+    LaurentY keeps int numerators over a positive denominator in lowest terms."""
+    if isinstance(old, ref.RationalFunctionY):
+        return (isinstance(new, RationalFunctionY) and agrees(new.num, old.num)
+                and new.den_pow == old.den_pow)
+    if isinstance(old, ref.LaurentY):
+        return (isinstance(new, LaurentY) and new.items() == old.items()
+                and all(n.__class__ is int and n for n in new._c.values())
+                and new._d > 0 and math.gcd(new._d, *new._c.values()) == 1)
+    return type(new) is type(old) and new == old
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_terms, small_terms, scalars)
+def test_laurent_arithmetic_matches_the_reference(d1, d2, s):
+    (a, ra), (b, rb) = both(d1), both(d2)
+    pairs = [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+             (a + s, ra + s), (s + a, s + ra), (a - s, ra - s), (s - a, s - ra),
+             (a * s, ra * s), (s * a, s * ra), (a.invert_y(), ra.invert_y())]
+    if s:
+        pairs.append((a / s, ra / s))
+    for new, old in pairs:
+        assert agrees(new, old), (new, old)
+    for value in (Fraction(-1), Fraction(2, 3), Fraction(5), s):
+        if value:
+            assert agrees(a(value), ra(value))
+    assert a.is_integral_polynomial() == ra.is_integral_polynomial()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_terms, st.integers(0, 4), st.integers(-3, 3),
+       scalars.filter(bool), st.integers(-4, -1))
+def test_laurent_powers_match_the_reference(d, n, e, c, m):
+    a, ra = both(d)
+    assert agrees(a**n, ra**n)
+    mono, rmono = both({e: c})
+    assert agrees(mono**m, rmono**m)
+    if not ra.is_monomial():
+        with pytest.raises(ZeroDivisionError):
+            a**m
+        with pytest.raises(ZeroDivisionError):
+            ra**m
+
+
+tiny_terms = st.dictionaries(
+    st.integers(0, 1), st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]),
+    max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_terms, tiny_terms, st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(2)]))
+def test_laurent_equality_and_hash_match_the_reference(d1, d2, s):
+    (a, ra), (b, rb) = both(d1), both(d2)
+    assert (a == b) == (ra == rb)
+    assert (a == s) == (ra == s) and (s == a) == (s == ra)
+    assert (a != b) == (ra != rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    if a == s:
+        assert hash(a) == hash(s) == hash(ra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_terms)
+def test_laurent_text_form_matches_the_reference(d):
+    a, ra = both(d)
+    assert render_y(a) == render_y(ra) == str(a) == str(ra)
+    assert agrees(parse_y(render_y(a)), ra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_terms, st.integers(0, 3), st.integers(0, 3), small_terms, st.integers(0, 3),
+       scalars)
+def test_rational_functions_match_the_reference(d1, j, k, d2, k2, s):
+    (a, ra), (b, rb) = both(d1), both(d2)
+    # a numerator with (1+y)^j in it, so that normalization cancels factors
+    q, rq = RationalFunctionY(a * ONE_Y**j, k), ref.RationalFunctionY(ra * REF_ONE_Y**j, k)
+    p, rp = RationalFunctionY(b, k2), ref.RationalFunctionY(rb, k2)
+    pairs = [(q, rq), (p, rp), (q + p, rq + rp), (q - p, rq - rp), (q * p, rq * rp),
+             (-q, -rq), (q.invert_y(), rq.invert_y()), (q + a, rq + ra),
+             (a - q, -(rq - ra)),  # the reference LaurentY cannot subtract one
+             (q * s, rq * s), (s + q, s + rq),
+             (RationalFunctionY(s, k), ref.RationalFunctionY(s, k))]
+    for new, old in pairs:
+        assert agrees(new, old), (new, old)
+    assert (q == p) == (rq == rp)
+    if rq.den_pow:
+        with pytest.raises(NotPolynomial) as got:
+            q.reduce_unit_denominator()
+        with pytest.raises(NotPolynomial) as want:
+            rq.reduce_unit_denominator()
+        assert str(got.value) == str(want.value)
+    else:
+        assert agrees(q.reduce_unit_denominator(), rq.reduce_unit_denominator())
+        assert agrees(q.at_minus_one(), rq.at_minus_one())

@@ -631,3 +631,86 @@ class TestRegistryArithmetic:
         got = sp.gysin_pushforward(pi, c)
         assert got == old_bundle_gysin(pi, c)
         assert got._k == 3 and got.space is pi.target
+
+
+# ---------------------------------------------------------------------------
+# maps that only re-key monomials move the numerators; the routes they
+# replaced rebuilt each class from its typed coefficients
+
+
+def old_pull_to_product(prod, axis, c):
+    start, width = prod.extra["offsets"][axis], len(prod.gens)
+    return sp.CohClass(prod, {sp._pad_exp(e, start, width): v for e, v in c.items()})
+
+
+def old_lift_from_base(total, c):
+    return sp.CohClass(total, {e + (0,): v for e, v in c.items()})
+
+
+def old_hypersurface_inclusion(m, c):
+    return sp.CohClass(m.target, {(e[0] + 1,): v * m.extra["degree"] for e, v in c.items()})
+
+
+def old_linear_embedding(m, c):
+    shift = m.target.dim - m.source.dim
+    return sp.CohClass(m.target, {(e[0] + shift,): v for e, v in c.items()})
+
+
+def old_exterior_product(a, b):
+    raw = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            raw[e1 + e2] = raw.get(e1 + e2, 0) + v1 * v2
+    return sp.CohClass(sp.product(a.space, b.space), raw)
+
+
+REKEY_FACTORS = [sp.projective(1), sp.projective(2), sp.hypersurface(3, 4),
+                 sp.product(sp.projective(1), sp.projective(1)), KERNEL_MODELS[-1]]
+BUNDLES = [KERNEL_MODELS[5], sp.projective_bundle(
+    sp.projective(1), sp.sum_of_line_bundles(sp.projective(1), [-1, 2]))]
+
+
+class TestRekeyingMaps:
+    """Each re-keying map gives the class the old route built, stored
+    identically (``==`` compares the canonical numerators)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pull_to_product_on_both_axes(self, data):
+        factors = [data.draw(st.sampled_from(REKEY_FACTORS)) for _ in range(2)]
+        prod = sp.product(*factors)
+        for axis, f in enumerate(prod.extra["factors"]):
+            c = data.draw(classes_on(f))
+            assert sp.pull_to_product(prod, axis, c) == old_pull_to_product(prod, axis, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_lift_from_base(self, data):
+        tot = data.draw(st.sampled_from(BUNDLES))
+        c = data.draw(classes_on(tot.extra["base"]))
+        assert sp._lift_from_base(tot, c) == old_lift_from_base(tot, c)
+        assert sp.ring_pullback(sp.bundle_projection(tot), c) == old_lift_from_base(tot, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hypersurface_inclusion(self, data):
+        hyp = data.draw(st.sampled_from([sp.hypersurface(3, 4), sp.hypersurface(4, 3),
+                                         sp.hypersurface(2, 6)]))
+        m = sp.hypersurface_inclusion(hyp)
+        c = data.draw(classes_on(hyp))
+        assert sp.gysin_pushforward(m, c) == old_hypersurface_inclusion(m, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_linear_embedding(self, data):
+        k = data.draw(st.integers(0, 3))
+        m = sp.linear_embedding(k, data.draw(st.integers(k, 5)))
+        c = data.draw(classes_on(m.source))
+        assert sp.gysin_pushforward(m, c) == old_linear_embedding(m, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exterior_product(self, data):
+        a, b = (data.draw(classes_on(data.draw(st.sampled_from(REKEY_FACTORS))))
+                for _ in range(2))
+        assert sp.exterior_product(a, b) == old_exterior_product(a, b)
