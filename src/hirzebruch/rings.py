@@ -23,11 +23,11 @@ Polynomials are stored as finitely supported dictionaries from exponents to
 coefficients with no explicit zeros; values are immutable and arithmetic
 never mutates its operands.  ``render_y``/``parse_y`` and
 ``render_uv``/``parse_uv`` give a canonical text form (terms in increasing
-exponent order) that round-trips exactly; ``printed`` turns every number
-into text.  Its parser reads through
+exponent order) that round-trips exactly.  Its parser reads through
 ``Tokens``, the one scanner and cursor of every text form in the package
 (motivic expressions and space specs use it too); the parser also accepts
-the polynomials of custom space documents.
+the polynomials of custom space documents.  ``printed`` is the one guarded
+conversion of numbers to text.
 """
 
 from __future__ import annotations
