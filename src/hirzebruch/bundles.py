@@ -6,7 +6,9 @@ identities convert between Chern classes and power sums of the roots, and a
 multiplicative genus is applied as exp(sum of log-series coefficients times
 power sums).  This keeps every computation exact, works uniformly for
 virtual classes, and keeps lambda-class coefficients inside Q[y] (no (1+y)
-denominators ever appear on the K-theory side).
+denominators ever appear on the K-theory side).  Each sum of products here
+(Newton's identities both ways, a Chern character, the sums inside lambda_y,
+apply_series and class_exp) is one ``CohClass.combine``, normalized once.
 
 Four genus series are built in, each expanded from its own closed form:
 
@@ -26,7 +28,7 @@ from math import comb, factorial
 
 from .errors import InvalidParameter
 from .rings import LaurentY, laurent_of
-from .spaces import BundleClass
+from .spaces import BundleClass, CohClass
 
 
 # -- series on coefficient lists (index = power of x, entries LaurentY) ------
@@ -137,11 +139,8 @@ def power_sums(V, order=None):
     e = [V.chern(i) for i in range(order + 1)]
     p = [None]
     for k in range(1, order + 1):
-        acc = e[k] * Fraction((-1) ** (k - 1) * k)
-        for i in range(1, k):
-            term = e[i] * p[k - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        p.append(acc)
+        p.append(CohClass.combine(space, [((-1) ** (k - 1) * k, e[k], None)] + [
+            ((-1) ** (i - 1), e[i], p[k - i]) for i in range(1, k)]))
     return p[1:]
 
 
@@ -149,22 +148,16 @@ def _elementary_from_power_sums(space, psums, upto):
     """e_0..e_upto from power sums (Newton's identities, exact division)."""
     e = [space.one()]
     for k in range(1, upto + 1):
-        acc = space.zero()
-        for i in range(1, k + 1):
-            if i - 1 < len(psums):
-                term = e[k - i] * psums[i - 1]
-                acc = acc + (term if i % 2 == 1 else -term)
-        e.append(acc * Fraction(1, k))
+        e.append(CohClass.combine(space, [
+            (Fraction((-1) ** (i - 1), k), e[k - i], psums[i - 1])
+            for i in range(1, min(k, len(psums)) + 1)]))
     return e
 
 
 def chern_from_power_sums(space, rank, psums):
     """Rebuild a BundleClass from power sums of its roots."""
     e = _elementary_from_power_sums(space, psums, space.dim)
-    total = space.zero()
-    for c in e:
-        total = total + c
-    return BundleClass(rank, total)
+    return BundleClass(rank, CohClass.combine(space, [(1, c, None) for c in e]))
 
 
 def chern_character(V, order=None):
@@ -172,21 +165,19 @@ def chern_character(V, order=None):
     space = V.space
     if order is None:
         order = space.dim
-    total = space.constant(Fraction(V.rank))
-    for m, p in enumerate(power_sums(V, order), start=1):
-        total = total + p * Fraction(1, factorial(m))
-    return total
+    return CohClass.combine(space, [(V.rank, space.one(), None)] + [
+        (Fraction(1, factorial(m)), p, None)
+        for m, p in enumerate(power_sums(V, order), start=1)])
 
 
 def class_exp(X):
     """exp of a cohomology class with zero constant term (finite sum)."""
     space = X.space
-    out = space.one()
-    term = space.one()
-    for j in range(1, space.dim + 1):
-        term = term * X * Fraction(1, j)
-        out = out + term
-    return out
+    powers = [space.one()]
+    for _ in range(space.dim):
+        powers.append(powers[-1] * X)
+    return CohClass.combine(space, [(Fraction(1, factorial(j)), p, None)
+                                    for j, p in enumerate(powers)])
 
 
 def apply_series(series, V, space=None):
@@ -202,11 +193,8 @@ def apply_series(series, V, space=None):
             f"series order {series.order} is below the space dimension {space.dim}"
         )
     lcoeffs = series.log()
-    X = space.zero()
-    for m, p in enumerate(power_sums(V, space.dim), start=1):
-        if lcoeffs[m]:
-            X = X + p * lcoeffs[m]
-    return class_exp(X)
+    return class_exp(CohClass.combine(space, [
+        (lcoeffs[m], p, None) for m, p in enumerate(power_sums(V, space.dim), start=1)]))
 
 
 # -- bundle combinations ---------------------------------------------------------
@@ -220,14 +208,8 @@ def bundle_tensor(a, b):
     d = space.dim
     pa = [space.constant(Fraction(a.rank))] + power_sums(a, d)
     pb = [space.constant(Fraction(b.rank))] + power_sums(b, d)
-    psums = []
-    for m in range(1, d + 1):
-        acc = space.zero()
-        binom = 1
-        for k in range(m + 1):
-            acc = acc + pa[k] * pb[m - k] * Fraction(binom)
-            binom = binom * (m - k) // (k + 1)
-        psums.append(acc)
+    psums = [CohClass.combine(space, [(comb(m, k), pa[k], pb[m - k]) for k in range(m + 1)])
+             for m in range(1, d + 1)]
     return chern_from_power_sums(space, a.rank * b.rank, psums)
 
 
@@ -306,9 +288,7 @@ def lambda_y(V):
     ch_v = chern_character(V)
     e = _elementary_from_power_sums(
         space, [ch_v.adams(k) for k in range(1, V.rank + 1)], V.rank)
-    ch = space.zero()
-    for i, c in enumerate(e):
-        ch = ch + c * LaurentY.y(i)
+    ch = CohClass.combine(space, [(LaurentY.y(i), c, None) for i, c in enumerate(e)])
     return KPolyClass(LaurentY({i: comb(V.rank, i) for i in range(V.rank + 1)}), ch)
 
 
@@ -320,6 +300,6 @@ def k_dual(k, space=None):
     m = space.dim
     sign = Fraction((-1) ** m)
     omega_ch = class_exp(space.canonical_chern_root())
-    ch = k.ch.adams(-1).invert_y() * omega_ch * sign
+    ch = CohClass.combine(k.space, [(sign, k.ch.adams(-1).invert_y(), omega_ch)])
     rank = k.rank_poly.invert_y() * sign
     return KPolyClass(rank, ch)

@@ -42,7 +42,6 @@ from . import exprlang
 from . import motivic
 from . import spaces as sp
 from . import transforms as tr
-from . import verify as verify_mod
 
 
 class Report:
@@ -168,6 +167,7 @@ def _cmd_arrangement(args):
 
 
 def _cmd_verify(args):
+    from . import verify as verify_mod  # compiled only for this command
     order = args.order
     if order is None:
         try:

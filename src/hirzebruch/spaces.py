@@ -28,25 +28,27 @@ Laurent polynomial, and a RationalFunctionY when a pole at y = -1 remains.
 ``integrate`` always returns a RationalFunctionY.  Built-in proper/smooth
 maps between models support Gysin pushforward and ring pullback.
 
-Multiplying two classes looks up each pair of monomials in the model's
-product table, which maps the pair to the reduced product: the monomials
-and integer multiples left after truncation and rewriting, nothing when
-the product vanishes.  A vanishing pair is skipped before its coefficients
-are multiplied; a live pair's coefficient product goes straight into the
-reduced result.  The table is filled lazily, one ``_reduce`` per new pair
-(stored under both orders), so building a model costs nothing extra.  Its
-integers sit over one table-wide denominator, which is 1 unless a custom
-document's relations carry denominators; the multiply folds it into the
-class denominator.  The table lives on the model instance and depends only
-on the rewrite rules and the dimension, which never change after
-construction; it is never shared between models or keyed on
-``SpaceModel.key``, which is not unique.
-
-``CohClass.multiply`` with a degree is the same multiply restricted to one
-degree: the right operand is grouped by degree and each left monomial
-meets only the group of the complementary degree.  The genus is read
-through this pairing (the top degree of ch * td), while ``mht`` builds the
-full product in every degree.
+Every product of classes runs through one multiply-accumulate kernel,
+``CohClass.combine``: the sum of w*a*b over terms (w, a, b), w*a where b is
+None, for scalar weights w.  It looks up each pair of monomials in the
+model's product table, which maps the pair to the reduced product: the
+monomials and integer multiples left after truncation and rewriting,
+nothing when the product vanishes.  A vanishing pair is skipped before its
+coefficients are multiplied; a live pair's coefficient product goes straight
+into one sum of integer numerators over the lcm of the terms' denominators
+and their largest power of (1+y), put in canonical form once per call.  The
+table is filled lazily, one ``_reduce`` per new pair (stored under both
+orders), so building a model costs nothing extra.  Its integers sit over
+one table-wide denominator, which is 1 unless a custom document's relations
+carry denominators; the kernel folds it into the class denominator.  The
+table lives on the model instance and depends only on the rewrite rules and
+the dimension, which never change after construction; it is never shared
+between models or keyed on ``SpaceModel.key``, which is not unique.
+``multiply`` is the kernel with one pair.  Given a degree, the kernel
+builds only that degree: each left monomial meets only the right monomials
+of the complementary degree.  The genus is read through this pairing (the
+top degree of ch * td), while ``mht`` builds the full product in every
+degree.  ``+`` and the scalar ``*`` keep their own short paths.
 
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: the closed K-class ``mhc_y(X)``
@@ -148,6 +150,11 @@ def _from_values(values):
                     den, k)
 
 
+def _check(space, c):
+    if c.space.key != space.key:
+        raise InvalidParameter("classes live on different spaces")
+
+
 class CohClass:
     """Sparse cohomology class on a model; immutable after construction."""
 
@@ -182,10 +189,6 @@ class CohClass:
     def __bool__(self):
         return bool(self._c)
 
-    def _check(self, other):
-        if self.space.key != other.space.key:
-            raise InvalidParameter("classes live on different spaces")
-
     def _constant(self):
         """True when the class is zero or a multiple of the unit."""
         return not self._c or list(self._c) == [self.space._zero_exp]
@@ -212,7 +215,7 @@ class CohClass:
             if other == 0:
                 return self
             other = self.space.constant(other)
-        self._check(other)
+        _check(self.space, other)
         den = lcm(self._d, other._d)
         k = max(self._k, other._k)
         s, j = den // self._d, k - self._k
@@ -251,42 +254,73 @@ class CohClass:
     __rmul__ = __mul__
 
     def multiply(self, other, degree=None):
-        """The product with another class.  Given ``degree``, only its part in
-        that degree, ``(self * other).component(degree)``, for which only the
-        monomial pairs whose degrees add up to ``degree`` are multiplied."""
-        self._check(other)
-        space = self.space
-        table = space._products
+        """The product with another class; given ``degree``, only its part in that degree."""
+        return CohClass.combine(self.space, ((1, self, other),), degree)
+
+    @staticmethod
+    def combine(space, terms, degree=None):
+        """The sum of w*a*b over the terms (w, a, b), w*a where b is None, on
+        ``space``; a weight is an int, Fraction, LaurentY or RationalFunctionY.
+        Given ``degree``, only the part in that degree."""
+        terms = tuple(terms)
         q = space._table_den
-        rhs = [(e, _ydict(n).items()) for e, n in other._c.items()]
-        if degree is not None:
-            groups = {}
-            for pair in rhs:
-                groups.setdefault(_total(pair[0]), []).append(pair)
+        work = []
+        den, k = 1, 0
+        for w, a, b in terms:
+            part = _parts(w)
+            if part is None:
+                raise TypeError(f"not a class coefficient: {w!r}")
+            n, d, j = part
+            for c in (a,) if b is None else (a, b):
+                _check(space, c)
+                d, j = d * c._d, j + c._k
+            if b is not None:
+                d *= q
+            if n and a._c and (b is None or b._c):
+                work.append((n, d, j, a, b))
+                den = lcm(den, d)
+                k = max(k, j)
+        table = space._products
         out = {}
-        for e1, n1 in self._c.items():
-            partners = rhs if degree is None else groups.get(degree - _total(e1), ())
-            t1 = _ydict(n1).items()
-            row = table.setdefault(e1, {})
-            for e2, t2 in partners:
-                terms = row.get(e2)
-                if terms is None:
-                    terms = space._monomial_product(e1, e2)
-                for e, c in terms:  # no terms: the product vanishes, no coefficient work
-                    acc = out.get(e)
-                    if acc is None:
-                        acc = out[e] = {}
-                    for y1, m1 in t1:
-                        m1 *= c
-                        for y2, m2 in t2:
-                            y = y1 + y2
-                            acc[y] = acc.get(y, 0) + m1 * m2
+        for n, d, j, a, b in work:
+            w = _num_scaled(n, den // d, k - j)
+            s, w = (w, None) if w.__class__ is int else (1, w)  # an int weight scales each term
+            if b is None:
+                for e, n1 in a._c.items():
+                    if degree is None or _total(e) == degree:
+                        acc = out.setdefault(e, {})
+                        for y, m in _ydict(n1 if w is None else _num_product(w, n1)).items():
+                            acc[y] = acc.get(y, 0) + m * s
+                continue
+            rhs = [(e, _ydict(n2).items()) for e, n2 in b._c.items()]
+            if degree is not None:
+                groups = {}
+                for pair in rhs:
+                    groups.setdefault(_total(pair[0]), []).append(pair)
+            for e1, n1 in a._c.items():
+                partners = rhs if degree is None else groups.get(degree - _total(e1))
+                if not partners:
+                    continue
+                t1 = _ydict(n1 if w is None else _num_product(w, n1)).items()
+                row = table.setdefault(e1, {})
+                for e2, t2 in partners:
+                    prods = row.get(e2)
+                    if prods is None:
+                        prods = space._monomial_product(e1, e2)
+                    for e, c in prods:  # no terms: the product vanishes, no coefficient work
+                        acc = out.get(e)
+                        if acc is None:
+                            acc = out[e] = {}
+                        c *= s
+                        for y1, m1 in t1:
+                            m1 *= c
+                            for y2, m2 in t2:
+                                y = y1 + y2
+                                acc[y] = acc.get(y, 0) + m1 * m2
         if space._table_den != q:
-            # a new table entry raised the table denominator; every entry
-            # this product needs is in the table now, so one more pass is final
-            return self.multiply(other, degree)
-        return CohClass._raw(space, *_canonical(out, self._d * other._d * q,
-                                                self._k + other._k))
+            # a new entry raised the table denominator; all are tabled now
+            return CohClass.combine(space, terms, degree)
+        return CohClass._raw(space, *_canonical(out, den, k))
 
     def __pow__(self, n):
         n = int(n)
@@ -1155,7 +1189,7 @@ def from_document(text):
     if tangent_src is None:
         raise ParseError("document needs a 'tangent' line", 0)
     tangent_raw = parse_class_terms(tangent_src, once["tangent"])
-    key = ("custom", dim, tuple(gens), tuple(sorted(printed(str, r) for r in rules)),
+    key = ("custom", dim, tuple(gens), tuple(printed(str, r) for r in rules),
            tuple(sorted((e, printed(str, v)) for e, v in integral_exps.items())),
            tuple(sorted((e, printed(str, v)) for e, v in tangent_raw.items())))
     m = SpaceModel(

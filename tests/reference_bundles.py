@@ -1,0 +1,145 @@
+"""The class-by-class loops of ``hirzebruch.bundles`` that the
+multiply-accumulate kernel ``CohClass.combine`` replaced, kept verbatim (each
+``+`` and ``*`` a separate canonical class) as the reference for the tests
+in ``test_bundles.py``."""
+
+from fractions import Fraction
+from math import comb, factorial
+
+from hirzebruch.bundles import KPolyClass
+from hirzebruch.errors import InvalidParameter
+from hirzebruch.rings import LaurentY
+from hirzebruch.spaces import BundleClass
+
+
+def power_sums(V, order=None):
+    """Power sums p_1..p_order of the Chern roots, from the Chern classes."""
+    space = V.space
+    if order is None:
+        order = space.dim
+    e = [V.chern(i) for i in range(order + 1)]
+    p = [None]
+    for k in range(1, order + 1):
+        acc = e[k] * Fraction((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            term = e[i] * p[k - i]
+            acc = acc + (term if i % 2 == 1 else -term)
+        p.append(acc)
+    return p[1:]
+
+
+def _elementary_from_power_sums(space, psums, upto):
+    """e_0..e_upto from power sums (Newton's identities, exact division)."""
+    e = [space.one()]
+    for k in range(1, upto + 1):
+        acc = space.zero()
+        for i in range(1, k + 1):
+            if i - 1 < len(psums):
+                term = e[k - i] * psums[i - 1]
+                acc = acc + (term if i % 2 == 1 else -term)
+        e.append(acc * Fraction(1, k))
+    return e
+
+
+def chern_from_power_sums(space, rank, psums):
+    """Rebuild a BundleClass from power sums of its roots."""
+    e = _elementary_from_power_sums(space, psums, space.dim)
+    total = space.zero()
+    for c in e:
+        total = total + c
+    return BundleClass(rank, total)
+
+
+def chern_character(V, order=None):
+    """ch(V) = rank + sum of p_m / m!."""
+    space = V.space
+    if order is None:
+        order = space.dim
+    total = space.constant(Fraction(V.rank))
+    for m, p in enumerate(power_sums(V, order), start=1):
+        total = total + p * Fraction(1, factorial(m))
+    return total
+
+
+def class_exp(X):
+    """exp of a cohomology class with zero constant term (finite sum)."""
+    space = X.space
+    out = space.one()
+    term = space.one()
+    for j in range(1, space.dim + 1):
+        term = term * X * Fraction(1, j)
+        out = out + term
+    return out
+
+
+def apply_series(series, V, space=None):
+    """Product of series(root) over the Chern roots of V.
+
+    Computed as exp(sum of log-series coefficients times power sums), which
+    is exact to the truncation order and multiplicative over Whitney sums.
+    """
+    if space is None:
+        space = V.space
+    if series.order < space.dim:
+        raise InvalidParameter(
+            f"series order {series.order} is below the space dimension {space.dim}"
+        )
+    lcoeffs = series.log()
+    X = space.zero()
+    for m, p in enumerate(power_sums(V, space.dim), start=1):
+        if lcoeffs[m]:
+            X = X + p * lcoeffs[m]
+    return class_exp(X)
+
+
+def bundle_tensor(a, b):
+    """Tensor product via power sums: roots add pairwise."""
+    if a.space.key != b.space.key:
+        raise InvalidParameter("bundles live on different spaces")
+    space = a.space
+    d = space.dim
+    pa = [space.constant(Fraction(a.rank))] + power_sums(a, d)
+    pb = [space.constant(Fraction(b.rank))] + power_sums(b, d)
+    psums = []
+    for m in range(1, d + 1):
+        acc = space.zero()
+        binom = 1
+        for k in range(m + 1):
+            acc = acc + pa[k] * pb[m - k] * Fraction(binom)
+            binom = binom * (m - k) // (k + 1)
+        psums.append(acc)
+    return chern_from_power_sums(space, a.rank * b.rank, psums)
+
+
+def lambda_y(V):
+    """The total exterior-power class of a bundle, sum of y^i [Lambda^i V].
+
+    Its Chern character is sum of y^i e_i, the elementary symmetric
+    functions of the root exponentials.  Their power sums are the Adams
+    operations q_k = ch(psi^k V) = rank + sum of k^m p_m / m!, each read off
+    ch(V) by ``CohClass.adams``, and Newton's identities turn them into the
+    e_i; all coefficients stay in Q[y].
+    """
+    if V.rank < 0:
+        raise InvalidParameter("lambda_y needs an honest (non-virtual) rank")
+    space = V.space
+    ch_v = chern_character(V)
+    e = _elementary_from_power_sums(
+        space, [ch_v.adams(k) for k in range(1, V.rank + 1)], V.rank)
+    ch = space.zero()
+    for i, c in enumerate(e):
+        ch = ch + c * LaurentY.y(i)
+    return KPolyClass(LaurentY({i: comb(V.rank, i) for i in range(V.rank + 1)}), ch)
+
+
+def k_dual(k, space=None):
+    """Grothendieck duality on K-classes of a smooth model of dimension m:
+    each term [F] y^i goes to (-1)^m [F* (x) omega] (1/y)^i."""
+    if space is None:
+        space = k.space
+    m = space.dim
+    sign = Fraction((-1) ** m)
+    omega_ch = class_exp(space.canonical_chern_root())
+    ch = k.ch.adams(-1).invert_y() * omega_ch * sign
+    rank = k.rank_poly.invert_y() * sign
+    return KPolyClass(rank, ch)

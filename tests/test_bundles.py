@@ -4,19 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+import reference_bundles as ref
 from hirzebruch import spaces as sp
 from hirzebruch.bundles import (
     KPolyClass,
+    _elementary_from_power_sums,
     apply_series,
     bundle_tensor,
     chern_character,
+    chern_from_power_sums,
+    class_exp,
     genus_series,
     k_dual,
     lambda_y,
     power_sums,
 )
-from hirzebruch.rings import LaurentY, render_y
+from hirzebruch.rings import LaurentY, RationalFunctionY, render_y
 from hirzebruch.transforms import mhc_y
+from hirzebruch.verify import bundle_family
+from test_spaces import FRACTIONAL_DOCUMENT
 
 
 class TestBundleCombine:
@@ -178,3 +184,68 @@ class TestKPolyClassInvariant:
         p1 = sp.projective(1)
         with pytest.raises(InvalidParameter):
             KPolyClass(LaurentY.const(2), p1.one())
+
+
+# ---------------------------------------------------------------------------
+# each caller of the multiply-accumulate kernel against the loop it replaced
+
+
+KERNEL_SPACES = [sp.projective(n) for n in range(1, 7)] + [
+    sp.product(*[sp.projective(1)] * 3), sp.hypersurface(3, 4),
+    sp.with_arrangement(sp.projective(3), 2), sp.from_document(FRACTIONAL_DOCUMENT)]
+KERNEL_SPACES[-1].name = "custom-fractional"
+
+
+def _bundles(space):
+    out = [space.tangent_bundle(), space.tangent_bundle().dual(),
+           sp.sum_of_line_bundles(space, [2, -1])]
+    if space.log is not None:
+        out.append(space.log.log_cotangent)
+    return out
+
+
+def _check_newton_and_characters(space):
+    for V in _bundles(space):
+        p = power_sums(V)
+        assert p == ref.power_sums(V)
+        assert chern_character(V) == ref.chern_character(V)
+        assert (_elementary_from_power_sums(space, p, space.dim)
+                == ref._elementary_from_power_sums(space, p, space.dim))
+        assert chern_from_power_sums(space, V.rank, p) == ref.chern_from_power_sums(
+            space, V.rank, p)
+        lam = lambda_y(V)
+        assert lam == ref.lambda_y(V)
+        assert k_dual(lam) == ref.k_dual(lam)
+    V, W = _bundles(space)[:2]
+    assert bundle_tensor(V, W) == ref.bundle_tensor(V, W)
+
+
+def _check_series_and_exp(space):
+    for kind in ("chern", "todd", "lclass", "hirzebruch"):
+        series = genus_series(kind, space.dim)
+        for V in _bundles(space):
+            assert apply_series(series, V) == ref.apply_series(series, V), kind
+    root = space.canonical_chern_root()
+    for X in (root, root * Fraction(-2, 3) + root * root * LaurentY({-1: 1, 2: 5}),
+              root * RationalFunctionY(LaurentY.y(), 2)):
+        assert class_exp(X) == ref.class_exp(X)
+
+
+class TestKernelCallers:
+    """The kernel gives every converted caller the class its loop of
+    separately normalized sums and products gave."""
+
+    @pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda m: m.name)
+    def test_newton_identities_and_characters(self, space):
+        _check_newton_and_characters(space)
+
+    @pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda m: m.name)
+    def test_genus_series_and_exp(self, space):
+        _check_series_and_exp(space)
+
+    def test_on_the_bundle_family(self):
+        members = [tot for _, ms in bundle_family().values() for _, _, tot in ms]
+        assert len(members) == 238
+        for tot in members[::3]:
+            _check_newton_and_characters(tot)
+            _check_series_and_exp(tot)

@@ -1,6 +1,10 @@
 """End-to-end command line behavior, including exit codes and determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -227,6 +231,17 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "series-limits",
                            "--order", "6", "--format", "json")
         assert json.loads(out)["inputs"]["order"] == 6
+
+    def test_other_commands_do_not_load_verify(self):
+        # a fresh interpreter: the verify module is imported by its command alone
+        probe = ("import sys; from hirzebruch import cli; loaded = 'hirzebruch.verify' in "
+                 "sys.modules; cli.main(['genus', '--space', 'P2']); "
+                 "print(loaded, 'hirzebruch.verify' in sys.modules)")
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False False"
 
     def test_json_output_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "ghrr", "--format", "json")

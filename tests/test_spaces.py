@@ -316,6 +316,20 @@ class TestDocuments:
         with pytest.raises(ParseError, match=rf"\(line {line}\)"):
             sp.from_document(doc)
 
+    def test_rules_are_keyed_by_their_generator(self):
+        # the same rules on swapped generators: a*a is 0 on the first model only
+        doc = "dim 3\ngens a b\nrelation {}^2 = 0\nintegral a*b^2 = 1\ntangent 1 + a + b\n"
+        first, second = sp.from_document(doc.format("a")), sp.from_document(doc.format("b"))
+        assert first.key != second.key
+        assert sp.from_document(doc.format("a")).key == first.key
+        a1, a2 = first.gen_class(0), second.gen_class(0)
+        assert (a1 * a1).is_zero() and a2 * a2 == second.monomial((2, 0))
+        for mix in (lambda: a1 + a2, lambda: a2 - a1, lambda: a1 * a2,
+                    lambda: sp.CohClass.combine(first, [(1, a1, a2)]),
+                    lambda: sp.CohClass.combine(first, [(1, a2, None)])):
+            with pytest.raises(InvalidParameter, match="different spaces"):
+                mix()
+
     @pytest.mark.parametrize("relation", ["h^2 = h", "h^2 = h*k + k", "k^2 = h^3"])
     def test_relation_must_be_homogeneous(self, relation):
         doc = f"dim 2\ngens h k\nrelation {relation}\nintegral h*k = 1\ntangent 1\n"
@@ -453,6 +467,109 @@ class TestMultiplyKernel:
         assert (h * h * h).is_zero()
         assert p2._products[(2,)][(1,)] == ()
         assert p2._products[(1,)][(1,)] == (((2,), 1),)
+
+
+# ---------------------------------------------------------------------------
+# the multiply-accumulate kernel against the naive sum of its terms
+
+weights = st.one_of(st.integers(-3, 3), coefficients)
+
+
+def naive_combination(space, terms):
+    """The sum of w * (a * b), or of w * a, one separately built class each."""
+    total = space.zero()
+    for w, a, b in terms:
+        total = total + (a if b is None else naive_product(a, b)) * w
+    return total
+
+
+@st.composite
+def kernel_terms(draw, space):
+    return [(draw(weights), draw(classes_on(space)),
+             draw(st.one_of(st.none(), classes_on(space))))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+class TestCombineKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_naive_sum(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        terms = data.draw(kernel_terms(space))
+        assert sp.CohClass.combine(space, terms) == naive_combination(space, terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_in_one_degree_matches_the_component(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        terms = data.draw(kernel_terms(space))
+        full = sp.CohClass.combine(space, terms)
+        for d in range(-1, space.dim + 2):
+            assert sp.CohClass.combine(space, terms, d) == full.component(d), d
+
+    def test_pole_denominators_of_weights_and_operands(self):
+        p2 = sp.projective(2)
+        h = p2.gen_class(0)
+        a = sp.CohClass(p2, {(0,): 1, (1,): RationalFunctionY(LaurentY.y(), 2)})
+        b = sp.CohClass(p2, {(1,): Fraction(3, 4), (2,): RationalFunctionY(LaurentY.one(), 1)})
+        terms = [(RationalFunctionY(LaurentY({0: 2, 1: -1}), 3), a, b),
+                 (LaurentY({-1: Fraction(1, 3)}), b, None), (Fraction(-5, 6), h, a)]
+        got = sp.CohClass.combine(p2, terms)
+        assert got == naive_combination(p2, terms)
+        assert got._k > 0
+        # 1/(1+y) + y/(1+y) = 1: the weights' pole cancels in the canonical form
+        got = sp.CohClass.combine(p2, [(RationalFunctionY(LaurentY.one(), 1), a, None),
+                                       (RationalFunctionY(LaurentY.y(), 1), a, None)])
+        assert got == a and got._k == a._k == 2
+
+    def test_zero_weights_and_empty_classes(self):
+        p3 = sp.projective(3)
+        h = p3.gen_class(0)
+        zero = p3.zero()
+        for terms in ([], [(0, h, h)], [(Fraction(0), h, None)], [(LaurentY(), h, h)],
+                      [(RationalFunctionY(LaurentY(), 2), h, None)], [(3, zero, h)],
+                      [(3, h, zero)], [(1, zero, None)], [(1, h, None), (-1, h, None)],
+                      [(1, h, h), (-1, h * h, None)]):
+            got = sp.CohClass.combine(p3, terms)
+            assert got.is_zero() and got == zero and (got._d, got._k) == (1, 0), terms
+        assert sp.CohClass.combine(p3, [(0, h, h), (2, h, None)]) == 2 * h
+
+    def test_table_denominator_rises_inside_one_call(self):
+        # a fresh model and operands built without a multiply: the first new
+        # table entries raise the table denominator in the middle of the sum
+        m = sp.from_document(FRACTIONAL_DOCUMENT)
+        a = sp.CohClass(m, {(0, 0): 1, (0, 1): 2, (1, 1): LaurentY({1: 3})})
+        b = sp.CohClass(m, {(0, 0): 1, (1, 0): 1, (0, 1): Fraction(1, 5)})
+        c = sp.CohClass(m, {(0, 1): RationalFunctionY(LaurentY.y(), 1), (2, 0): 7})
+        terms = [(Fraction(1, 3), a, None), (2, a, b), (LaurentY({1: -1}), b, c),
+                 (Fraction(-1, 7), c, c)]
+        assert m._table_den == 1
+        got = sp.CohClass.combine(m, terms)
+        assert m._table_den > 1
+        assert got == naive_combination(m, terms)
+        fresh = sp.from_document(FRACTIONAL_DOCUMENT)
+        terms = [(w, sp.CohClass(fresh, dict(x.items())),
+                  None if y is None else sp.CohClass(fresh, dict(y.items())))
+                 for w, x, y in terms]
+        assert fresh._table_den == 1
+        assert sp.CohClass.combine(fresh, terms, m.dim) == got.component(m.dim)
+        assert fresh._table_den > 1
+
+    def test_multiply_is_the_kernel_with_one_pair(self):
+        p2 = sp.projective(2)
+        a = p2.one() + p2.gen_class(0) * LaurentY({1: 2})
+        assert a * a == sp.CohClass.combine(p2, [(1, a, a)])
+        assert a.multiply(a, 1) == sp.CohClass.combine(p2, [(1, a, a)], 1)
+
+    def test_operands_and_weights_are_checked(self):
+        p1, p2 = sp.projective(1), sp.projective(2)
+        a, b = p2.gen_class(0), p1.gen_class(0)
+        for terms in ([(1, a, b)], [(1, b, a)], [(1, b, None)], [(0, b, None)],
+                      [(1, a, None), (1, a, b)]):
+            with pytest.raises(InvalidParameter, match="different spaces"):
+                sp.CohClass.combine(p2, terms)
+        with pytest.raises(TypeError, match="not a class coefficient"):
+            sp.CohClass.combine(p2, [(1.5, a, a)])
 
 
 def _invert(v):
