@@ -28,27 +28,27 @@ Laurent polynomial, and a RationalFunctionY when a pole at y = -1 remains.
 ``integrate`` always returns a RationalFunctionY.  Built-in proper/smooth
 maps between models support Gysin pushforward and ring pullback.
 
-Every product of classes runs through one multiply-accumulate kernel,
-``CohClass.combine``: the sum of w*a*b over terms (w, a, b), w*a where b is
-None, for scalar weights w.  It looks up each pair of monomials in the
-model's product table, which maps the pair to the reduced product: the
-monomials and integer multiples left after truncation and rewriting,
+Every product of two classes on a model runs through one multiply-accumulate
+kernel, ``CohClass.combine``: the sum of w*a*b over terms (w, a, b), w*a
+where b is None, for scalar weights w.  It looks up each pair of monomials
+in the model's product table, which maps the pair to the reduced product:
+the monomials and integer multiples left after truncation and rewriting,
 nothing when the product vanishes.  A vanishing pair is skipped before its
 coefficients are multiplied; a live pair's coefficient product goes straight
 into one sum of integer numerators over the lcm of the terms' denominators
 and their largest power of (1+y), put in canonical form once per call.  The
 table is filled lazily, one ``_reduce`` per new pair (stored under both
-orders), so building a model costs nothing extra.  Its integers sit over
-one table-wide denominator, which is 1 unless a custom document's relations
+orders), so building a model costs nothing extra.  Its integers sit over one
+table-wide denominator, which is 1 unless a custom document's relations
 carry denominators; the kernel folds it into the class denominator.  The
 table lives on the model instance and depends only on the rewrite rules and
 the dimension, which never change after construction; it is never shared
 between models or keyed on ``SpaceModel.key``, which is not unique.
-``multiply`` is the kernel with one pair.  Given a degree, the kernel
-builds only that degree: each left monomial meets only the right monomials
-of the complementary degree.  The genus is read through this pairing (the
-top degree of ch * td), while ``mht`` builds the full product in every
-degree.  ``+`` and the scalar ``*`` keep their own short paths.
+``multiply`` is the kernel with one pair.  Given a degree, the kernel builds
+only that degree: each left monomial meets only the right monomials of the
+complementary degree.  The genus is read through this pairing (the top
+degree of ch * td), while ``mht`` builds the full product in every degree.
+``+`` and the scalar ``*`` keep their own short paths.
 
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: the closed K-class ``mhc_y(X)``
