@@ -4,10 +4,10 @@ Everything here works through the splitting principle without ever naming
 individual roots: a bundle class is its total Chern class, Newton's
 identities convert between Chern classes and power sums of the roots, and a
 multiplicative genus is applied as exp(sum of log-series coefficients times
-power sums).  This keeps every computation exact, works uniformly for
-virtual classes, and keeps lambda-class coefficients inside Q[y] (no (1+y)
-denominators ever appear on the K-theory side).  Each sum of products here
-(Newton's identities both ways, a Chern character, the sums inside lambda_y,
+power sums), all exact and uniform for virtual classes.  lambda_y runs
+Newton's identities on the reduced roots e^x - 1, which start in degree 1,
+so it stops at min(rank, dim) and keeps its coefficients in Q[y].  Each sum
+of products (Newton's identities both ways, ch, the sums inside lambda_y,
 apply_series and class_exp) is one ``CohClass.combine``, normalized once.
 
 Four genus series are built in, each expanded from its own closed form:
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import InvalidParameter
@@ -273,23 +274,34 @@ class KPolyClass:
         return f"KPolyClass(rank={self.rank_poly}, ch={self.space.render_class(self.ch)!r})"
 
 
+def _z_power_sums(ch, upto):
+    """p_1..p_upto of the reduced roots z = e^x - 1 of a Chern character."""
+    row, out = [1] + [0] * ch.space.dim, []  # k! S(j,k) for j = 0..dim, from k = 0
+    for k in range(1, upto + 1):  # k! S(j,k) = k (k! S(j-1,k) + (k-1)! S(j-1,k-1))
+        row = list(accumulate(row[:-1], lambda t, s: k * (t + s), initial=0))
+        out.append(ch.degree_scaled(row))
+    return out
+
+
 def lambda_y(V):
     """The total exterior-power class of a bundle, sum of y^i [Lambda^i V].
 
-    Its Chern character is sum of y^i e_i, the elementary symmetric
-    functions of the root exponentials.  Their power sums are the Adams
-    operations q_k = ch(psi^k V) = rank + sum of k^m p_m / m!, each read off
-    ch(V) by ``CohClass.adams``, and Newton's identities turn them into the
-    e_i; all coefficients stay in Q[y].
+    Its Chern character, the product of 1 + y e^x over the roots x, is the
+    sum of y^j (1+y)^(r-j) e_j(z) over the reduced roots z = e^x - 1, for r
+    the rank; the weights lie in Z[y], so coefficients stay in Q[y].  The
+    degree-j part of p_k(z), the sum of (-1)^(k-m) C(k,m) psi^m ch(V) over
+    m = 0..k, is ch_j(V) times k! S(j,k) (Stirling numbers of the second
+    kind), 0 for j < k: one degree-wise scaling of ch(V), no products.  So
+    e_j(z) starts in degree j and Newton's identities stop at min(r, dim).
     """
     if V.rank < 0:
         raise InvalidParameter("lambda_y needs an honest (non-virtual) rank")
-    space = V.space
-    ch_v = chern_character(V)
-    e = _elementary_from_power_sums(
-        space, [ch_v.adams(k) for k in range(1, V.rank + 1)], V.rank)
-    ch = CohClass.combine(space, [(LaurentY.y(i), c, None) for i, c in enumerate(e)])
-    return KPolyClass(LaurentY({i: comb(V.rank, i) for i in range(V.rank + 1)}), ch)
+    space, r = V.space, V.rank
+    p = _z_power_sums(chern_character(V), min(r, space.dim))
+    ch = CohClass.combine(space, [
+        (LaurentY({j + i: comb(r - j, i) for i in range(r - j + 1)}), c, None)
+        for j, c in enumerate(_elementary_from_power_sums(space, p, len(p)))])
+    return KPolyClass(LaurentY({i: comb(r, i) for i in range(r + 1)}), ch)
 
 
 def k_dual(k, space=None):

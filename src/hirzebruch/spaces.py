@@ -284,14 +284,16 @@ class CohClass:
         out = {}
         for n, d, j, a, b in work:
             w = _num_scaled(n, den // d, k - j)
-            s, w = (w, None) if w.__class__ is int else (1, w)  # an int weight scales each term
             if b is None:
+                tw = _ydict(w).items()
                 for e, n1 in a._c.items():
                     if degree is None or _total(e) == degree:
                         acc = out.setdefault(e, {})
-                        for y, m in _ydict(n1 if w is None else _num_product(w, n1)).items():
-                            acc[y] = acc.get(y, 0) + m * s
+                        for y1, m1 in _ydict(n1).items():
+                            for y2, m2 in tw:  # the weight's terms straight into the sum
+                                acc[y1 + y2] = acc.get(y1 + y2, 0) + m1 * m2
                 continue
+            s, w = (w, None) if w.__class__ is int else (1, w)  # an int weight scales each term
             rhs = [(e, _ydict(n2).items()) for e, n2 in b._c.items()]
             if degree is not None:
                 groups = {}
@@ -349,16 +351,16 @@ class CohClass:
                 c[e] = w
         return CohClass._raw(self.space, *_from_values(c))
 
-    def adams(self, k):
-        """The Adams operation psi^k on a Chern character: the degree-j part
-        times k^j, on the integer numerators.  ``adams(-1)`` turns the Chern
-        character or total Chern class of a bundle into that of its dual."""
-        nums = {}
-        for e, n in self._c.items():
-            s = k ** _total(e)
-            if s:
-                nums[e] = _num_scaled(n, s, 0)
+    def degree_scaled(self, weights):
+        """The degree-j part times the int ``weights[j]``, on the integer numerators."""
+        nums = {e: _num_scaled(n, s, 0) for e, n in self._c.items()
+                if (s := weights[_total(e)])}
         return CohClass._raw(self.space, *_reduced(nums, self._d, self._k))
+
+    def adams(self, k):
+        """The Adams operation psi^k on a Chern character, the degree-j part
+        times k^j; ``adams(-1)`` gives the dual bundle's Chern character or class."""
+        return self.degree_scaled([k**j for j in range(self.space.dim + 1)])
 
     def invert_y(self):
         """Substitute y -> 1/y: as 1 + 1/y = (1+y)/y, each numerator n(y)
@@ -1189,7 +1191,8 @@ def from_document(text):
     if tangent_src is None:
         raise ParseError("document needs a 'tangent' line", 0)
     tangent_raw = parse_class_terms(tangent_src, once["tangent"])
-    key = ("custom", dim, tuple(gens), tuple(printed(str, r) for r in rules),
+    key = ("custom", dim, tuple(gens), tuple(  # each relation's right side by monomial
+        printed(str, r[:2] + tuple(sorted(x.items()) for x in r[2:])) for r in rules),
            tuple(sorted((e, printed(str, v)) for e, v in integral_exps.items())),
            tuple(sorted((e, printed(str, v)) for e, v in tangent_raw.items())))
     m = SpaceModel(

@@ -1,15 +1,18 @@
 """The class-by-class loops of ``hirzebruch.bundles`` that the
 multiply-accumulate kernel ``CohClass.combine`` replaced, kept verbatim (each
 ``+`` and ``*`` a separate canonical class) as the reference for the tests
-in ``test_bundles.py``."""
+in ``test_bundles.py``; and ``lambda_y_adams``, the Newton's-identities
+route over all rank Adams operations that the reduced roots e^x - 1
+replaced, kept verbatim."""
 
 from fractions import Fraction
 from math import comb, factorial
 
+from hirzebruch import bundles
 from hirzebruch.bundles import KPolyClass
 from hirzebruch.errors import InvalidParameter
 from hirzebruch.rings import LaurentY
-from hirzebruch.spaces import BundleClass
+from hirzebruch.spaces import BundleClass, CohClass
 
 
 def power_sums(V, order=None):
@@ -129,6 +132,25 @@ def lambda_y(V):
     ch = space.zero()
     for i, c in enumerate(e):
         ch = ch + c * LaurentY.y(i)
+    return KPolyClass(LaurentY({i: comb(V.rank, i) for i in range(V.rank + 1)}), ch)
+
+
+def lambda_y_adams(V):
+    """The total exterior-power class of a bundle, sum of y^i [Lambda^i V].
+
+    Its Chern character is sum of y^i e_i, the elementary symmetric
+    functions of the root exponentials.  Their power sums are the Adams
+    operations q_k = ch(psi^k V) = rank + sum of k^m p_m / m!, each read off
+    ch(V) by ``CohClass.adams``, and Newton's identities turn them into the
+    e_i; all coefficients stay in Q[y].
+    """
+    if V.rank < 0:
+        raise InvalidParameter("lambda_y needs an honest (non-virtual) rank")
+    space = V.space
+    ch_v = bundles.chern_character(V)
+    e = bundles._elementary_from_power_sums(
+        space, [ch_v.adams(k) for k in range(1, V.rank + 1)], V.rank)
+    ch = CohClass.combine(space, [(LaurentY.y(i), c, None) for i, c in enumerate(e)])
     return KPolyClass(LaurentY({i: comb(V.rank, i) for i in range(V.rank + 1)}), ch)
 
 

@@ -20,9 +20,9 @@ from hirzebruch.bundles import (
     power_sums,
 )
 from hirzebruch.rings import LaurentY, RationalFunctionY, render_y
-from hirzebruch.transforms import mhc_y
+from hirzebruch.transforms import mhc_y, pullback_smooth
 from hirzebruch.verify import bundle_family
-from test_spaces import FRACTIONAL_DOCUMENT
+from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS
 
 
 class TestBundleCombine:
@@ -249,3 +249,78 @@ class TestKernelCallers:
         for tot in members[::3]:
             _check_newton_and_characters(tot)
             _check_series_and_exp(tot)
+
+
+# ---------------------------------------------------------------------------
+# lambda_y through the reduced roots e^x - 1 against the route over all rank
+# Adams operations
+
+
+def _same_lambda(V):
+    got = lambda_y(V)
+    assert got == ref.lambda_y_adams(V)
+    return got
+
+
+def _tangent_and_cotangent(space):
+    out = [space.tangent_bundle(), space.tangent_bundle().dual()]
+    if space.log is not None:
+        out.append(space.log.log_cotangent)
+    return out
+
+
+LADDER_MODELS = [sp.projective(n) for n in range(4, 21)] + [
+    sp.product(*[sp.projective(1)] * 7),
+    sp.projective_bundle(sp.projective(3), sp.sum_of_line_bundles(sp.projective(3), [0, 1, 2, 3])),
+    sp.hypersurface(4, 3)]
+
+
+class TestReducedRootLambda:
+    """Newton's identities on the reduced roots, stopped at min(rank, dim),
+    give the class that Newton's identities on all rank Adams operations gave."""
+
+    def test_on_the_bundle_family(self):
+        seen = 0
+        for _, members in bundle_family().values():
+            for _, E, tot in members:
+                for V in (tot.tangent_bundle(), tot.tangent_bundle().dual(), E, E.dual()):
+                    _same_lambda(V)
+                    seen += 1
+        assert seen == 952
+
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
+    def test_on_the_kernel_models(self, space):
+        for V in _tangent_and_cotangent(space) + [sp.sum_of_line_bundles(space, [2, -1, 3])]:
+            _same_lambda(V)
+
+    @pytest.mark.parametrize("space", LADDER_MODELS, ids=lambda m: m.name)
+    def test_on_the_size_ladder(self, space):
+        for V in _tangent_and_cotangent(space):
+            _same_lambda(V)
+
+    def test_log_cotangent_of_an_arrangement(self):
+        for n, k in ((3, 3), (3, 4)):  # Arr(3,4) is the toric case
+            arr = sp.with_arrangement(sp.projective(n), k)
+            lam = _same_lambda(arr.log.log_cotangent)
+        assert lam.ch == arr.one() * LaurentY({0: 1, 1: 1}) ** 3
+
+    def test_rank_zero(self):
+        p2 = sp.projective(2)
+        for V in (sp.trivial_bundle(p2, 0), sp.BundleClass(0, p2.one() + 2 * p2.gen_class(0))):
+            assert _same_lambda(V) == KPolyClass.structure_sheaf(p2)
+
+    def test_rank_above_the_dimension(self):
+        # three line bundles on P^1: prod of 1 + y(1 + a h) is (1+y)^3 + y (1+y)^2 (a+b+c) h
+        p1 = sp.projective(1)
+        lam = _same_lambda(sp.sum_of_line_bundles(p1, [2, -1, 5]))
+        one_y = LaurentY({0: 1, 1: 1})
+        assert lam.ch == p1.one() * one_y**3 + p1.gen_class(0) * (LaurentY.y() * one_y**2 * 6)
+
+    def test_relative_cotangent_of_a_smooth_pullback(self):
+        tot = KERNEL_MODELS[5]
+        prod = sp.product(sp.projective(1), sp.projective(2), sp.hypersurface(3, 4))
+        maps = [sp.bundle_projection(tot)] + [sp.product_projection(prod, i) for i in range(3)]
+        for m in maps:
+            lam = _same_lambda(sp.relative_tangent(m).dual())
+            one = KPolyClass.structure_sheaf(m.target)
+            assert pullback_smooth(m, one) == lam

@@ -12,6 +12,7 @@ from hirzebruch import spaces as sp
 from hirzebruch.bundles import (
     KPolyClass,
     _elementary_from_power_sums,
+    _z_power_sums,
     chern_character,
     lambda_y,
     power_sums,
@@ -330,6 +331,15 @@ class TestDocuments:
             with pytest.raises(InvalidParameter, match="different spaces"):
                 mix()
 
+    def test_relation_terms_in_either_order_share_a_key(self):
+        doc = ("dim 2\ngens h k\nrelation h^2 = 0\nrelation k^2 = {}\n"
+               "integral h*k = 1\ntangent 1 + 2*h + 2*k\n")
+        first, second = (sp.from_document(doc.format(rhs)) for rhs in ("h*k + h^2", "h^2 + h*k"))
+        assert first.key == second.key
+        k1, k2 = first.gen_class(1), second.gen_class(1)
+        assert k1 * k1 + k2 * k2 == first.monomial((1, 1), 2)
+        assert sp.CohClass.combine(first, [(1, k1, k2), (1, k2, None)]) == k1 * k1 + k1
+
     @pytest.mark.parametrize("relation", ["h^2 = h", "h^2 = h*k + k", "k^2 = h^3"])
     def test_relation_must_be_homogeneous(self, relation):
         doc = f"dim 2\ngens h k\nrelation {relation}\nintegral h*k = 1\ntangent 1\n"
@@ -490,6 +500,21 @@ def kernel_terms(draw, space):
             for _ in range(draw(st.integers(0, 4)))]
 
 
+multi_term_laurents = st.dictionaries(
+    st.integers(-2, 3), small_fractions.filter(bool), min_size=2, max_size=4).map(LaurentY)
+multi_term_weights = st.one_of(
+    multi_term_laurents, st.builds(RationalFunctionY, multi_term_laurents, st.integers(0, 2)))
+
+
+@st.composite
+def classes_over_poles(draw, space):
+    """A class with int or Laurent numerators, over (1+y)^k for k = 0..2."""
+    exps = st.tuples(*[st.integers(0, space.dim)] * len(space.gens))
+    values = st.one_of(st.integers(-5, 5), laurents)
+    c = sp.CohClass(space, draw(st.dictionaries(exps, values, max_size=5)))
+    return c * RationalFunctionY(LaurentY.one(), draw(st.integers(0, 2)))
+
+
 class TestCombineKernel:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -506,6 +531,39 @@ class TestCombineKernel:
         full = sp.CohClass.combine(space, terms)
         for d in range(-1, space.dim + 2):
             assert sp.CohClass.combine(space, terms, d) == full.component(d), d
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_multi_term_weights_times_classes_match_the_naive_sum(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        terms = [(data.draw(multi_term_weights), data.draw(classes_over_poles(space)), None)
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        want = naive_combination(space, terms)
+        assert sp.CohClass.combine(space, terms) == want
+        for d in range(-1, space.dim + 2):
+            assert sp.CohClass.combine(space, terms, d) == want.component(d), d
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_adams_is_the_scaling_by_powers_of_k(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        c = data.draw(classes_on(space))
+        k = data.draw(st.integers(-3, 3))
+        assert c.adams(k) == c.degree_scaled([k**j for j in range(space.dim + 1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_reduced_root_power_sums(self, data):
+        """p_k(z) for z = e^x - 1 starts in degree k and is the sum of
+        (-1)^(k-m) C(k,m) psi^m ch over m = 0..k."""
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        ch = data.draw(classes_on(space))
+        psums = _z_power_sums(ch, space.dim + 1)
+        assert len(psums) == space.dim + 1 and psums[-1].is_zero()
+        for k, p in enumerate(psums, start=1):
+            assert all(sum(e) >= k for e, _ in p.items()), k
+            assert p == sp.CohClass.combine(space, [
+                ((-1) ** (k - m) * comb(k, m), ch.adams(m), None) for m in range(k + 1)]), k
 
     def test_pole_denominators_of_weights_and_operands(self):
         p2 = sp.projective(2)
