@@ -545,9 +545,14 @@ class TestCombineKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_adams_is_the_scaling_by_powers_of_k(self, data):
+    def test_degree_scaled_and_adams(self, data):
         space = data.draw(st.sampled_from(KERNEL_MODELS))
         c = data.draw(classes_on(space))
+        weights = data.draw(st.lists(st.integers(-30, 30), min_size=space.dim + 1,
+                                     max_size=space.dim + 1))
+        want = sp.CohClass.combine(space, [(w, c.component(j), None)
+                                           for j, w in enumerate(weights)])
+        assert c.degree_scaled(weights) == want
         k = data.draw(st.integers(-3, 3))
         assert c.adams(k) == c.degree_scaled([k**j for j in range(space.dim + 1)])
 
