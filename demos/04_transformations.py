@@ -30,7 +30,7 @@ print("== Open complements and the y = -1 limit ==")
 for n, k in ((2, 0), (2, 2), (2, 3)):
     arr = sp.with_arrangement(sp.projective(n), k)
     ledger = mht(mhc_y(arr, "open_complement"))
-    spec = specialize_minus_one(ledger)
+    spec = pushforward(sp.open_restriction(arr), specialize_minus_one(ledger))  # on P^n
     oracle = csm_arrangement(n, k)
     print(f"P{n} minus {k} lines: genus {render_y(chi_y_genus(arr, 'open_complement')):<14}"
           f" y=-1 class {render_homology_on_projective(spec):<20}"

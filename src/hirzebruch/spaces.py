@@ -42,8 +42,7 @@ orders), so building a model costs nothing extra.  Its integers sit over one
 table-wide denominator, which is 1 unless a custom document's relations
 carry denominators; the kernel folds it into the class denominator.  The
 table lives on the model instance and depends only on the rewrite rules and
-the dimension, which never change after construction; it is never shared
-between models or keyed on ``SpaceModel.key``, which is not unique.
+the dimension, which never change after construction.
 ``multiply`` is the kernel with one pair.  Given a degree, the kernel builds
 only that degree: each left monomial meets only the right monomials of the
 complementary degree.  The genus is read through this pairing (the top
@@ -56,13 +55,19 @@ and the Todd class of the tangent bundle, each computed on first use by
 ``transforms``.  The Todd entry records the series object it was expanded
 from and is recomputed when ``bundles.genus_series`` hands out a different
 one (as it does while the series is patched).  Classes that depend on
-variation data (open-complement and twisted modes) are not kept.  Like the
-table, the entries live on the instance and are never keyed on
-``SpaceModel.key``.
+variation data (open-complement and twisted modes) are not kept.
+
+``SpaceModel.key`` is unique: the constructor's kind and arguments as ints
+and tuples, which fix everything a caller can see of the model (an
+arrangement ``("arr", n, k)`` apart from ``("proj", n)``).  Each public
+constructor computes the key first and hands out the live model with that
+key when there is one, so equal models are one instance, with one product
+table and one ``_classes``; the table of live models holds them weakly.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import comb, lcm
 from operator import add
@@ -151,7 +156,7 @@ def _from_values(values):
 
 
 def _check(space, c):
-    if c.space.key != space.key:
+    if c.space is not space and c.space.key != space.key:
         raise InvalidParameter("classes live on different spaces")
 
 
@@ -195,8 +200,8 @@ class CohClass:
 
     def __eq__(self, other):
         if isinstance(other, CohClass):
-            return (self.space.key == other.space.key and self._d == other._d
-                    and self._k == other._k and self._c == other._c)
+            return ((self.space is other.space or self.space.key == other.space.key)
+                    and (self._d, self._k, self._c) == (other._d, other._k, other._c))
         if self._constant():
             return self.coeff(self.space._zero_exp) == other
         return NotImplemented
@@ -447,8 +452,8 @@ class SpaceModel:
     """Immutable model; build with the module constructors below."""
 
     __slots__ = (
-        "kind", "key", "name", "dim", "gens", "_rules", "_integrals",
-        "tangent_chern", "log", "extra", "_products", "_table_den", "_classes",
+        "kind", "key", "name", "dim", "gens", "_rules", "_integrals", "tangent_chern",
+        "log", "extra", "_products", "_table_den", "_classes", "__weakref__",
     )
 
     def __init__(self, kind, key, name, dim, gens, rules, integrals, extra=None):
@@ -612,14 +617,28 @@ class SpaceModel:
 # ---------------------------------------------------------------------------
 # constructors
 
+_live = weakref.WeakValueDictionary()  # SpaceModel.key -> the live model with that key
+
+
+def _model(key, build, *args):
+    """The live model with ``key``, else a new one, ``build(key, *args)``."""
+    m = _live.get(key)
+    if m is None:
+        m = _live[key] = build(key, *args)
+    return m
+
 
 def projective(n):
     """P^n: ring Q[h]/(h^(n+1)), integral of h^n is 1, c(T) = (1+h)^(n+1)."""
     if n < 0:
         raise InvalidParameter("projective space dimension must be >= 0")
+    return _model(("proj", n), _projective, n)
+
+
+def _projective(key, n):
     m = SpaceModel(
         kind="proj",
-        key=("proj", n),
+        key=key,
         name=f"P{n}",
         dim=n,
         gens=("h",),
@@ -654,7 +673,10 @@ def product(*factors):
         return point()
     if len(flat) == 1:
         return flat[0]
+    return _model(("product",) + tuple(f.key for f in flat), _product, flat)
 
+
+def _product(key, flat):
     gens, offsets = [], []
     pos = 0
     for i, f in enumerate(flat):
@@ -676,18 +698,14 @@ def product(*factors):
                               {_pad_exp(e, pos, total_slots): v for e, v in rel.items()}))
         pos += len(f.gens)
 
-    dim = sum(f.dim for f in flat)
-    integrals = _product_integrals(flat)
-
-    key = ("product",) + tuple(f.key for f in flat)
     m = SpaceModel(
         kind="product",
         key=key,
         name="x".join(f.name for f in flat),
-        dim=dim,
+        dim=sum(f.dim for f in flat),
         gens=gens,
         rules=rules,
-        integrals=integrals,
+        integrals=_product_integrals(flat),
         extra={"factors": flat, "offsets": offsets},
     )
     tc = m.one()
@@ -791,6 +809,13 @@ def projective_bundle(base, E):
         raise InvalidParameter("projective bundle needs rank >= 1")
     if E.space.key != base.key:
         raise InvalidParameter("bundle does not live on the base")
+    c = E.total_chern  # keyed by its canonical numerators and denominator
+    return _model(("projbundle", base.key, r, tuple(sorted(c._c.items())), c._d, c._k),
+                  _projective_bundle, base, E)
+
+
+def _projective_bundle(key, base, E):
+    r = E.rank
     nb = len(base.gens)
     width = nb + 1
     rel = {}
@@ -808,8 +833,6 @@ def projective_bundle(base, E):
     rules.append(("relation", r, rel) if rel else ("nilpotent", r))
 
     xi_name = "xi" if "xi" not in base.gens else f"xi{sum(1 for g in base.gens if g.startswith('xi')) + 1}"
-    chern_key = tuple(sorted((exp, printed(str, v)) for exp, v in E.total_chern.items()))
-    key = ("projbundle", base.key, r, chern_key)
     integrals = {exp + (r - 1,): w for exp, w in base._integrals.items()}
     m = SpaceModel(
         kind="projbundle",
@@ -842,9 +865,13 @@ def hypersurface(n, d):
     """
     if n < 2 or d < 1:
         raise InvalidParameter("hypersurface needs n >= 2 and d >= 1")
+    return _model(("hyp", n, d), _hypersurface, n, d)
+
+
+def _hypersurface(key, n, d):
     m = SpaceModel(
         kind="hypersurface",
-        key=("hyp", n, d),
+        key=key,
         name=f"X({d})inP{n}",
         dim=n - 1,
         gens=("h",),
@@ -879,13 +906,24 @@ def with_arrangement(space, k):
     n = space.dim
     if not (0 <= k <= n + 1):
         raise InvalidParameter("need 0 <= k <= n+1 hyperplanes in general position")
-    m = projective(n)
+    return _model(("arr", n, k), _arrangement, n, k)
+
+
+def _arrangement(key, n, k):
+    m = _projective(key, n)
     m.name = f"P{n}\\{k}H"
     h = m.gen_class(0)
-    log_chern = (m.one() - h) ** (n + 1 - k)
-    m.log = LogStructure([h] * k, BundleClass(n, log_chern))
+    m.log = LogStructure([h] * k, BundleClass(n, (m.one() - h) ** (n + 1 - k)))
     m.extra = {"arrangement_k": k}
     return m
+
+
+def _compactification(m):
+    """The model without its boundary data: P^n for an arrangement, the
+    product of the factors' compactifications for a product, else ``m``."""
+    if m.kind == "product":
+        return product(*map(_compactification, m.extra["factors"]))
+    return projective(m.dim) if "arrangement_k" in m.extra else m
 
 
 # ---------------------------------------------------------------------------
@@ -943,10 +981,11 @@ def identity_map(space):
     return SpaceMap("identity", space, space)
 
 
-def open_restriction(compactification):
-    """Restriction to the open complement of the boundary arrangement; the
-    underlying ring does not change."""
-    return SpaceMap("open_restriction", compactification, compactification)
+def open_restriction(space):
+    """The map from a model to its compactification, the model without its
+    boundary data (see ``_compactification``); both have one ring, so
+    pullback and pushforward pass the numerators through unchanged."""
+    return SpaceMap("open_restriction", space, _compactification(space))
 
 
 def gysin_pushforward(m, c):
@@ -1154,6 +1193,7 @@ def from_document(text):
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)
             if _total(rexp) != r:
                 raise ParseError(f"relation is not homogeneous of degree {r} (line {lineno})", 0)
+        rel = {e: c for e, c in rel.items() if c}  # terms that cancel, once checked
         rules[i] = ("relation", r, rel) if rel else ("nilpotent", r)
     # i -> j when generator j has a rewriting relation and occurs on the right of i's
     rewriting = {i for i in relation_line if rules[i][0] == "relation"}
@@ -1191,21 +1231,19 @@ def from_document(text):
     if tangent_src is None:
         raise ParseError("document needs a 'tangent' line", 0)
     tangent_raw = parse_class_terms(tangent_src, once["tangent"])
-    key = ("custom", dim, tuple(gens), tuple(  # each relation's right side by monomial
-        printed(str, r[:2] + tuple(sorted(x.items()) for x in r[2:])) for r in rules),
-           tuple(sorted((e, printed(str, v)) for e, v in integral_exps.items())),
-           tuple(sorted((e, printed(str, v)) for e, v in tangent_raw.items())))
-    m = SpaceModel(
-        kind="custom",
-        key=key,
-        name="custom",
-        dim=dim,
-        gens=gens,
-        rules=rules,
-        integrals=integral_exps,
-    )
-    m.tangent_chern = CohClass(m, tangent_raw)
-    if m.tangent_chern.coeff(m._zero_exp) != 1:
-        raise ParseError(f"tangent Chern class must have constant term 1 "
-                         f"(line {once['tangent']})", 0)
-    return m
+
+    def terms(raw):  # sorted by monomial, as ints
+        return tuple(sorted((e, v.numerator, v.denominator) for e, v in raw.items()))
+
+    def build(key):
+        m = SpaceModel(kind="custom", key=key, name="custom", dim=dim, gens=gens,
+                       rules=rules, integrals=integral_exps)
+        m.tangent_chern = CohClass(m, tangent_raw)
+        if m.tangent_chern.coeff(m._zero_exp) != 1:
+            raise ParseError(f"tangent Chern class must have constant term 1 "
+                             f"(line {once['tangent']})", 0)
+        return m
+
+    return _model(("custom", dim, tuple(gens), tuple(r[:2] + tuple(map(terms, r[2:]))
+                                                     for r in rules),
+                   terms(integral_exps), terms(tangent_raw)), build)

@@ -22,7 +22,7 @@ from hirzebruch.bundles import (
 from hirzebruch.rings import LaurentY, RationalFunctionY, render_y
 from hirzebruch.transforms import mhc_y, pullback_smooth
 from hirzebruch.verify import bundle_family
-from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS
+from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, model_id
 
 
 class TestBundleCombine:
@@ -193,7 +193,6 @@ class TestKPolyClassInvariant:
 KERNEL_SPACES = [sp.projective(n) for n in range(1, 7)] + [
     sp.product(*[sp.projective(1)] * 3), sp.hypersurface(3, 4),
     sp.with_arrangement(sp.projective(3), 2), sp.from_document(FRACTIONAL_DOCUMENT)]
-KERNEL_SPACES[-1].name = "custom-fractional"
 
 
 def _bundles(space):
@@ -235,11 +234,11 @@ class TestKernelCallers:
     """The kernel gives every converted caller the class its loop of
     separately normalized sums and products gave."""
 
-    @pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", KERNEL_SPACES, ids=model_id)
     def test_newton_identities_and_characters(self, space):
         _check_newton_and_characters(space)
 
-    @pytest.mark.parametrize("space", KERNEL_SPACES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", KERNEL_SPACES, ids=model_id)
     def test_genus_series_and_exp(self, space):
         _check_series_and_exp(space)
 
@@ -281,12 +280,12 @@ class TestReducedRootLambda:
                     seen += 1
         assert seen == 952
 
-    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=model_id)
     def test_on_the_kernel_models(self, space):
         for V in _bundles(space) + [sp.sum_of_line_bundles(space, [2, -1, 3])]:
             _same_lambda(V)
 
-    @pytest.mark.parametrize("space", LADDER_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", LADDER_MODELS, ids=model_id)
     def test_on_the_size_ladder(self, space):
         for V in _bundles(space):
             _same_lambda(V)

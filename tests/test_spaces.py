@@ -1,6 +1,8 @@
 """Space models: construction, integration, Gysin maps, custom documents."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 from math import comb, factorial
 
@@ -20,6 +22,17 @@ from hirzebruch.bundles import (
 from hirzebruch.errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
 from hirzebruch.rings import LaurentY, RationalFunctionY
 from hirzebruch.verify import bundle_family
+
+
+def fresh(build):
+    """``build()`` with an empty model table, so that every model it asks
+    for is built anew rather than handed out live."""
+    live = sp._live
+    sp._live = weakref.WeakValueDictionary()
+    try:
+        return build()
+    finally:
+        sp._live = live
 
 
 def series_quotient_oracle(num_coeffs, den_linear, order):
@@ -372,7 +385,11 @@ KERNEL_MODELS = [
     sp.from_document(GROTHENDIECK_DOCUMENT),
     sp.from_document(FRACTIONAL_DOCUMENT),
 ]
-KERNEL_MODELS[-1].name = "custom-fractional"  # a test id apart from the other document
+
+
+def model_id(space):
+    """A model's name as a test id, the fractional document apart from the other one."""
+    return "custom-fractional" if space.key == KERNEL_MODELS[-1].key else space.name
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 laurents = st.dictionaries(st.integers(-2, 2), small_fractions, max_size=3).map(LaurentY)
@@ -405,7 +422,7 @@ class TestMultiplyKernel:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
 
-    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=model_id)
     def test_every_basis_pair_in_both_orders(self, space):
         exps = itertools.product(range(space.dim + 1), repeat=len(space.gens))
         basis = [space.monomial(e) for e in exps if space._reduce({e: 1}) == {e: 1}]
@@ -444,7 +461,7 @@ class TestMultiplyKernel:
     def test_relation_denominators_fold_into_the_class(self):
         # a fresh model: the first products raise the table denominator in
         # the middle of a multiply
-        m = sp.from_document(FRACTIONAL_DOCUMENT)
+        m = fresh(lambda: sp.from_document(FRACTIONAL_DOCUMENT))
         h, xi = m.gen_class(0), m.gen_class(1)
         a = m.one() + 2 * xi + h * Fraction(1, 5) + xi * h * LaurentY({1: 3})
         assert a * a == naive_product(a, a)
@@ -462,7 +479,7 @@ class TestMultiplyKernel:
     def test_table_denominator_rises_in_a_multiply_in_one_degree(self):
         # a fresh model and operands built without a multiply: the table
         # denominator first rises inside the restricted product
-        m = sp.from_document(FRACTIONAL_DOCUMENT)
+        m = fresh(lambda: sp.from_document(FRACTIONAL_DOCUMENT))
         a = sp.CohClass(m, {(0, 0): 1, (0, 1): 2, (1, 1): LaurentY({1: 3})})
         b = sp.CohClass(m, {(0, 0): 1, (1, 0): 1, (0, 1): Fraction(1, 5)})
         assert m._table_den == 1
@@ -600,7 +617,7 @@ class TestCombineKernel:
     def test_table_denominator_rises_inside_one_call(self):
         # a fresh model and operands built without a multiply: the first new
         # table entries raise the table denominator in the middle of the sum
-        m = sp.from_document(FRACTIONAL_DOCUMENT)
+        m = fresh(lambda: sp.from_document(FRACTIONAL_DOCUMENT))
         a = sp.CohClass(m, {(0, 0): 1, (0, 1): 2, (1, 1): LaurentY({1: 3})})
         b = sp.CohClass(m, {(0, 0): 1, (1, 0): 1, (0, 1): Fraction(1, 5)})
         c = sp.CohClass(m, {(0, 1): RationalFunctionY(LaurentY.y(), 1), (2, 0): 7})
@@ -610,13 +627,13 @@ class TestCombineKernel:
         got = sp.CohClass.combine(m, terms)
         assert m._table_den > 1
         assert got == naive_combination(m, terms)
-        fresh = sp.from_document(FRACTIONAL_DOCUMENT)
-        terms = [(w, sp.CohClass(fresh, dict(x.items())),
-                  None if y is None else sp.CohClass(fresh, dict(y.items())))
+        other = fresh(lambda: sp.from_document(FRACTIONAL_DOCUMENT))
+        terms = [(w, sp.CohClass(other, dict(x.items())),
+                  None if y is None else sp.CohClass(other, dict(y.items())))
                  for w, x, y in terms]
-        assert fresh._table_den == 1
-        assert sp.CohClass.combine(fresh, terms, m.dim) == got.component(m.dim)
-        assert fresh._table_den > 1
+        assert other._table_den == 1
+        assert sp.CohClass.combine(other, terms, m.dim) == got.component(m.dim)
+        assert other._table_den > 1
 
     def test_multiply_is_the_kernel_with_one_pair(self):
         p2 = sp.projective(2)
@@ -742,7 +759,7 @@ class TestRegistryArithmetic:
     """Adams operations, the closed-form twisted Chern class and the
     numerator-level Gysin map agree with the routes they replaced."""
 
-    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=model_id)
     def test_lambda_y_through_adams_operations(self, space):
         for V in _bundles_on(space):
             ch = chern_character(V)

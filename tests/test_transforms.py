@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hirzebruch import bundles
+from hirzebruch import bundles, transforms
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
 from hirzebruch.bundles import KPolyClass, k_dual, lambda_y
@@ -26,7 +26,7 @@ from hirzebruch.transforms import (
     specialize_minus_one,
 )
 
-from test_spaces import KERNEL_MODELS
+from test_spaces import KERNEL_MODELS, model_id
 
 ONE_Y = LaurentY({0: 1, 1: 1})
 
@@ -119,10 +119,16 @@ class TestModelMemo:
         assert mhc_y(p2) == want
         assert mhc_y(p2) is c
 
-    def test_kept_per_model_instance(self):
-        p1, other = sp.projective(1), sp.projective(1)
-        assert mhc_y(p1) is not mhc_y(other)
-        assert mhc_y(p1) == mhc_y(other)
+    def test_kept_per_model_instance(self, monkeypatch):
+        # one live model per key, so the class is computed once per key
+        p1 = sp.projective(1)
+        assert sp.projective(1) is p1
+        p1._classes.pop("closed", None)
+        calls = []
+        real = transforms.lambda_y
+        monkeypatch.setattr(transforms, "lambda_y", lambda V: calls.append(V) or real(V))
+        assert mhc_y(p1) is mhc_y(sp.projective(1)) is mhc_y(sp.product(p1))
+        assert len(calls) == 1
 
 
 class TestMht:
@@ -258,11 +264,11 @@ class TestGenusPairing:
     def assert_same(got, want):
         assert isinstance(got, LaurentY) and got == want, (got, want)
 
-    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=model_id)
     def test_closed(self, space):
         self.assert_same(chi_y_genus(space), genus_by_ledger(space))
 
-    @pytest.mark.parametrize("space", OPEN_SPACES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", OPEN_SPACES, ids=model_id)
     def test_open_complement(self, space):
         self.assert_same(chi_y_genus(space, "open_complement"),
                          genus_by_ledger(space, "open_complement"))
@@ -270,7 +276,7 @@ class TestGenusPairing:
         self.assert_same(chi_y_genus(space, "open_complement", data),
                          genus_by_ledger(space, "open_complement", data))
 
-    @pytest.mark.parametrize("space", TWISTED_SPACES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("space", TWISTED_SPACES, ids=model_id)
     @pytest.mark.parametrize("variation", ["tate", "two-piece"])
     def test_twisted(self, space, variation):
         data = (VariationData.tate(space, 1) if variation == "tate"
@@ -510,13 +516,15 @@ class TestSpecialization:
 
     def test_two_line_complement(self):
         arr = sp.with_arrangement(sp.projective(2), 2)
-        got = specialize_minus_one(mht(mhc_y(arr, "open_complement")))
+        got = pushforward(sp.open_restriction(arr),  # the complement's class on P2
+                          specialize_minus_one(mht(mhc_y(arr, "open_complement"))))
         want = HomClassY(sp.projective(2), {2: {(0,): Fraction(1)}, 1: {(1,): Fraction(1)}})
         assert got == want == csm_arrangement(2, 2)
 
     def test_three_line_complement(self):
         arr = sp.with_arrangement(sp.projective(2), 3)
-        got = specialize_minus_one(mht(mhc_y(arr, "open_complement")))
+        got = pushforward(sp.open_restriction(arr),
+                          specialize_minus_one(mht(mhc_y(arr, "open_complement"))))
         assert got == HomClassY(sp.projective(2), {2: {(0,): Fraction(1)}})
         assert got == csm_arrangement(2, 3)
 
