@@ -285,7 +285,7 @@ class TestReducedRootLambda:
         for V in _bundles(space) + [sp.sum_of_line_bundles(space, [2, -1, 3])]:
             _same_lambda(V)
 
-    @pytest.mark.parametrize("space", LADDER_MODELS, ids=model_id)
+    @pytest.mark.parametrize("space", LADDER_MODELS, ids=lambda m: m.name)
     def test_on_the_size_ladder(self, space):
         for V in _bundles(space):
             _same_lambda(V)

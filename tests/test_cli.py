@@ -122,12 +122,13 @@ class TestCommands:
         ("dim 1\ngens h\nrelation h^2 =\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
         ("dim 1\ngens x1 x2\nintegral x1 = 1\ntangent 1 + 2*x1\n", "(line 2)"),
         ("dim 1\ngens h x-1\nintegral h = 1\ntangent 1 + 2*h\n", "(line 2)"),
+        ("dim 1\ngens h\nrelation h^2 = h - h\nintegral h = 1\ntangent 1 + 2*h\n", "(line 3)"),
     ], ids=["dim-not-integer", "integral-divides-by-zero", "integral-two-monomials",
             "relation-lowers-degree", "second-relation", "second-integral", "second-dim",
             "second-gens", "second-tangent", "relation-unknown-variable",
             "tangent-unknown-variable", "negative-exponent", "generator-twice",
             "superscript-exponent", "relation-without-equals", "relation-empty-right-side",
-            "generator-with-digits", "generator-with-minus"])
+            "generator-with-digits", "generator-with-minus", "relation-terms-cancel"])
     def test_malformed_document_exit_code(self, capsys, tmp_path, doc, where):
         path = tmp_path / "bad.space"
         path.write_text(doc)
@@ -180,6 +181,17 @@ class TestCommands:
                         f"tangent 1 + {'7' * 2500}*h\n")
         code, out, err = run(capsys, "classes", "--series", series, "--space", f"@{path}",
                              "--format", fmt)
+        assert code == 2 and not out
+        assert err.startswith("error:") and all(s in err for s in TOO_LARGE)
+
+    def test_huge_bundle_coefficient_exits_2_only_where_printed(self, capsys):
+        """c_2(E) = 3*N^2 has more digits than str() converts; the genus does
+        not print it, the tangent class of ``describe`` does."""
+        n = "7" * 2200
+        spec = f"Proj(P2; {n},{n},{n})"
+        code, out, _ = run(capsys, "genus", "--space", spec)
+        assert code == 0 and "chi_y: 1 - 2*y + 3*y^2 - 2*y^3 + y^4" in out
+        code, out, err = run(capsys, "describe", "--space", spec)
         assert code == 2 and not out
         assert err.startswith("error:") and all(s in err for s in TOO_LARGE)
 

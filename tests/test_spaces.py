@@ -20,6 +20,7 @@ from hirzebruch.bundles import (
     power_sums,
 )
 from hirzebruch.errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
+from hirzebruch.exprlang import parse_space
 from hirzebruch.rings import LaurentY, RationalFunctionY
 from hirzebruch.verify import bundle_family
 
@@ -911,3 +912,118 @@ class TestRekeyingMaps:
         a, b = (data.draw(classes_on(data.draw(st.sampled_from(REKEY_FACTORS))))
                 for _ in range(2))
         assert sp.exterior_product(a, b) == old_exterior_product(a, b)
+
+
+# ---------------------------------------------------------------------------
+# one live model per key
+
+
+def spec_atoms(level):
+    arrangements = st.integers(1, 3).flatmap(
+        lambda n: st.integers(0, n + 1).map(lambda k: f"Arr({n},{k})"))
+    atoms = [st.integers(0, 3).map(lambda n: f"P{n}"),
+             st.tuples(st.integers(2, 4), st.integers(1, 4)).map(lambda t: "Hyp(%d,%d)" % t),
+             arrangements]
+    if level:
+        twists = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+        atoms.append(st.tuples(spec_products(level - 1), twists).map(
+            lambda t: f"Proj({t[0]}; {','.join(map(str, t[1]))})"))
+    return st.one_of(atoms)
+
+
+def spec_products(level):
+    """Space specs: products of P, Hyp, Arr and, below ``level`` nestings, Proj atoms."""
+    return st.lists(spec_atoms(level), min_size=1, max_size=3).map("x".join)
+
+
+SPACE_SPECS = spec_products(1)
+
+
+def assert_same_model(a, b):
+    """Everything a caller can see of two models is equal."""
+    assert (a.key, a.kind, a.describe()) == (b.key, b.kind, b.describe())
+    assert (a._rules, a._integrals, a.gens) == (b._rules, b._integrals, b.gens)
+    assert a.tangent_chern == b.tangent_chern
+    assert sorted(a.extra) == sorted(b.extra)
+    assert (a.log is None) == (b.log is None)
+    if a.log is not None:
+        assert a.log.divisors == b.log.divisors
+        assert a.log.log_cotangent == b.log.log_cotangent
+
+
+class TestModelKey:
+    @settings(max_examples=80, deadline=None)
+    @given(SPACE_SPECS)
+    def test_one_instance_per_spec(self, spec):
+        space = parse_space(spec)
+        assert parse_space(spec) is space
+        built = fresh(lambda: parse_space(spec))
+        assert built is not space
+        assert_same_model(built, space)
+
+    @pytest.mark.parametrize("doc", [QUADRIC_DOCUMENT, GROTHENDIECK_DOCUMENT,
+                                     FRACTIONAL_DOCUMENT])
+    def test_one_instance_per_document(self, doc):
+        space = sp.from_document(doc)
+        assert sp.from_document("# the same model\n" + doc) is space
+        built = fresh(lambda: sp.from_document(doc))
+        assert built is not space
+        assert_same_model(built, space)
+
+    def test_boundary_data_is_part_of_the_key(self):
+        p2 = sp.projective(2)
+        models = [p2, sp.with_arrangement(p2, 2), sp.with_arrangement(p2, 0)]
+        assert len({m.key for m in models}) == len({id(m) for m in models}) == 3
+        gm = sp.with_arrangement(sp.projective(1), 2)
+        for n in range(1, 4):
+            torus, lines = sp.product(*[gm] * n), sp.product(*[sp.projective(1)] * n)
+            assert torus is not lines and torus.key != lines.key
+            assert torus.log is not None and lines.log is None
+
+    def test_arrangement_leaves_projective_space_unchanged(self):
+        p2 = sp.projective(2)
+        before = p2.describe()
+        arr = sp.with_arrangement(p2, 2)
+        assert arr is not p2 and arr.name == "P2\\2H"
+        assert sp.projective(2) is p2
+        assert (p2.name, p2.log, p2.extra, p2.describe()) == ("P2", None, {}, before)
+
+    def test_open_restriction_maps_to_the_compactification(self):
+        p1, p2 = sp.projective(1), sp.projective(2)
+        gm = sp.with_arrangement(p1, 2)
+        arr = sp.with_arrangement(p2, 2)
+        for space, target in ((arr, p2), (p2, p2), (sp.product(gm, gm), sp.product(p1, p1)),
+                              (sp.product(gm, p2, arr), sp.product(p1, p2, p2))):
+            m = sp.open_restriction(space)
+            assert m.source is space and m.target is target
+            c = space.tangent_chern
+            pushed = sp.gysin_pushforward(m, c)
+            assert pushed.space is target and pushed._c == c._c
+            assert sp.ring_pullback(m, pushed) == c
+
+    def test_models_no_caller_holds_are_freed(self):
+        def build():
+            hyp = sp.hypersurface(6, 11)  # a model no other test builds
+            return [weakref.ref(m) for m in (hyp, sp.product(hyp, hyp),
+                                              sp.with_arrangement(sp.projective(5), 5))]
+        refs = build()
+        gc.collect()
+        assert [r() for r in refs] == [None] * 3
+        assert not {("hyp", 6, 11), ("arr", 5, 5)} & set(sp._live)
+
+    def test_relation_terms_that_cancel_are_dropped(self):
+        doc = ("dim 2\ngens h k\nrelation h^2 = 0\nrelation k^2 = {}\n"
+               "integral h*k = 1\ntangent 1 + 2*h + 2*k\n")
+        first, second = (sp.from_document(doc.format(rhs)) for rhs in ("h*k - h*k", "0"))
+        assert first is second
+        assert first.gen_class(1) + second.gen_class(1) == first.monomial((0, 1), 2)
+        with pytest.raises(ParseError, match=r"not homogeneous .*\(line 3\)"):
+            sp.from_document(doc.replace("h^2 = 0", "h^2 = h - h").format("0"))
+
+    def test_bundle_with_a_huge_chern_coefficient_builds(self):
+        p1 = sp.projective(1)
+        tot = sp.projective_bundle(p1, sp.sum_of_line_bundles(p1, [10**5000, 1]))
+        assert tot.dim == 2
+        assert sp.projective_bundle(p1, sp.sum_of_line_bundles(p1, [1, 10**5000])) is tot
+        with pytest.raises(InvalidParameter, match="too large to print"):
+            tot.describe()

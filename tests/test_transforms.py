@@ -268,7 +268,7 @@ class TestGenusPairing:
     def test_closed(self, space):
         self.assert_same(chi_y_genus(space), genus_by_ledger(space))
 
-    @pytest.mark.parametrize("space", OPEN_SPACES, ids=model_id)
+    @pytest.mark.parametrize("space", OPEN_SPACES, ids=lambda m: m.name)
     def test_open_complement(self, space):
         self.assert_same(chi_y_genus(space, "open_complement"),
                          genus_by_ledger(space, "open_complement"))
@@ -276,7 +276,7 @@ class TestGenusPairing:
         self.assert_same(chi_y_genus(space, "open_complement", data),
                          genus_by_ledger(space, "open_complement", data))
 
-    @pytest.mark.parametrize("space", TWISTED_SPACES, ids=model_id)
+    @pytest.mark.parametrize("space", TWISTED_SPACES, ids=lambda m: m.name)
     @pytest.mark.parametrize("variation", ["tate", "two-piece"])
     def test_twisted(self, space, variation):
         data = (VariationData.tate(space, 1) if variation == "tate"
