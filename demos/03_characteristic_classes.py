@@ -53,5 +53,5 @@ print()
 print("== Exterior-power classes ==")
 lam = lambda_y(p2.tangent_bundle().dual())
 print("lambda_y of the cotangent bundle of P2:")
-print("  rank polynomial:", render_y(lam.rank_poly))
-print("  character:", p2.render_class(lam.ch))
+print("  rank (the degree-0 part):", p2.render_class(lam.component(0)))
+print("  character:", p2.render_class(lam))

@@ -21,16 +21,16 @@ from hirzebruch.transforms import (
 print("== From K-theory to homology ==")
 p1 = sp.projective(1)
 c = mhc_y(p1)
-print("K-class of P1: rank polynomial", render_y(c.rank_poly))
-print("normalized ledger:  ", mht(c))
-print("unnormalized ledger:", mht(c, normalized=False))
+print("K-class of P1: rank (the degree-0 part)", p1.render_class(c.component(0)))
+print("normalized ledger:  ", render_homology_on_projective(mht(c)))
+print("unnormalized ledger:", render_homology_on_projective(mht(c, normalized=False)))
 
 print()
 print("== Open complements and the y = -1 limit ==")
 for n, k in ((2, 0), (2, 2), (2, 3)):
     arr = sp.with_arrangement(sp.projective(n), k)
     ledger = mht(mhc_y(arr, "open_complement"))
-    spec = pushforward(sp.open_restriction(arr), specialize_minus_one(ledger))  # on P^n
+    spec = sp.gysin_pushforward(sp.open_restriction(arr), specialize_minus_one(ledger))  # on P^n
     oracle = csm_arrangement(n, k)
     print(f"P{n} minus {k} lines: genus {render_y(chi_y_genus(arr, 'open_complement')):<14}"
           f" y=-1 class {render_homology_on_projective(spec):<20}"

@@ -26,10 +26,9 @@ from .motivic import MotivicClass
 from . import spaces
 from .spaces import BundleClass, CohClass, SpaceModel
 from . import bundles
-from .bundles import ChernRootSeries, KPolyClass, apply_series, genus_series, k_dual, lambda_y
+from .bundles import ChernRootSeries, apply_series, genus_series, k_dual, lambda_y
 from . import transforms
 from .transforms import (
-    HomClassY,
     VariationData,
     chi_y_genus,
     csm_arrangement,
@@ -47,8 +46,8 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BundleClass", "ChernRootSeries", "CohClass", "HodgeDiamond", "HomClassY",
-    "InvalidParameter", "KPolyClass", "LaurentY", "MissingLogStructure",
+    "BundleClass", "ChernRootSeries", "CohClass", "HodgeDiamond",
+    "InvalidParameter", "LaurentY", "MissingLogStructure",
     "MotivicClass", "NotPolynomial", "ParseError", "PolyUV",
     "RationalFunctionY", "SpaceModel", "UnsupportedMap", "VariationData",
     "apply_series", "bundles", "chi_substitute", "chi_y_genus",

@@ -10,6 +10,9 @@ so it stops at min(rank, dim) and keeps its coefficients in Q[y].  Each sum
 of products (Newton's identities both ways, ch, the sums inside lambda_y,
 apply_series and class_exp) is one ``CohClass.combine``, normalized once.
 
+A K-class with y-graded coefficients is carried as its Chern character, a
+``CohClass`` over Q[y, 1/y, 1/(1+y)]; its rank is its degree-0 part.
+
 Four genus series are built in, each expanded from its own closed form:
 
 * ``chern``      1 + x
@@ -28,7 +31,7 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .errors import InvalidParameter
-from .rings import LaurentY, laurent_of
+from .rings import LaurentY
 from .spaces import BundleClass, CohClass
 
 
@@ -214,66 +217,6 @@ def bundle_tensor(a, b):
     return chern_from_power_sums(space, a.rank * b.rank, psums)
 
 
-# -- K-theory classes with y-graded coefficients -----------------------------------
-
-
-class KPolyClass:
-    """A Laurent-in-y combination of K-theory classes, carried as a virtual
-    rank polynomial together with its Chern character."""
-
-    __slots__ = ("rank_poly", "ch")
-
-    def __init__(self, rank_poly, ch):
-        rank_poly = laurent_of(rank_poly)  # NotPolynomial while a pole remains
-        if ch.coeff(ch.space._zero_exp) != rank_poly:
-            raise InvalidParameter("degree-0 part of the Chern character must equal the rank")
-        self.rank_poly = rank_poly
-        self.ch = ch
-
-    @property
-    def space(self):
-        return self.ch.space
-
-    @classmethod
-    def structure_sheaf(cls, space):
-        return cls(LaurentY.one(), space.one())
-
-    @classmethod
-    def from_bundle(cls, V):
-        r = LaurentY.const(V.rank)
-        return cls(r, chern_character(V))
-
-    def __eq__(self, other):
-        if not isinstance(other, KPolyClass):
-            return NotImplemented
-        return self.rank_poly == other.rank_poly and self.ch == other.ch
-
-    def __add__(self, other):
-        if not isinstance(other, KPolyClass):
-            return NotImplemented
-        return KPolyClass(self.rank_poly + other.rank_poly, self.ch + other.ch)
-
-    def __sub__(self, other):
-        if not isinstance(other, KPolyClass):
-            return NotImplemented
-        return KPolyClass(self.rank_poly - other.rank_poly, self.ch - other.ch)
-
-    def __mul__(self, other):
-        if isinstance(other, KPolyClass):
-            return KPolyClass(self.rank_poly * other.rank_poly, self.ch * other.ch)
-        if not isinstance(other, (int, Fraction, LaurentY)):
-            return NotImplemented
-        return KPolyClass(self.rank_poly * other, self.ch * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
-    def __repr__(self):
-        return f"KPolyClass(rank={self.rank_poly}, ch={self.space.render_class(self.ch)!r})"
-
-
 def _z_power_sums(ch, upto):
     """p_1..p_upto of the reduced roots z = e^x - 1 of a Chern character."""
     row, out = [1] + [0] * ch.space.dim, []  # k! S(j,k) for j = 0..dim, from k = 0
@@ -284,9 +227,10 @@ def _z_power_sums(ch, upto):
 
 
 def lambda_y(V):
-    """The total exterior-power class of a bundle, sum of y^i [Lambda^i V].
+    """The total exterior-power class of a bundle, sum of y^i [Lambda^i V],
+    as its Chern character.
 
-    Its Chern character, the product of 1 + y e^x over the roots x, is the
+    That is the product of 1 + y e^x over the roots x, which is the
     sum of y^j (1+y)^(r-j) e_j(z) over the reduced roots z = e^x - 1, for r
     the rank; the weights lie in Z[y], so coefficients stay in Q[y].  The
     degree-j part of p_k(z), the sum of (-1)^(k-m) C(k,m) psi^m ch(V) over
@@ -298,10 +242,9 @@ def lambda_y(V):
         raise InvalidParameter("lambda_y needs an honest (non-virtual) rank")
     space, r = V.space, V.rank
     p = _z_power_sums(chern_character(V), min(r, space.dim))
-    ch = CohClass.combine(space, [
+    return CohClass.combine(space, [
         (LaurentY({j + i: comb(r - j, i) for i in range(r - j + 1)}), c, None)
         for j, c in enumerate(_elementary_from_power_sums(space, p, len(p)))])
-    return KPolyClass(LaurentY({i: comb(r, i) for i in range(r + 1)}), ch)
 
 
 def k_dual(k, space=None):
@@ -312,6 +255,4 @@ def k_dual(k, space=None):
     m = space.dim
     sign = Fraction((-1) ** m)
     omega_ch = class_exp(space.canonical_chern_root())
-    ch = CohClass.combine(k.space, [(sign, k.ch.adams(-1).invert_y(), omega_ch)])
-    rank = k.rank_poly.invert_y() * sign
-    return KPolyClass(rank, ch)
+    return CohClass.combine(k.space, [(sign, k.adams(-1).invert_y(), omega_ch)])

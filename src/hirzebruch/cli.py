@@ -83,10 +83,8 @@ class Report:
 
 def _render_hom(c):
     """Dimension-graded rendering of a homology ledger class."""
-    return {
-        f"dim {k}": c.space.render_class(c.component_class(k))
-        for k in sorted(c.comps, reverse=True)
-    }
+    return {f"dim {c.space.dim - d}": c.space.render_class(part)
+            for d, part in c.by_degree().items()}
 
 
 def _cmd_epoly(args):

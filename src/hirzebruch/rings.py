@@ -180,12 +180,6 @@ def _operand(v):
     return None
 
 
-def laurent_of(v):
-    """An int, Fraction, LaurentY or RationalFunctionY as a LaurentY;
-    NotPolynomial while a pole at y = -1 remains."""
-    return v.reduce_unit_denominator() if isinstance(v, RationalFunctionY) else _operand(v)
-
-
 class LaurentY:
     """Laurent polynomial in y over the rationals: integer numerators
     {exponent: int} in ``_c`` over one positive denominator ``_d``, in lowest

@@ -51,11 +51,12 @@ degree of ch * td), while ``mht`` builds the full product in every degree.
 
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: the closed K-class ``mhc_y(X)``
-and the Todd class of the tangent bundle, each computed on first use by
-``transforms``.  The Todd entry records the series object it was expanded
-from and is recomputed when ``bundles.genus_series`` hands out a different
-one (as it does while the series is patched).  Classes that depend on
-variation data (open-complement and twisted modes) are not kept.
+(a ``CohClass``, its Chern character) and the Todd class of the tangent
+bundle, each computed on first use by ``transforms``.  The Todd entry
+records the series object it was expanded from and is recomputed when
+``bundles.genus_series`` hands out a different one (as it does while the
+series is patched).  Classes that depend on variation data
+(open-complement and twisted modes) are not kept.
 
 ``SpaceModel.key`` is unique: the constructor's kind and arguments as ints
 and tuples, which fix everything a caller can see of the model (an
@@ -810,6 +811,8 @@ def projective_bundle(base, E):
     if E.space.key != base.key:
         raise InvalidParameter("bundle does not live on the base")
     c = E.total_chern  # keyed by its canonical numerators and denominator
+    if c._k or any(n.__class__ is not int for n in c._c.values()):
+        raise InvalidParameter("the Chern class of a projectivized bundle must not depend on y")
     return _model(("projbundle", base.key, r, tuple(sorted(c._c.items())), c._d, c._k),
                   _projective_bundle, base, E)
 
@@ -903,6 +906,8 @@ def with_arrangement(space, k):
     """
     if space.kind != "proj":
         raise InvalidParameter("arrangements are modeled on projective space")
+    if space.log is not None:
+        raise InvalidParameter(f"{space.name} already carries a boundary arrangement")
     n = space.dim
     if not (0 <= k <= n + 1):
         raise InvalidParameter("need 0 <= k <= n+1 hyperplanes in general position")

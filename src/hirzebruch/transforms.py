@@ -4,7 +4,9 @@ The K-theory side assigns to a space (or to variation data over it) a
 y-graded K-class: for a smooth compact model that of the total exterior
 algebra of the cotangent bundle, for an open complement that of the
 logarithmic cotangent bundle along the boundary arrangement, optionally
-multiplied by the cohomological class of supplied variation data.
+multiplied by the cohomological class of supplied variation data.  A
+K-class is carried as its Chern character, a ``CohClass``; its rank is its
+degree-0 part.
 
 The homology side applies a Todd-twisted Chern character: the unnormalized
 transformation is ch * td(TM) set against the fundamental class and graded
@@ -13,13 +15,13 @@ dimension-k part by (1+y)^(-k).  Its dimension-0 part is the genus; its
 normalized value at y = -1 is a rational homology class that the hyperplane
 arrangement oracle reproduces by pure inclusion-exclusion.
 
-A homology ledger (``HomClassY``) is one ``CohClass``: on a smooth model
-H_*(X) is the cohomology ring with the degree-(dim - k) monomials standing
-for dimension-k cycles, and the coefficients live in the ring
+A homology ledger is a ``CohClass`` too: on a smooth model H_*(X) is the
+cohomology ring with the degree-(dim - k) monomials standing for
+dimension-k cycles, and the coefficients live in the ring
 Q[y, 1/y, 1/(1+y)] of class coefficients.  Every ledger operation is one
-class operation: ``mht`` is ch * td (then ``normalize_cycles``),
-pushforward is one Gysin pushforward (the built-in maps keep cycle
-dimension), duality is ``adams(-1).invert_y()`` up to the sign
+class operation: ``mht`` is ch * td (then ``normalize_cycles``), a ledger
+is pushed forward by ``spaces.gysin_pushforward`` (the built-in maps keep
+cycle dimension), duality is ``adams(-1).invert_y()`` up to the sign
 (-1)^dim, and the y = -1 specialization is ``at_minus_one``.
 """
 
@@ -30,7 +32,7 @@ from math import comb
 from .errors import InvalidParameter, MissingLogStructure, UnsupportedMap
 from .rings import LaurentY, printed
 from . import bundles
-from .bundles import KPolyClass, apply_series, lambda_y
+from .bundles import apply_series, chern_character, lambda_y
 from . import spaces as sp
 from .spaces import CohClass
 
@@ -72,12 +74,11 @@ class VariationData:
 
 def mhc_cohomological(space, data):
     """Sum over pieces of (-y)^p [piece_p], as a K-class on the space."""
-    out = KPolyClass(LaurentY(), space.zero())
-    for p, V in data.pieces:
+    for _, V in data.pieces:
         if V.space.key != space.key:
             raise InvalidParameter("variation piece lives on the wrong space")
-        out = out + KPolyClass.from_bundle(V) * LaurentY({p: (-1) ** p})
-    return out
+    return CohClass.combine(space, [(LaurentY({p: (-1) ** p}), chern_character(V), None)
+                                    for p, V in data.pieces])
 
 
 def mhc_y(space, mode="closed", data=None):
@@ -111,89 +112,6 @@ def mhc_y(space, mode="closed", data=None):
     raise InvalidParameter(f"unknown mode {mode!r}")
 
 
-class HomClassY:
-    """A homology ledger: a class in H_*(X) (x) Q[y, 1/y, 1/(1+y)].
-
-    On a smooth model the ledger is a cohomology class read by cycle
-    dimension: the degree-(dim - k) monomials stand for dimension-k cycles.
-    The ledger holds that ``CohClass`` and does its arithmetic there.
-    ``comps[k]`` maps each degree-(dim - k) monomial exponent to its
-    coefficient, typed as ``CohClass.items`` hands it out.
-    """
-
-    __slots__ = ("coh",)
-
-    def __init__(self, space, comps):
-        raw = {}
-        for k, row in comps.items():
-            for e, v in row.items():
-                e = tuple(e)
-                if sum(e) != space.dim - k:
-                    raise InvalidParameter(f"a degree-{sum(e)} monomial is no dimension-{k} cycle")
-                raw[e] = v
-        self.coh = CohClass(space, raw)
-
-    @classmethod
-    def _of(cls, coh):
-        out = cls.__new__(cls)
-        out.coh = coh
-        return out
-
-    @property
-    def space(self):
-        return self.coh.space
-
-    @property
-    def comps(self):
-        out = {}
-        for e, v in self.coh.items():
-            out.setdefault(self.space.dim - sum(e), {})[e] = v
-        return out
-
-    def component(self, k):
-        return self.comps.get(k, {})
-
-    def component_class(self, k):
-        """The dimension-k component as a cohomology class."""
-        return self.coh.component(self.space.dim - k)
-
-    def dims(self):
-        return sorted(self.comps)
-
-    def __bool__(self):
-        return bool(self.coh)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomClassY):
-            return NotImplemented
-        return self.coh == other.coh
-
-    def __add__(self, other):
-        if not isinstance(other, HomClassY):
-            return NotImplemented
-        return HomClassY._of(self.coh + other.coh)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (CohClass, HomClassY)):
-            return NotImplemented
-        return HomClassY._of(self.coh * scalar)
-
-    __rmul__ = __mul__
-
-    def map_coeffs(self, fn):
-        return HomClassY._of(self.coh.map_coeffs(fn))
-
-    def __repr__(self):
-        rows = ", ".join(
-            f"dim {k}: {self.space.render_class(self.component_class(k))}"
-            for k in sorted(self.comps, reverse=True)
-        )
-        return f"HomClassY({rows})"
-
-
 def mht(k, normalized=True):
     """The Todd-twisted homology class of a K-class on a smooth model.
 
@@ -202,13 +120,13 @@ def mht(k, normalized=True):
     divided by (1+y)^j, on top of any (1+y) denominator the Chern character
     already carries.
     """
-    total = k.ch * _todd(k.space)
-    return HomClassY._of(total.normalize_cycles() if normalized else total)
+    total = k * _todd(k.space)
+    return total.normalize_cycles() if normalized else total
 
 
 def degree(c):
     """The dimension-0 component, evaluated by the integration functional."""
-    return c.space.integrate(c.coh)
+    return c.space.integrate(c)
 
 
 def chi_y_genus(space, mode="closed", data=None):
@@ -220,7 +138,7 @@ def chi_y_genus(space, mode="closed", data=None):
     ch and td whose degrees add up to the dimension are multiplied, and the
     full ledger that ``mht`` builds is never formed.
     """
-    top = mhc_y(space, mode, data).ch.multiply(_todd(space), space.dim)
+    top = mhc_y(space, mode, data).multiply(_todd(space), space.dim)
     return space.integrate(top).reduce_unit_denominator()
 
 
@@ -228,60 +146,44 @@ def chi_y_genus(space, mode="closed", data=None):
 
 
 def exterior(a, b):
-    """Exterior product of two classes, on the product of their spaces."""
-    if isinstance(a, KPolyClass) and isinstance(b, KPolyClass):
-        if sp.is_point(a.space):
-            return b * a.rank_poly
-        if sp.is_point(b.space):
-            return a * b.rank_poly
-        return KPolyClass(a.rank_poly * b.rank_poly,
-                          sp.exterior_product(a.ch, b.ch))
-    if isinstance(a, HomClassY) and isinstance(b, HomClassY):
-        if sp.is_point(a.space):
-            return b * degree(a)
-        if sp.is_point(b.space):
-            return a * degree(b)
-        return HomClassY._of(sp.exterior_product(a.coh, b.coh))
-    raise InvalidParameter("exterior product needs two classes of the same kind")
+    """Exterior product of two classes, on the product of their spaces; a
+    class on a point scales the other by its single coefficient."""
+    if sp.is_point(a.space):
+        return b * a.coeff(a.space._zero_exp)
+    if sp.is_point(b.space):
+        return a * b.coeff(b.space._zero_exp)
+    return sp.exterior_product(a, b)
 
 
-def pushforward(m, c):
-    """Proper pushforward along a built-in map.
+def pushforward(m, k):
+    """Proper pushforward of a K-class along a built-in map: the Gysin
+    pushforward of k * td(T_m), the Todd class of the virtual relative
+    tangent bundle (so that pushing to a point computes the genus).
 
-    K-classes acquire the Todd twist of the virtual relative tangent bundle
-    (so that pushing to a point computes the genus); homology classes push
-    forward dimension by dimension.
+    Raises NotPolynomial when the degree-0 part of the result keeps a pole
+    at y = -1.  A homology ledger is pushed by ``spaces.gysin_pushforward``.
     """
-    if isinstance(c, KPolyClass):
-        tdrel = apply_series(bundles.genus_series("todd", max(m.source.dim, 1)),
-                             sp.relative_tangent(m), m.source)
-        pushed = sp.gysin_pushforward(m, c.ch * tdrel)
-        return KPolyClass(pushed.coeff(m.target._zero_exp), pushed)
-    if isinstance(c, HomClassY):
-        # every built-in map keeps cycle dimension
-        return HomClassY._of(sp.gysin_pushforward(m, c.coh))
-    raise InvalidParameter("pushforward needs a K-class or a homology class")
+    tdrel = apply_series(bundles.genus_series("todd", max(m.source.dim, 1)),
+                         sp.relative_tangent(m), m.source)
+    pushed = sp.gysin_pushforward(m, k * tdrel)
+    pushed.component(0).at_minus_one()  # NotPolynomial while the rank keeps a pole
+    return pushed
 
 
-def pullback_smooth(m, c):
+def pullback_smooth(m, k):
     """Smooth pullback of a K-class: the exterior-algebra class of the
     relative cotangent bundle times the ring pullback."""
-    if not isinstance(c, KPolyClass):
-        raise InvalidParameter("smooth pullback is defined on K-classes")
     if m.kind in ("identity", "open_restriction"):
-        return KPolyClass(c.rank_poly, sp.ring_pullback(m, c.ch))
+        return sp.ring_pullback(m, k)
     if m.kind in ("bundle_projection", "product_projection"):
-        rel = sp.relative_tangent(m)
-        lam = lambda_y(rel.dual())
-        pulled = KPolyClass(c.rank_poly, sp.ring_pullback(m, c.ch))
-        return lam * pulled
+        return lambda_y(sp.relative_tangent(m).dual()) * sp.ring_pullback(m, k)
     raise UnsupportedMap(f"{m.kind} is not a built-in smooth map")
 
 
 def homology_dual(c):
     """Duality on the homology ledger: (-1)^k on the dimension-k part and
     y -> 1/y in every coefficient."""
-    return HomClassY._of(c.coh.adams(-1).invert_y() * (-1) ** c.space.dim)
+    return c.adams(-1).invert_y() * (-1) ** c.space.dim
 
 
 def specialize_minus_one(c):
@@ -289,7 +191,7 @@ def specialize_minus_one(c):
 
     Raises NotPolynomial when a component has a genuine pole at y = -1.
     """
-    return HomClassY._of(c.coh.at_minus_one())
+    return c.at_minus_one()
 
 
 def csm_arrangement(n, k):
@@ -308,7 +210,7 @@ def csm_arrangement(n, k):
             # dimension-j part of c(TP^m) against [P^m], pushed into P^n
             e = (n - j,)
             raw[e] = raw.get(e, 0) + (-1) ** s * comb(k, s) * comb(m + 1, m - j)
-    return HomClassY._of(CohClass(sp.projective(n), raw))
+    return CohClass(sp.projective(n), raw)
 
 
 def render_homology_on_projective(c):
@@ -316,8 +218,8 @@ def render_homology_on_projective(c):
     fundamental class as [Pn], dimension-one as l, dimension-zero as [pt]."""
     n = c.space.dim
     pieces = []
-    for k, row in sorted(c.comps.items(), reverse=True):
-        (val,) = row.values()
+    for e, val in c.items():  # by degree: from the fundamental class down
+        k = n - sum(e)
         if k == n:
             sym = f"[P{n}]"
         elif k == 1 and n != 1:

@@ -78,14 +78,13 @@ def _difference(what, got, want, grade):
 def ch_difference(got, want):
     """Where two K-classes differ: the first degree and monomial of their
     Chern characters."""
-    return _difference("ch", got.ch, want.ch, lambda e: f"degree {sum(e)}")
+    return _difference("ch", got, want, lambda e: f"degree {sum(e)}")
 
 
 def hom_difference(got, want):
     """Where two homology ledgers differ: the first cycle dimension (from
     the top) and monomial."""
-    return _difference("ledger", got.coh, want.coh,
-                       lambda e: f"dimension {got.space.dim - sum(e)}")
+    return _difference("ledger", got, want, lambda e: f"dimension {got.space.dim - sum(e)}")
 
 
 def _genus(genera, name, build, mode="closed"):
@@ -252,8 +251,8 @@ def suite_chern_limit():
     for n in range(1, 4):
         for k in range(0, n + 2):
             arr = sp.with_arrangement(sp.projective(n), k)
-            got = pushforward(sp.open_restriction(arr),  # the complement's class on P^n
-                              specialize_minus_one(mht(mhc_y(arr, "open_complement"))))
+            got = sp.gysin_pushforward(sp.open_restriction(arr),  # the complement's class on P^n
+                                       specialize_minus_one(mht(mhc_y(arr, "open_complement"))))
             want = csm_arrangement(n, k)
             checks.append(Check(f"y=-1 class of P{n} minus {k} hyperplanes", got == want,
                                 hom_difference(got, want)))

@@ -6,10 +6,9 @@ route over all rank Adams operations that the reduced roots e^x - 1
 replaced, kept verbatim."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from hirzebruch import bundles
-from hirzebruch.bundles import KPolyClass
 from hirzebruch.errors import InvalidParameter
 from hirzebruch.rings import LaurentY
 from hirzebruch.spaces import BundleClass, CohClass
@@ -132,7 +131,7 @@ def lambda_y(V):
     ch = space.zero()
     for i, c in enumerate(e):
         ch = ch + c * LaurentY.y(i)
-    return KPolyClass(LaurentY({i: comb(V.rank, i) for i in range(V.rank + 1)}), ch)
+    return ch
 
 
 def lambda_y_adams(V):
@@ -150,8 +149,7 @@ def lambda_y_adams(V):
     ch_v = bundles.chern_character(V)
     e = bundles._elementary_from_power_sums(
         space, [ch_v.adams(k) for k in range(1, V.rank + 1)], V.rank)
-    ch = CohClass.combine(space, [(LaurentY.y(i), c, None) for i, c in enumerate(e)])
-    return KPolyClass(LaurentY({i: comb(V.rank, i) for i in range(V.rank + 1)}), ch)
+    return CohClass.combine(space, [(LaurentY.y(i), c, None) for i, c in enumerate(e)])
 
 
 def k_dual(k, space=None):
@@ -162,6 +160,4 @@ def k_dual(k, space=None):
     m = space.dim
     sign = Fraction((-1) ** m)
     omega_ch = class_exp(space.canonical_chern_root())
-    ch = k.ch.adams(-1).invert_y() * omega_ch * sign
-    rank = k.rank_poly.invert_y() * sign
-    return KPolyClass(rank, ch)
+    return k.adams(-1).invert_y() * omega_ch * sign

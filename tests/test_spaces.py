@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hirzebruch import spaces as sp
 from hirzebruch.bundles import (
-    KPolyClass,
     _elementary_from_power_sums,
     _z_power_sums,
     chern_character,
@@ -101,6 +100,24 @@ class TestConstruction:
             sp.with_arrangement(sp.projective(2), 4)
         with pytest.raises(InvalidParameter):
             sp.projective_bundle(sp.projective(1), sp.trivial_bundle(sp.projective(1), 0))
+
+    def test_arrangement_on_an_arrangement_is_refused(self):
+        # it would replace the boundary data, not add to it
+        arr = sp.with_arrangement(sp.projective(2), 1)
+        with pytest.raises(InvalidParameter, match="already carries"):
+            sp.with_arrangement(arr, 1)
+        with pytest.raises(InvalidParameter):
+            sp.with_arrangement(sp.with_arrangement(sp.projective(1), 0), 2)
+        assert len(arr.log.divisors) == 1
+
+    def test_bundle_whose_chern_class_depends_on_y_is_refused(self, monkeypatch):
+        p1 = sp.projective(1)
+        h = p1.gen_class(0)
+        monkeypatch.setattr(sp, "_projective_bundle", lambda *args: pytest.fail("built"))
+        for c in (p1.one() + h * LaurentY({1: 1}),
+                  p1.one() + h * RationalFunctionY(LaurentY.one(), 1)):
+            with pytest.raises(InvalidParameter, match="depend on y"):
+                sp.projective_bundle(p1, sp.BundleClass(1, c))
 
     def test_product_drops_points_and_flattens(self):
         p1 = sp.projective(1)
@@ -718,7 +735,7 @@ def old_lambda_y(V):
     ch = V.space.zero()
     for i, c in enumerate(e):
         ch = ch + c * LaurentY.y(i)
-    return KPolyClass(LaurentY({0: 1, 1: 1}) ** V.rank, ch)
+    return ch
 
 
 def old_twisted_chern(E, t):
