@@ -247,12 +247,9 @@ def lambda_y(V):
         for j, c in enumerate(_elementary_from_power_sums(space, p, len(p)))])
 
 
-def k_dual(k, space=None):
+def k_dual(k):
     """Grothendieck duality on K-classes of a smooth model of dimension m:
     each term [F] y^i goes to (-1)^m [F* (x) omega] (1/y)^i."""
-    if space is None:
-        space = k.space
-    m = space.dim
-    sign = Fraction((-1) ** m)
+    space = k.space
     omega_ch = class_exp(space.canonical_chern_root())
-    return CohClass.combine(k.space, [(sign, k.adams(-1).invert_y(), omega_ch)])
+    return CohClass.combine(space, [((-1) ** space.dim, k.adams(-1).invert_y(), omega_ch)])

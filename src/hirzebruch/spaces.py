@@ -52,10 +52,13 @@ degree of ch * td), while ``mht`` builds the full product in every degree.
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: the closed K-class ``mhc_y(X)``
 (a ``CohClass``, its Chern character) and the Todd class of the tangent
-bundle, each computed on first use by ``transforms``.  The Todd entry
-records the series object it was expanded from and is recomputed when
-``bundles.genus_series`` hands out a different one (as it does while the
-series is patched).  Classes that depend on variation data
+bundle, each computed on first use by ``transforms``.  A product keeps the
+exterior products of its factors' kept classes (its tangent Chern class is
+theirs too), so its product table stays empty until a product is taken on
+its ring.  The Todd entry records what it came from, the series object or
+on a product the factors' Todd classes, and is recomputed when that
+changes, as when ``bundles.genus_series`` hands out a different series
+while it is patched.  Classes that depend on variation data
 (open-complement and twisted modes) are not kept.
 
 ``SpaceModel.key`` is unique: the constructor's kind and arguments as ints
@@ -709,25 +712,16 @@ def _product(key, flat):
         integrals=_product_integrals(flat),
         extra={"factors": flat, "offsets": offsets},
     )
-    tc = m.one()
-    for i, f in enumerate(flat):
-        tc = tc * pull_to_product(m, i, f.tangent_chern)
-    m.tangent_chern = tc
+    m.tangent_chern = exterior_product(*(f.tangent_chern for f in flat), space=m)
     if any(f.log is not None for f in flat):
         # factors without boundary data contribute an empty arrangement,
         # i.e. their plain cotangent bundle
-        divisors = []
-        log_c = m.one()
-        rank = 0
-        for i, f in enumerate(flat):
-            if f.log is not None:
-                divisors.extend(pull_to_product(m, i, d) for d in f.log.divisors)
-                log_c = log_c * pull_to_product(m, i, f.log.log_cotangent.total_chern)
-                rank += f.log.log_cotangent.rank
-            else:
-                log_c = log_c * pull_to_product(m, i, f.tangent_chern.adams(-1))
-                rank += f.dim
-        m.log = LogStructure(divisors, BundleClass(rank, log_c))
+        logs = [f.tangent_bundle().dual() if f.log is None else f.log.log_cotangent for f in flat]
+        m.log = LogStructure(
+            [pull_to_product(m, i, d) for i, f in enumerate(flat) if f.log is not None
+             for d in f.log.divisors],
+            BundleClass(sum(V.rank for V in logs),
+                        exterior_product(*(V.total_chern for V in logs), space=m)))
     return m
 
 
@@ -760,12 +754,18 @@ def pull_to_product(prod, axis, c):
                          c._d, c._k)
 
 
-def exterior_product(a, b):
-    """The exterior product of two classes on positive-dimensional models,
-    on the product of the models: a product monomial is the concatenation
-    of a monomial of each factor."""
-    nums = {e1 + e2: _num_product(n1, n2) for e1, n1 in a._c.items() for e2, n2 in b._c.items()}
-    return CohClass._raw(product(a.space, b.space), *_reduced(nums, a._d * b._d, a._k + b._k))
+def exterior_product(*classes, space=None):
+    """The exterior product of classes on positive-dimensional models, on
+    ``space``, by default the product of the models: a product monomial is
+    the concatenation of a monomial of each factor, with the product of
+    their numerators over the product of the class denominators."""
+    nums, den, k = {(): 1}, 1, 0
+    for c in classes:
+        nums = {e1 + e2: _num_product(n1, n2) for e1, n1 in nums.items() for e2, n2 in c._c.items()}
+        den, k = den * c._d, k + c._k
+    if space is None:
+        space = product(*(c.space for c in classes))
+    return CohClass._raw(space, *_reduced(nums, den, k))
 
 
 def line_bundle(space, multiple, gen=0):

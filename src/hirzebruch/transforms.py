@@ -6,7 +6,11 @@ algebra of the cotangent bundle, for an open complement that of the
 logarithmic cotangent bundle along the boundary arrangement, optionally
 multiplied by the cohomological class of supplied variation data.  A
 K-class is carried as its Chern character, a ``CohClass``; its rank is its
-degree-0 part.
+degree-0 part.  The classes are functorial for exterior products, so on a
+product model the closed class, the open class without data and the Todd
+class are the exterior products of the factors' kept classes.  The genus
+pairing, pushforward and smooth pullback still work on the product ring,
+so the checks that set them against those classes keep two routes.
 
 The homology side applies a Todd-twisted Chern character: the unnormalized
 transformation is ch * td(TM) set against the fundamental class and graded
@@ -38,13 +42,24 @@ from .spaces import CohClass
 
 
 def _todd(space):
-    """td(TM), kept on the model together with the series it came from."""
-    series = bundles.genus_series("todd", max(space.dim, 1))
+    """td(TM), kept on the model together with what it came from: the series,
+    or on a product the factors' Todd classes, whose exterior product it is."""
+    product = space.kind == "product"
+    source = (tuple(map(_todd, space.extra["factors"])) if product
+              else bundles.genus_series("todd", max(space.dim, 1)))
     memo = space._classes.get("todd")
-    if memo is None or memo[0] is not series:
-        memo = space._classes["todd"] = (
-            series, apply_series(series, space.tangent_bundle(), space))
+    if memo is None or memo[0] != source:
+        td = (sp.exterior_product(*source, space=space) if product
+              else apply_series(source, space.tangent_bundle(), space))
+        memo = space._classes["todd"] = (source, td)
     return memo[1]
+
+
+def _by_factor(space, mode):
+    """The exterior product of a product model's factor classes in ``mode``;
+    a factor without boundary data gives its closed class."""
+    return sp.exterior_product(*(mhc_y(f, mode if f.log is not None else "closed")
+                                 for f in space.extra["factors"]), space=space)
 
 
 class VariationData:
@@ -93,15 +108,17 @@ def mhc_y(space, mode="closed", data=None):
 
     The closed class is kept on the model after its first computation.
     """
+    product = space.kind == "product"
     if mode == "closed":
         k = space._classes.get("closed")
         if k is None:
-            k = space._classes["closed"] = lambda_y(space.tangent_bundle().dual())
+            k = space._classes["closed"] = (_by_factor(space, mode) if product
+                                            else lambda_y(space.tangent_bundle().dual()))
         return k
     if mode == "open_complement":
         if space.log is None:
             raise MissingLogStructure(f"{space.name} has no boundary arrangement")
-        out = lambda_y(space.log.log_cotangent)
+        out = _by_factor(space, mode) if product else lambda_y(space.log.log_cotangent)
         if data is not None:
             out = mhc_cohomological(space, data) * out
         return out

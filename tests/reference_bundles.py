@@ -1,9 +1,13 @@
 """The class-by-class loops of ``hirzebruch.bundles`` that the
 multiply-accumulate kernel ``CohClass.combine`` replaced, kept verbatim (each
 ``+`` and ``*`` a separate canonical class) as the reference for the tests
-in ``test_bundles.py``; and ``lambda_y_adams``, the Newton's-identities
+in ``test_bundles.py``; ``lambda_y_adams``, the Newton's-identities
 route over all rank Adams operations that the reduced roots e^x - 1
-replaced, kept verbatim."""
+replaced, kept verbatim; and the product-ring route to a product model's
+classes that the exterior products of its factors' classes replaced: the
+tangent and log-cotangent Chern classes as products of the pulled-back
+factor classes, and the closed, open and Todd classes from those bundles
+on the product ring."""
 
 from fractions import Fraction
 from math import factorial
@@ -11,7 +15,7 @@ from math import factorial
 from hirzebruch import bundles
 from hirzebruch.errors import InvalidParameter
 from hirzebruch.rings import LaurentY
-from hirzebruch.spaces import BundleClass, CohClass
+from hirzebruch.spaces import BundleClass, CohClass, pull_to_product
 
 
 def power_sums(V, order=None):
@@ -152,12 +156,51 @@ def lambda_y_adams(V):
     return CohClass.combine(space, [(LaurentY.y(i), c, None) for i, c in enumerate(e)])
 
 
-def k_dual(k, space=None):
+def k_dual(k):
     """Grothendieck duality on K-classes of a smooth model of dimension m:
     each term [F] y^i goes to (-1)^m [F* (x) omega] (1/y)^i."""
-    if space is None:
-        space = k.space
+    space = k.space
     m = space.dim
     sign = Fraction((-1) ** m)
     omega_ch = class_exp(space.canonical_chern_root())
     return k.adams(-1).invert_y() * omega_ch * sign
+
+
+def _pulled_product(prod, classes):
+    """The product on the product ring of one class per factor, each pulled back."""
+    out = prod.one()
+    for i, c in enumerate(classes):
+        out = out * pull_to_product(prod, i, c)
+    return out
+
+
+def product_tangent_bundle(prod):
+    """T(X1 x ... x Xn), its Chern class the product of the pulled-back
+    factor tangent Chern classes."""
+    factors = prod.extra["factors"]
+    return BundleClass(prod.dim, _pulled_product(prod, [f.tangent_chern for f in factors]))
+
+
+def product_log_cotangent(prod):
+    """The log-cotangent bundle of a product with boundary data: a factor
+    without boundary data contributes its plain cotangent bundle."""
+    logs = [f.tangent_bundle().dual() if f.log is None else f.log.log_cotangent
+                for f in prod.extra["factors"]]
+    return BundleClass(sum(V.rank for V in logs),
+                       _pulled_product(prod, [V.total_chern for V in logs]))
+
+
+def product_closed_class(prod):
+    """lambda_y(T*X) on the product ring."""
+    return bundles.lambda_y(product_tangent_bundle(prod).dual())
+
+
+def product_open_class(prod):
+    """lambda_y of the log-cotangent bundle on the product ring."""
+    return bundles.lambda_y(product_log_cotangent(prod))
+
+
+def product_todd_class(prod):
+    """td(TX) on the product ring, from the series at the product's dimension."""
+    return bundles.apply_series(bundles.genus_series("todd", prod.dim),
+                                product_tangent_bundle(prod))

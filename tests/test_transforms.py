@@ -1,13 +1,15 @@
 """The transformation pipeline: K-classes, homology ledgers, functorialities."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+import reference_bundles as ref
 from hirzebruch import bundles, transforms
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
-from hirzebruch.bundles import chern_character, k_dual, lambda_y
+from hirzebruch.bundles import apply_series, chern_character, k_dual, lambda_y
 from hirzebruch.errors import MissingLogStructure, NotPolynomial
 from hirzebruch.rings import LaurentY, RationalFunctionY
 from hirzebruch.spaces import CohClass
@@ -26,7 +28,7 @@ from hirzebruch.transforms import (
     specialize_minus_one,
 )
 
-from test_spaces import KERNEL_MODELS, model_id
+from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, model_id
 
 ONE_Y = LaurentY({0: 1, 1: 1})
 
@@ -86,24 +88,40 @@ class TestMhcY:
         assert val == LaurentY({1: -1, 2: -1})
 
 
+def poison_todd(monkeypatch, orders=None):
+    """Patch ``bundles.genus_series`` so that the Todd series, at every order
+    or only at ``orders``, has its x coefficient raised by 1."""
+    real = bundles.genus_series
+
+    def poisoned(kind, order):
+        series = real(kind, order)
+        if kind == "todd" and (orders is None or order in orders):
+            coeffs = list(series.coeffs)
+            coeffs[1] = coeffs[1] + LaurentY({0: 1})
+            return bundles.ChernRootSeries(kind, coeffs, order)
+        return series
+
+    monkeypatch.setattr(bundles, "genus_series", poisoned)
+
+
 class TestModelMemo:
     def test_genus_follows_a_patched_todd_series(self, monkeypatch):
         p2 = sp.projective(2)
         before = chi_y_genus(p2)
-        real = bundles.genus_series
-
-        def poisoned(kind, order):
-            series = real(kind, order)
-            if kind == "todd":
-                coeffs = list(series.coeffs)
-                coeffs[1] = coeffs[1] + LaurentY({0: 1})
-                return bundles.ChernRootSeries(kind, coeffs, order)
-            return series
-
-        monkeypatch.setattr(bundles, "genus_series", poisoned)
+        poison_todd(monkeypatch)
         assert chi_y_genus(p2) != before
         monkeypatch.undo()
         assert chi_y_genus(p2) == before
+
+    def test_product_genus_follows_a_patched_factor_series(self, monkeypatch):
+        # a product's Todd class is the exterior product of its factors', so
+        # it follows a patch of the series at a factor's order alone
+        prod = sp.product(*[sp.projective(1)] * 3)
+        before = chi_y_genus(prod)
+        poison_todd(monkeypatch, orders=(1,))
+        assert chi_y_genus(prod) != before
+        monkeypatch.undo()
+        assert chi_y_genus(prod) == before
 
     def test_closed_class_is_unchanged_by_arithmetic(self):
         p2 = sp.projective(2)
@@ -124,6 +142,21 @@ class TestModelMemo:
         monkeypatch.setattr(transforms, "lambda_y", lambda V: calls.append(V) or real(V))
         assert mhc_y(p1) is mhc_y(sp.projective(1)) is mhc_y(sp.product(p1))
         assert len(calls) == 1
+        # a product takes its closed and Todd classes as exterior products of
+        # its factors' kept classes: no multiply on the product ring, and
+        # neither lambda_y nor apply_series runs on the product model
+        prod = sp.product(*[p1] * 5)
+        prod._products.clear()
+        prod._classes.clear()
+        real_series = transforms.apply_series
+        monkeypatch.setattr(transforms, "apply_series", lambda s, V, space=None:
+                            calls.append(V) or real_series(s, V, space))
+        assert mhc_y(prod) is mhc_y(prod)
+        assert transforms._todd(prod) is transforms._todd(prod)
+        assert not prod._products
+        assert [V.space for V in calls if V.space is prod] == []
+        chi_y_genus(prod)  # the genus pairing multiplies on the product ring
+        assert prod._products
 
 
 class TestMht:
@@ -271,11 +304,42 @@ class TestGenusPairing:
                          genus_by_ledger(space, "twisted", data))
 
 
+P1, P2, P3 = sp.projective(1), sp.projective(2), sp.projective(3)
+PROJ = sp.projective_bundle(P2, sp.sum_of_line_bundles(P2, [1, -1]))
+ARR21, ARR22 = sp.with_arrangement(P2, 1), sp.with_arrangement(P2, 2)
+CLOSED_PRODUCTS = (
+    [sp.product(a, b) for a, b in combinations_with_replacement((P1, P2, P3), 2)]
+    + [sp.product(sp.hypersurface(3, 4), b) for b in (P1, P2)]
+    + [sp.product(PROJ, P1), sp.product(P1, sp.from_document(FRACTIONAL_DOCUMENT))]
+    + [sp.product(*[P1] * k) for k in range(3, 6)])
+OPEN_PRODUCTS = [sp.product(GM, GM), sp.product(ARR21, GM), sp.product(ARR22, ARR21),
+                 sp.product(GM, GM, GM), sp.product(ARR21, P1), sp.product(P2, GM),
+                 sp.product(sp.hypersurface(3, 4), GM)]
+
+
 class TestExterior:
     def test_k_classes_on_product_of_lines(self):
         p1 = sp.projective(1)
         prod = sp.product(p1, p1)
-        assert exterior(mhc_y(p1), mhc_y(p1)) == mhc_y(prod)
+        assert exterior(mhc_y(p1), mhc_y(p1)) == ref.product_closed_class(prod)
+
+    @pytest.mark.parametrize("space", CLOSED_PRODUCTS + OPEN_PRODUCTS, ids=model_id)
+    def test_product_classes_match_the_product_ring(self, space):
+        # the exterior products of the factors' classes against lambda_y(T*X),
+        # td(TX) and c(TX) computed on the product ring
+        assert space.tangent_chern == ref.product_tangent_bundle(space).total_chern
+        assert mhc_y(space) == ref.product_closed_class(space)
+        assert transforms._todd(space) == ref.product_todd_class(space)
+
+    @pytest.mark.parametrize("space", OPEN_PRODUCTS, ids=model_id)
+    def test_open_classes_match_the_product_ring(self, space):
+        assert space.log.log_cotangent == ref.product_log_cotangent(space)
+        assert mhc_y(space, "open_complement") == ref.product_open_class(space)
+
+    def test_n_way_product_is_the_binary_product_repeated(self):
+        a, b, c = mhc_y(P1), transforms._todd(P2), mhc_y(ARR21, "open_complement")
+        assert sp.exterior_product(a, b, c) == exterior(exterior(a, b), c)
+        assert sp.exterior_product(a, b, c).space is sp.product(P1, P2, ARR21)
 
     def test_degrees_multiply(self):
         p1 = sp.projective(1)
@@ -311,6 +375,27 @@ class TestExterior:
         assert chi == LaurentY({0: 1, 2: -1})  # (1+y)(1-y)
         compact = (mo.torus() * mo.projective(1)).chi_y()
         assert compact == chi.invert_y() * LaurentY({2: 1})
+
+
+ORACLE_SPACES = (
+    [sp.projective(n) for n in range(1, 5)] + [sp.hypersurface(3, 4)]
+    + [sp.projective_bundle(sp.projective(n), sp.sum_of_line_bundles(sp.projective(n), t))
+       for n, t in ((1, (0, 1)), (2, (-1, 2)), (1, (-3, 0, 3)))]
+    + [sp.product(P1, P2), sp.product(P1, P1, P1), sp.product(sp.hypersurface(3, 4), P1),
+       sp.product(PROJ, P1)])
+
+
+class TestGenusIntegrals:
+    """Gauss-Bonnet, Hirzebruch-Riemann-Roch and the signature theorem: the
+    integral of c(TX), td(TX) and L(TX), each expanded by ``apply_series``
+    on the model's own ring, is chi_y at y = -1, 0 and 1."""
+
+    @pytest.mark.parametrize("space", ORACLE_SPACES, ids=model_id)
+    @pytest.mark.parametrize("kind, y", [("chern", -1), ("todd", 0), ("lclass", 1)])
+    def test_integral_is_the_genus_at(self, space, kind, y):
+        series = bundles.genus_series(kind, space.dim)
+        integral = space.integrate(apply_series(series, space.tangent_bundle()))
+        assert integral == chi_y_genus(space)(Fraction(y))
 
 
 class TestPushforward:
