@@ -4,7 +4,10 @@ Everything here works through the splitting principle without ever naming
 individual roots: a bundle class is its total Chern class, Newton's
 identities convert between Chern classes and power sums of the roots, and a
 multiplicative genus is applied as exp(sum of log-series coefficients times
-power sums), all exact and uniform for virtual classes.  lambda_y runs
+power sums), all exact and uniform for virtual classes.  The power sums are
+read off the Chern character, p_m = m! ch_m, which a bundle keeps after the
+one Newton run that gives it; a dual reads it off the original's as
+adams(-1), so lambda_y(T*X) and td(TX) share one run.  lambda_y runs
 Newton's identities on the reduced roots e^x - 1, which start in degree 1,
 so it stops at min(rank, dim) and keeps its coefficients in Q[y].  Each sum
 of products (Newton's identities both ways, ch, the sums inside lambda_y,
@@ -13,12 +16,13 @@ apply_series and class_exp) is one ``CohClass.combine``, normalized once.
 A K-class with y-graded coefficients is carried as its Chern character, a
 ``CohClass`` over Q[y, 1/y, 1/(1+y)]; its rank is its degree-0 part.
 
-Four genus series are built in, each expanded from its own closed form:
+Four genus series are built in.  Each is a prefix of one expansion per
+kind, grown in place to the highest order asked, its log only when asked:
 
 * ``chern``      1 + x
 * ``todd``       x / (1 - exp(-x))
-* ``lclass``     x / tanh(x)
-* ``hirzebruch`` x(1+y) / (1 - exp(-x(1+y))) - xy
+* ``lclass``     x / tanh(x) = td(2x) - x
+* ``hirzebruch`` x(1+y) / (1 - exp(-x(1+y))) - xy = td(x(1+y)) - xy
 
 The last one interpolates the other three at y = -1, 0, 1.
 """
@@ -38,35 +42,12 @@ from .spaces import BundleClass, CohClass
 # -- series on coefficient lists (index = power of x, entries LaurentY) ------
 
 
-def _series_mul(a, b, order):
-    out = []
-    for k in range(order + 1):
-        acc = LaurentY()
-        for i in range(k + 1):
-            if i < len(a) and k - i < len(b):
-                acc = acc + a[i] * b[k - i]
-        out.append(acc)
-    return out
-
-
-def _series_recip(a, order):
-    if a[0] != 1:
-        raise InvalidParameter("series reciprocal needs constant term 1")
-    out = [LaurentY.one()]
-    for k in range(1, order + 1):
-        acc = LaurentY()
-        for i in range(1, k + 1):
-            if i < len(a):
-                acc = acc + a[i] * out[k - i]
-        out.append(-acc)
-    return out
-
-
-def _series_log(a, order):
+def _series_log(a, order, out=None):
+    """log(a) to x^order; given ``out``, a prefix of the log, it is grown in place."""
     if a[0] != 1:
         raise InvalidParameter("series log needs constant term 1")
-    out = [LaurentY()]
-    for k in range(1, order + 1):
+    out = [LaurentY()] if out is None else out
+    for k in range(len(out), order + 1):
         acc = (a[k] if k < len(a) else LaurentY()) * k
         for j in range(1, k):
             if k - j < len(a):
@@ -80,19 +61,22 @@ class ChernRootSeries:
 
     __slots__ = ("kind", "coeffs", "order", "_log")
 
-    def __init__(self, kind, coeffs, order):
+    def __init__(self, kind, coeffs, order, log=None):
         if coeffs[0] != 1:
             raise InvalidParameter("genus series must be normalized (constant term 1)")
         self.kind = kind
         self.coeffs = tuple(coeffs)
         self.order = order
-        self._log = None
+        self._log = log  # a built-in series: its kind's log, a list grown in place
 
     def log(self):
         """log(series) to x^order, computed on first use and kept; its x^k
-        coefficient needs the series to x^k only, so a lower order reads a prefix."""
+        coefficient needs the series to x^k only, so a lower order reads a
+        prefix, and a built-in series reads one of its kind's log."""
         if self._log is None:
-            self._log = tuple(_series_log(list(self.coeffs), self.order))
+            self._log = tuple(_series_log(self.coeffs, self.order))
+        elif self._log.__class__ is list:
+            self._log = tuple(_series_log(self.coeffs, self.order, self._log)[:self.order + 1])
         return self._log
 
     def at_y(self, value):
@@ -103,33 +87,36 @@ class ChernRootSeries:
         return f"ChernRootSeries({self.kind}, order={self.order})"
 
 
+_TODD = [Fraction(1)]  # x/(1 - exp(-x)) = sum of _TODD[k] x^k, grown in place
+_EXPANSIONS = {}  # kind -> (coefficients, log), each a list grown in place
+
+
+def _coefficient(kind, k):
+    """The x^k coefficient, k >= 1, of a built-in series, from the Todd
+    numbers, which invert (1 - exp(-x))/x = sum of (-1)^i x^i / (i+1)!."""
+    for n in range(len(_TODD), k + 1):
+        _TODD.append(-sum(Fraction((-1) ** i, factorial(i + 1)) * _TODD[n - i]
+                          for i in range(1, n + 1)))
+    if kind == "todd":
+        return LaurentY.const(_TODD[k])
+    if kind == "lclass":
+        return LaurentY.const(2**k * _TODD[k] - (k == 1))
+    if kind == "hirzebruch":
+        return LaurentY({0: 1, 1: 1}) ** k * _TODD[k] - LaurentY.y(1, k == 1)
+    return LaurentY.const(k == 1)  # chern
+
+
 @lru_cache(maxsize=None)
 def genus_series(kind, order):
-    """Expand one of the built-in genus series exactly to the given order."""
+    """One of the built-in genus series to the given order, one object per
+    (kind, order); no coefficient of a kind is expanded twice."""
     if order < 1:
         raise InvalidParameter("series order must be >= 1")
-    if kind == "chern":
-        coeffs = [LaurentY.one(), LaurentY.one()] + [LaurentY()] * (order - 1)
-    elif kind == "todd":
-        # (1 - exp(-x))/x, then reciprocal
-        g = [LaurentY.const(Fraction((-1) ** k, factorial(k + 1))) for k in range(order + 1)]
-        coeffs = _series_recip(g, order)
-    elif kind == "lclass":
-        # cosh(x) / (sinh(x)/x)
-        sh = [LaurentY.const(Fraction(1, factorial(k + 1))) if k % 2 == 0 else LaurentY()
-              for k in range(order + 1)]
-        co = [LaurentY.const(Fraction(1, factorial(k))) if k % 2 == 0 else LaurentY()
-              for k in range(order + 1)]
-        coeffs = _series_mul(co, _series_recip(sh, order), order)
-    elif kind == "hirzebruch":
-        # x(1+y)/(1 - exp(-x(1+y))) = 1/g with g_k = (-1)^k (1+y)^k / (k+1)!
-        one_y = LaurentY({0: 1, 1: 1})
-        g = [one_y**k * Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)]
-        coeffs = _series_recip(g, order)
-        coeffs[1] = coeffs[1] - LaurentY.y()
-    else:
+    if kind not in ("chern", "todd", "lclass", "hirzebruch"):
         raise InvalidParameter(f"unknown genus series kind {kind!r}")
-    return ChernRootSeries(kind, coeffs, order)
+    coeffs, log = _EXPANSIONS.setdefault(kind, ([LaurentY.one()], [LaurentY()]))
+    coeffs.extend(_coefficient(kind, k) for k in range(len(coeffs), order + 1))
+    return ChernRootSeries(kind, coeffs[:order + 1], order, log)
 
 
 # -- Newton's identities -------------------------------------------------------
@@ -165,10 +152,16 @@ def chern_from_power_sums(space, rank, psums):
 
 
 def chern_character(V, order=None):
-    """ch(V) = rank + sum of p_m / m!."""
-    space = V.space
+    """ch(V) = rank + sum of p_m / m!.  At the default order it is kept on V;
+    a bundle that knows its ch from other bundles' (a dual, a relative
+    tangent bundle) reads it off theirs instead."""
     if order is None:
-        order = space.dim
+        if V._ch is None:
+            V._ch = chern_character(V, V.space.dim)
+        elif V._ch.__class__ is not CohClass:
+            V._ch = V._ch(chern_character)
+        return V._ch
+    space = V.space
     return CohClass.combine(space, [(V.rank, space.one(), None)] + [
         (Fraction(1, factorial(m)), p, None)
         for m, p in enumerate(power_sums(V, order), start=1)])
@@ -197,8 +190,9 @@ def apply_series(series, V, space=None):
             f"series order {series.order} is below the space dimension {space.dim}"
         )
     lcoeffs = series.log()
-    return class_exp(CohClass.combine(space, [
-        (lcoeffs[m], p, None) for m, p in enumerate(power_sums(V, space.dim), start=1)]))
+    p = chern_character(V).degree_scaled([factorial(m) for m in range(space.dim + 1)])
+    return class_exp(CohClass.combine(space, [  # p_m, the m-th power sum, is m! ch_m(V)
+        (lcoeffs[m], c, None) for m, c in p.by_degree().items() if m]))
 
 
 # -- bundle combinations ---------------------------------------------------------

@@ -10,7 +10,9 @@ projective space (virtual: classes live in the ambient ring and integration
 twists by the divisor class), and projective space equipped with a
 general-position hyperplane arrangement at infinity (which adds boundary
 data: the arrangement divisors and the Chern class of the bundle of forms
-with logarithmic poles along them).
+with logarithmic poles along them).  A product or projective bundle also
+truncates a factor or base at its own dimension (``_caps``) when its rules
+leave monomials above it, as a custom document's may.
 
 ``CohClass`` is a sparse cohomology class on a model with coefficients in
 Q[y, 1/y, 1/(1+y)].  It stores one numerator in Z[y, 1/y] per monomial
@@ -50,16 +52,17 @@ degree of ch * td), while ``mht`` builds the full product in every degree.
 ``+`` and the scalar ``*`` keep their own short paths.
 
 A model also keeps the characteristic classes that depend on it alone, in
-``_classes``, next to the product table: the closed K-class ``mhc_y(X)``
-(a ``CohClass``, its Chern character) and the Todd class of the tangent
-bundle, each computed on first use by ``transforms``.  A product keeps the
-exterior products of its factors' kept classes (its tangent Chern class is
-theirs too), so its product table stays empty until a product is taken on
-its ring.  The Todd entry records what it came from, the series object or
-on a product the factors' Todd classes, and is recomputed when that
-changes, as when ``bundles.genus_series`` hands out a different series
-while it is patched.  Classes that depend on variation data
-(open-complement and twisted modes) are not kept.
+``_classes``, next to the product table: its tangent bundle, which keeps its
+Chern character, the closed K-class ``mhc_y(X)`` (a ``CohClass``, its Chern
+character) and the Todd class of the tangent bundle, each computed on first
+use by ``transforms``.  A product keeps the exterior products of its
+factors' kept classes (its tangent Chern class is theirs too), so its
+product table stays empty until a product is taken on its ring.  The Todd
+entry records what it came from, the series object or on a product the
+factors' Todd classes, and is recomputed when that changes, as when
+``bundles.genus_series`` hands out a different series while it is patched.
+Classes that depend on variation data (open-complement and twisted modes)
+are not kept.
 
 ``SpaceModel.key`` is unique: the constructor's kind and arguments as ints
 and tuples, which fix everything a caller can see of the model (an
@@ -406,13 +409,14 @@ class BundleClass:
     every consumer works through Chern classes or power sums only.
     """
 
-    __slots__ = ("rank", "total_chern")
+    __slots__ = ("rank", "total_chern", "_ch")
 
     def __init__(self, rank, total_chern):
         if total_chern.coeff(total_chern.space._zero_exp) != 1:
             raise InvalidParameter("total Chern class must have constant term 1")
         self.rank = int(rank)
         self.total_chern = total_chern
+        self._ch = None  # ch(V) once known, or a function of bundles.chern_character giving it
 
     @property
     def space(self):
@@ -433,8 +437,10 @@ class BundleClass:
         return BundleClass(self.rank + other.rank, self.total_chern * other.total_chern)
 
     def dual(self):
-        """c_i -> (-1)^i c_i."""
-        return BundleClass(self.rank, self.total_chern.adams(-1))
+        """c_i -> (-1)^i c_i; its Chern character is read off this one's."""
+        out = BundleClass(self.rank, self.total_chern.adams(-1))
+        out._ch = lambda ch: ch(self).adams(-1)
+        return out
 
     def __repr__(self):
         return f"BundleClass(rank={self.rank}, c={self.space.render_class(self.total_chern)!r})"
@@ -457,7 +463,7 @@ class SpaceModel:
 
     __slots__ = (
         "kind", "key", "name", "dim", "gens", "_rules", "_integrals", "tangent_chern",
-        "log", "extra", "_products", "_table_den", "_classes", "__weakref__",
+        "log", "extra", "_products", "_table_den", "_classes", "_caps", "__weakref__",
     )
 
     def __init__(self, kind, key, name, dim, gens, rules, integrals, extra=None):
@@ -480,6 +486,7 @@ class SpaceModel:
         self._products = {}  # e1 -> {e2: reduced product terms}, filled lazily
         self._table_den = 1  # every table integer is over this denominator
         self._classes = {}  # data-free characteristic classes, filled lazily
+        self._caps = ()  # (first slot, end slot, top degree) of each capped block of slots
 
     @property
     def _zero_exp(self):
@@ -512,6 +519,9 @@ class SpaceModel:
                     out[exp] = w
                 else:
                     out.pop(exp, None)
+        if self._caps:  # rewriting keeps the degree of each block of slots
+            out = {e: c for e, c in out.items()
+                   if all(sum(e[i:j]) <= d for i, j, d in self._caps)}
         return out
 
     def _monomial_product(self, e1, e2):
@@ -565,7 +575,10 @@ class SpaceModel:
         return RationalFunctionY(_over(total, c._d * w), c._k)
 
     def tangent_bundle(self):
-        return BundleClass(self.dim, self.tangent_chern)
+        """TM, one instance kept in ``_classes``, so its Chern character is computed once."""
+        if "tangent" not in self._classes:
+            self._classes["tangent"] = BundleClass(self.dim, self.tangent_chern)
+        return self._classes["tangent"]
 
     def canonical_chern_root(self):
         """-c1(TM), the Chern root of the canonical bundle."""
@@ -712,6 +725,7 @@ def _product(key, flat):
         integrals=_product_integrals(flat),
         extra={"factors": flat, "offsets": offsets},
     )
+    m._caps = sum((_block_caps(f, i) for i, f in zip(offsets, flat)), ())
     m.tangent_chern = exterior_product(*(f.tangent_chern for f in flat), space=m)
     if any(f.log is not None for f in flat):
         # factors without boundary data contribute an empty arrangement,
@@ -723,6 +737,12 @@ def _product(key, flat):
             BundleClass(sum(V.rank for V in logs),
                         exterior_product(*(V.total_chern for V in logs), space=m)))
     return m
+
+
+def _block_caps(f, offset):
+    """The caps of ``f`` on slots from ``offset``, and its own when its rules leave any."""
+    own = ((0, len(f.gens), f.dim),) if sum(rule[1] - 1 for rule in f._rules) > f.dim else ()
+    return tuple((offset + i, offset + j, d) for i, j, d in f._caps + own)
 
 
 def _pad_exp(exp, offset, width):
@@ -803,11 +823,14 @@ def projective_bundle(base, E):
 
     The ring adjoins xi with the relation xi^r = -(c1(E) xi^(r-1) + ... + c_r(E));
     integration pairs the base top monomial with xi^(r-1); the tangent class
-    is c(T_base) times c(E(1)) via the relative Euler sequence.
+    is c(T_base) times c(E(1)) via the relative Euler sequence.  The base
+    carries no boundary data, which the bundle's model would not keep.
     """
     r = E.rank
     if r < 1:
         raise InvalidParameter("projective bundle needs rank >= 1")
+    if base.log is not None:
+        raise InvalidParameter(f"{base.name} carries boundary data; P(E) needs a closed base")
     if E.space.key != base.key:
         raise InvalidParameter("bundle does not live on the base")
     c = E.total_chern  # keyed by its canonical numerators and denominator
@@ -847,11 +870,14 @@ def _projective_bundle(key, base, E):
         integrals=integrals,
         extra={"base": base, "rank": r, "E": E},
     )
+    m._caps = _block_caps(base, 0)
     xi = m.gen_class(nb)
     E_up = BundleClass(r, _lift_from_base(m, E.total_chern))
     rel_chern = _twisted_chern(E_up, xi)
-    m.extra["relative_tangent"] = BundleClass(r - 1, rel_chern)
+    rel = m.extra["relative_tangent"] = BundleClass(r - 1, rel_chern)
     m.tangent_chern = _lift_from_base(m, base.tangent_chern) * rel_chern
+    # T(P(E)) is the lifted T(base) plus T_rel, so ch(T_rel) is a difference of kept classes
+    rel._ch = lambda ch: ch(m.tangent_bundle()) - _lift_from_base(m, ch(base.tangent_bundle()))
     return m
 
 

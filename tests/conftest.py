@@ -30,3 +30,18 @@ def time_limit():
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
     return limit
+
+
+@pytest.fixture
+def fresh_series(monkeypatch):
+    """The built-in genus series expanded from nothing within the test: empty
+    expansions and an empty ``genus_series`` cache, emptied again afterwards,
+    so no later test reads a series object made here."""
+    from fractions import Fraction
+
+    from hirzebruch import bundles
+    monkeypatch.setattr(bundles, "_EXPANSIONS", {})
+    monkeypatch.setattr(bundles, "_TODD", [Fraction(1)])
+    bundles.genus_series.cache_clear()
+    yield bundles._EXPANSIONS
+    bundles.genus_series.cache_clear()

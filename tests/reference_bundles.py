@@ -7,7 +7,9 @@ replaced, kept verbatim; and the product-ring route to a product model's
 classes that the exterior products of its factors' classes replaced: the
 tangent and log-cotangent Chern classes as products of the pulled-back
 factor classes, and the closed, open and Todd classes from those bundles
-on the product ring."""
+on the product ring; and the genus series and their logs expanded from
+scratch at each order, by the series reciprocal and product, that the one
+in-place expansion per kind replaced."""
 
 from fractions import Fraction
 from math import factorial
@@ -16,6 +18,71 @@ from hirzebruch import bundles
 from hirzebruch.errors import InvalidParameter
 from hirzebruch.rings import LaurentY
 from hirzebruch.spaces import BundleClass, CohClass, pull_to_product
+
+
+def _series_mul(a, b, order):
+    out = []
+    for k in range(order + 1):
+        acc = LaurentY()
+        for i in range(k + 1):
+            if i < len(a) and k - i < len(b):
+                acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _series_recip(a, order):
+    if a[0] != 1:
+        raise InvalidParameter("series reciprocal needs constant term 1")
+    out = [LaurentY.one()]
+    for k in range(1, order + 1):
+        acc = LaurentY()
+        for i in range(1, k + 1):
+            if i < len(a):
+                acc = acc + a[i] * out[k - i]
+        out.append(-acc)
+    return out
+
+
+def series_log(a, order):
+    """log(a) to x^order, from scratch."""
+    if a[0] != 1:
+        raise InvalidParameter("series log needs constant term 1")
+    out = [LaurentY()]
+    for k in range(1, order + 1):
+        acc = (a[k] if k < len(a) else LaurentY()) * k
+        for j in range(1, k):
+            if k - j < len(a):
+                acc = acc - out[j] * a[k - j] * j
+        out.append(acc / k)
+    return out
+
+
+def genus_series_coeffs(kind, order):
+    """The coefficients of x^0..x^order of a built-in genus series, each
+    kind expanded from its own closed form."""
+    if kind == "chern":
+        coeffs = [LaurentY.one(), LaurentY.one()] + [LaurentY()] * (order - 1)
+    elif kind == "todd":
+        # (1 - exp(-x))/x, then reciprocal
+        g = [LaurentY.const(Fraction((-1) ** k, factorial(k + 1))) for k in range(order + 1)]
+        coeffs = _series_recip(g, order)
+    elif kind == "lclass":
+        # cosh(x) / (sinh(x)/x)
+        sh = [LaurentY.const(Fraction(1, factorial(k + 1))) if k % 2 == 0 else LaurentY()
+              for k in range(order + 1)]
+        co = [LaurentY.const(Fraction(1, factorial(k))) if k % 2 == 0 else LaurentY()
+              for k in range(order + 1)]
+        coeffs = _series_mul(co, _series_recip(sh, order), order)
+    elif kind == "hirzebruch":
+        # x(1+y)/(1 - exp(-x(1+y))) = 1/g with g_k = (-1)^k (1+y)^k / (k+1)!
+        one_y = LaurentY({0: 1, 1: 1})
+        g = [one_y**k * Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)]
+        coeffs = _series_recip(g, order)
+        coeffs[1] = coeffs[1] - LaurentY.y()
+    else:
+        raise InvalidParameter(f"unknown genus series kind {kind!r}")
+    return coeffs
 
 
 def power_sums(V, order=None):

@@ -1,10 +1,16 @@
 """Genus series, splitting-principle engine, lambda classes, K-duality."""
 
+import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_bundles as ref
+from hirzebruch import bundles
 from hirzebruch import spaces as sp
 from hirzebruch.bundles import (
     _elementary_from_power_sums,
@@ -18,10 +24,12 @@ from hirzebruch.bundles import (
     lambda_y,
     power_sums,
 )
+from hirzebruch.errors import InvalidParameter
 from hirzebruch.rings import LaurentY, RationalFunctionY, render_y
-from hirzebruch.transforms import mhc_y, pullback_smooth
+from hirzebruch.spaces import CohClass
+from hirzebruch.transforms import chi_y_genus, mhc_y, pullback_smooth, pushforward
 from hirzebruch.verify import bundle_family
-from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, model_id
+from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, SURPLUS_DOCUMENT, fresh, model_id
 
 
 class TestBundleCombine:
@@ -75,6 +83,52 @@ class TestGenusSeries:
     def test_l_series_is_even(self):
         l = genus_series("lclass", 8)
         assert all(l.coeffs[j].is_zero() for j in range(1, 9, 2))
+
+
+KINDS = ("chern", "todd", "lclass", "hirzebruch")
+ORDERS = {"ascending": list(range(1, 17)), "descending": list(range(16, 0, -1)),
+          "shuffled": random.Random(15).sample(range(1, 17), 16)}
+
+
+@lru_cache(maxsize=None)
+def reference_series(kind, order):
+    """Coefficients and log of a built-in series, expanded from scratch."""
+    coeffs = ref.genus_series_coeffs(kind, order)
+    return tuple(coeffs), tuple(ref.series_log(coeffs, order))
+
+
+class TestSeriesExpansion:
+    """Every series object is a prefix of one in-place expansion per kind,
+    whatever order the orders are asked in."""
+
+    @pytest.mark.parametrize("orders", ORDERS.values(), ids=ORDERS)
+    def test_coefficients_and_logs_match_the_reference(self, fresh_series, orders):
+        for order in orders:
+            for kind in KINDS:
+                series = genus_series(kind, order)
+                coeffs, log = reference_series(kind, order)
+                assert series.coeffs == coeffs, (kind, order)
+                assert series.log() == log, (kind, order)
+        assert sorted(fresh_series) == sorted(KINDS)
+        assert all(len(c) == len(log) == 17 for c, log in fresh_series.values())
+
+    @pytest.mark.parametrize("orders", ORDERS.values(), ids=ORDERS)
+    def test_logs_asked_after_every_order(self, fresh_series, orders):
+        made = [genus_series(kind, order) for order in orders for kind in KINDS]
+        for series in reversed(made):
+            assert series.log() == reference_series(series.kind, series.order)[1]
+
+    def test_log_grows_only_when_asked(self, fresh_series):
+        genus_series("todd", 12)
+        assert len(fresh_series["todd"][1]) == 1
+        genus_series("todd", 5).log()
+        assert [len(part) for part in fresh_series["todd"]] == [13, 6]
+
+    def test_unknown_kind_and_order(self):
+        with pytest.raises(InvalidParameter, match="unknown genus series kind"):
+            genus_series("signature", 4)
+        with pytest.raises(InvalidParameter, match="order must be >= 1"):
+            genus_series("todd", 0)
 
 
 class TestApplySeries:
@@ -308,3 +362,78 @@ class TestReducedRootLambda:
             lam = _same_lambda(sp.relative_tangent(m).dual())
             one = m.target.one()
             assert pullback_smooth(m, one) == lam
+
+
+# ---------------------------------------------------------------------------
+# the Chern character a bundle keeps
+
+
+def bundles_on(space):
+    """Bundle classes on ``space``: a rank and a total Chern class 1 + terms
+    of positive degree with small integer coefficients."""
+    mono = st.tuples(*[st.integers(0, space.dim)] * len(space.gens))
+    terms = st.lists(st.tuples(mono, st.integers(-3, 3)), max_size=4)
+    return st.tuples(st.integers(0, 4), terms).map(lambda t: sp.BundleClass(
+        t[0], space.one() + CohClass(space, {e: Fraction(c) for e, c in t[1] if sum(e)})))
+
+
+def counted_power_sums(monkeypatch):
+    """The bundle of every ``power_sums`` call while the test runs."""
+    seen = []
+    real = bundles.power_sums
+
+    def wrapper(V, order=None):
+        seen.append(V)
+        return real(V, order)
+
+    monkeypatch.setattr(bundles, "power_sums", wrapper)
+    return seen
+
+
+KEPT_SPACES = KERNEL_SPACES + [sp.from_document(SURPLUS_DOCUMENT),
+                               sp.projective_bundle(sp.projective(2), sp.sum_of_line_bundles(
+                                   sp.projective(2), [0, 2]))]
+
+
+class TestKeptChernCharacter:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KEPT_SPACES).flatmap(bundles_on))
+    def test_dual_reads_the_original(self, V):
+        dual = V.dual()
+        assert chern_character(dual) == chern_character(V).adams(-1)
+        # against Newton's identities run on the dual's own Chern classes
+        assert chern_character(dual) == chern_character(dual, V.space.dim)
+        assert chern_character(V) is chern_character(V)
+
+    @pytest.mark.parametrize("twists", [(0, 1), (-2, 3), (0, 1, 3), (-1, -1, 2)])
+    def test_relative_tangent_reads_the_tangent_bundles(self, twists):
+        base = sp.projective(2)
+        tot = fresh(lambda: sp.projective_bundle(base, sp.sum_of_line_bundles(base, twists)))
+        rel = tot.extra["relative_tangent"]
+        assert chern_character(rel) == chern_character(rel, tot.dim) == ref.chern_character(rel)
+
+    def test_tangent_bundle_is_kept(self):
+        p3 = sp.projective(3)
+        assert p3.tangent_bundle() is p3.tangent_bundle()
+        assert chern_character(p3.tangent_bundle()) == ref.chern_character(p3.tangent_bundle())
+
+    def test_genus_runs_newton_once(self, monkeypatch):
+        # lambda_y(T*) and td(T) read one kept ch(T)
+        p4 = fresh(lambda: sp.projective(4))
+        seen = counted_power_sums(monkeypatch)
+        assert chi_y_genus(p4) == LaurentY({p: (-1) ** p for p in range(5)})
+        assert seen == [p4.tangent_bundle()] and seen[0] is p4.tangent_bundle()
+
+    def test_second_pushforward_runs_no_newton(self, monkeypatch):
+        base = sp.projective(2)
+        tot = fresh(lambda: sp.projective_bundle(base, sp.sum_of_line_bundles(base, [0, 1, 3])))
+        pi = sp.bundle_projection(tot)
+        seen = counted_power_sums(monkeypatch)
+        first = pushforward(pi, tot.one())
+        # ch(T_rel) is ch(T) less the lifted ch(T_base): at most one run on each
+        assert max(Counter(map(id, seen)).values()) == 1
+        assert all(V is tot.tangent_bundle() or V is base.tangent_bundle() for V in seen)
+        del seen[:]
+        assert pushforward(pi, tot.one()) == first == base.constant(1)
+        assert pushforward(pi, mhc_y(tot)) == mhc_y(base) * LaurentY({0: 1, 1: -1, 2: 1})
+        assert seen == []

@@ -79,6 +79,14 @@ class TestCommands:
         assert "mode: open_complement" in out
         assert "chi_y: 1 + y" in out
 
+    @pytest.mark.parametrize("spec", ["Proj(Arr(1,2);1)", "Proj(Arr(2,0);0,1)",
+                                      "Proj(P1xArr(1,2);1)", "Proj(Proj(P1;0)xArr(1,1);0,0)"])
+    def test_projective_bundle_over_an_open_base_exit_code(self, capsys, spec):
+        # the bundle's model would drop the base's boundary: P(E) needs a closed base
+        code, out, err = run(capsys, "genus", "--space", spec)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "boundary data" in err
+
     def test_describe_arrangement_shows_boundary(self, capsys):
         code, out, _ = run(capsys, "describe", "--space", "Arr(2,3)")
         assert code == 0

@@ -250,6 +250,19 @@ tangent 1 + 2*xi + 3*h + 4*h*xi
 """
 
 # a relation whose coefficients carry denominators
+# two points' worth of curve: a^2 = b^2 = 0 leave a*b, above the dimension,
+# to the truncation alone
+SURPLUS_DOCUMENT = """
+dim 1
+gens a b
+relation a^2 = 0
+relation b^2 = 0
+integral a = 1
+integral b = 1
+tangent 1 + 2*a + 2*b
+"""
+
+
 FRACTIONAL_DOCUMENT = """
 dim 3
 gens h xi
@@ -935,22 +948,25 @@ class TestRekeyingMaps:
 # one live model per key
 
 
-def spec_atoms(level):
+def spec_atoms(level, boundary=True):
+    """One space atom; with ``boundary`` false, no ``Arr`` anywhere in it."""
     arrangements = st.integers(1, 3).flatmap(
         lambda n: st.integers(0, n + 1).map(lambda k: f"Arr({n},{k})"))
     atoms = [st.integers(0, 3).map(lambda n: f"P{n}"),
-             st.tuples(st.integers(2, 4), st.integers(1, 4)).map(lambda t: "Hyp(%d,%d)" % t),
-             arrangements]
-    if level:
+             st.tuples(st.integers(2, 4), st.integers(1, 4)).map(lambda t: "Hyp(%d,%d)" % t)]
+    if boundary:
+        atoms.append(arrangements)
+    if level:  # a projective bundle needs a base without boundary data
         twists = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
-        atoms.append(st.tuples(spec_products(level - 1), twists).map(
+        atoms.append(st.tuples(spec_products(level - 1, boundary=False), twists).map(
             lambda t: f"Proj({t[0]}; {','.join(map(str, t[1]))})"))
     return st.one_of(atoms)
 
 
-def spec_products(level):
-    """Space specs: products of P, Hyp, Arr and, below ``level`` nestings, Proj atoms."""
-    return st.lists(spec_atoms(level), min_size=1, max_size=3).map("x".join)
+def spec_products(level, boundary=True):
+    """Space specs: products of P, Hyp, Arr (unless ``boundary`` is false) and,
+    below ``level`` nestings, Proj atoms over bases without boundary data."""
+    return st.lists(spec_atoms(level, boundary), min_size=1, max_size=3).map("x".join)
 
 
 SPACE_SPECS = spec_products(1)

@@ -28,7 +28,7 @@ from hirzebruch.transforms import (
     specialize_minus_one,
 )
 
-from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, model_id
+from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, SURPLUS_DOCUMENT, model_id
 
 ONE_Y = LaurentY({0: 1, 1: 1})
 
@@ -307,11 +307,14 @@ class TestGenusPairing:
 P1, P2, P3 = sp.projective(1), sp.projective(2), sp.projective(3)
 PROJ = sp.projective_bundle(P2, sp.sum_of_line_bundles(P2, [1, -1]))
 ARR21, ARR22 = sp.with_arrangement(P2, 1), sp.with_arrangement(P2, 2)
+SURPLUS = sp.from_document(SURPLUS_DOCUMENT)  # its rules leave a*b, above its dimension
 CLOSED_PRODUCTS = (
     [sp.product(a, b) for a, b in combinations_with_replacement((P1, P2, P3), 2)]
     + [sp.product(sp.hypersurface(3, 4), b) for b in (P1, P2)]
     + [sp.product(PROJ, P1), sp.product(P1, sp.from_document(FRACTIONAL_DOCUMENT))]
-    + [sp.product(*[P1] * k) for k in range(3, 6)])
+    + [sp.product(*[P1] * k) for k in range(3, 6)]
+    + [sp.product(SURPLUS, P1), sp.product(P2, SURPLUS), sp.product(SURPLUS, SURPLUS),
+       sp.product(sp.projective_bundle(SURPLUS, sp.sum_of_line_bundles(SURPLUS, [0, 1])), P1)])
 OPEN_PRODUCTS = [sp.product(GM, GM), sp.product(ARR21, GM), sp.product(ARR22, ARR21),
                  sp.product(GM, GM, GM), sp.product(ARR21, P1), sp.product(P2, GM),
                  sp.product(sp.hypersurface(3, 4), GM)]
@@ -330,6 +333,25 @@ class TestExterior:
         assert space.tangent_chern == ref.product_tangent_bundle(space).total_chern
         assert mhc_y(space) == ref.product_closed_class(space)
         assert transforms._todd(space) == ref.product_todd_class(space)
+
+    @pytest.mark.parametrize("space", [sp.product(SURPLUS, P1), sp.product(SURPLUS, SURPLUS)],
+                             ids=model_id)
+    def test_product_ring_truncates_each_factor_at_its_dimension(self, space):
+        # a factor's monomials above its dimension vanish in its ring, so in the product's
+        assert space._caps
+        assert space.monomial((1, 1) + (0,) * (len(space.gens) - 2)).is_zero()  # a1*b1
+        assert apply_series(bundles.genus_series("todd", space.dim),
+                            space.tangent_bundle()) == transforms._todd(space)
+
+    def test_projective_bundle_over_a_capped_base_is_the_product(self):
+        # P(O + O) over the document is the document times P1: the same
+        # exponents, generator for generator, carry the same classes
+        tot = sp.projective_bundle(SURPLUS, sp.trivial_bundle(SURPLUS, 2))
+        prod = sp.product(SURPLUS, P1)
+        for got, want in ((tot.tangent_chern, prod.tangent_chern), (mhc_y(tot), mhc_y(prod)),
+                          (transforms._todd(tot), transforms._todd(prod))):
+            assert got.items() == want.items()
+        assert chi_y_genus(tot) == chi_y_genus(prod)
 
     @pytest.mark.parametrize("space", OPEN_PRODUCTS, ids=model_id)
     def test_open_classes_match_the_product_ring(self, space):

@@ -169,13 +169,23 @@ class TestSharedGenera:
 
 
 class TestSeriesLog:
-    def test_one_log_per_series_object(self, monkeypatch):
-        bundles.genus_series.cache_clear()  # fresh series objects, no log kept yet
-        logs = counted(monkeypatch, bundles, "_series_log")
+    def test_one_log_per_series_object(self, monkeypatch, fresh_series):
+        # a built-in series grows its kind's one log in place, so over a
+        # registry run each log coefficient of each kind is computed once
+        grown = []
+        real = bundles._series_log
+
+        def wrapper(a, order, out=None):
+            assert out is not None  # never a log from scratch
+            grown.append((id(out), range(len(out), order + 1)))
+            return real(a, order, out)
+
+        monkeypatch.setattr(bundles, "_series_log", wrapper)
         assert verify.all_passed(verify.run_suites("all"))
-        series = Counter((tuple(a), order) for a, order in logs)
-        assert series and max(series.values()) == 1
-        assert len(logs) <= bundles.genus_series.cache_info().currsize
+        computed = Counter((log, k) for log, ks in grown for k in ks)
+        assert computed and max(computed.values()) == 1
+        assert sorted(computed) == sorted((id(log), k) for _, log in fresh_series.values()
+                                          for k in range(1, len(log)))
 
     def test_a_patched_todd_series_gets_its_own_log(self, monkeypatch):
         # the series of the poisoned-Todd CLI test, one object per order
