@@ -740,7 +740,7 @@ def _product(key, flat):
 
 
 def _block_caps(f, offset):
-    """The caps of ``f`` on slots from ``offset``, and its own when its rules leave any."""
+    """Caps of ``f`` at slots from ``offset``, plus its own if its rules leave higher monomials."""
     own = ((0, len(f.gens), f.dim),) if sum(rule[1] - 1 for rule in f._rules) > f.dim else ()
     return tuple((offset + i, offset + j, d) for i, j, d in f._caps + own)
 
