@@ -10,17 +10,11 @@ from .errors import (
 )
 from .rings import (
     LaurentY,
-    PolyUV,
     RationalFunctionY,
-    chi_substitute,
-    invert_uv,
-    parse_uv,
     parse_y,
-    render_uv,
     render_y,
-    substitute,
 )
-from .hodge import HodgeDiamond
+from .hodge import HodgeDiamond, parse_uv, render_uv
 from . import motivic
 from .motivic import MotivicClass
 from . import spaces
@@ -48,12 +42,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BundleClass", "ChernRootSeries", "CohClass", "HodgeDiamond",
     "InvalidParameter", "LaurentY", "MissingLogStructure",
-    "MotivicClass", "NotPolynomial", "ParseError", "PolyUV",
-    "RationalFunctionY", "SpaceModel", "UnsupportedMap", "VariationData",
-    "apply_series", "bundles", "chi_substitute", "chi_y_genus",
-    "csm_arrangement", "degree", "exterior", "genus_series", "homology_dual",
-    "invert_uv", "k_dual", "lambda_y", "mhc_cohomological", "mhc_y", "mht",
+    "MotivicClass", "NotPolynomial", "ParseError", "RationalFunctionY",
+    "SpaceModel", "UnsupportedMap", "VariationData", "apply_series", "bundles",
+    "chi_y_genus", "csm_arrangement", "degree", "exterior", "genus_series",
+    "homology_dual", "k_dual", "lambda_y", "mhc_cohomological", "mhc_y", "mht",
     "motivic", "parse_uv", "parse_y", "pullback_smooth", "pushforward",
-    "render_uv", "render_y", "spaces", "specialize_minus_one", "substitute",
-    "transforms",
+    "render_uv", "render_y", "spaces", "specialize_minus_one", "transforms",
 ]

@@ -198,14 +198,21 @@ def apply_series(series, V, space=None):
 # -- bundle combinations ---------------------------------------------------------
 
 
+def _kept_power_sums(V):
+    """p_0..p_dim of V's roots, p_0 the rank, read off its kept Chern
+    character: p_m = m! ch_m."""
+    d = V.space.dim
+    p = chern_character(V).degree_scaled([factorial(m) for m in range(d + 1)])
+    return [p.component(m) for m in range(d + 1)]
+
+
 def bundle_tensor(a, b):
     """Tensor product via power sums: roots add pairwise."""
     if a.space.key != b.space.key:
         raise InvalidParameter("bundles live on different spaces")
     space = a.space
     d = space.dim
-    pa = [space.constant(Fraction(a.rank))] + power_sums(a, d)
-    pb = [space.constant(Fraction(b.rank))] + power_sums(b, d)
+    pa, pb = _kept_power_sums(a), _kept_power_sums(b)
     psums = [CohClass.combine(space, [(comb(m, k), pa[k], pb[m - k]) for k in range(m + 1)])
              for m in range(1, d + 1)]
     return chern_from_power_sums(space, a.rank * b.rank, psums)

@@ -36,7 +36,8 @@ from .errors import (
     ParseError,
     UnsupportedMap,
 )
-from .rings import printed, render_uv, render_y
+from .hodge import render_uv
+from .rings import printed, render_y
 from . import bundles
 from . import exprlang
 from . import motivic

@@ -1,12 +1,11 @@
 """Exact coefficient rings for the genus engine.
 
-Every value this package produces lives in one of three rings, all built on
-integers and ``fractions.Fraction`` (no floating point anywhere):
+Every y-coefficient this package produces lives in one of two rings, both
+built on integers and ``fractions.Fraction`` (no floating point anywhere);
+E-polynomials are Hodge tables, ``hodge.HodgeDiamond``:
 
 * ``LaurentY`` -- Laurent polynomials in y with rational coefficients.
   The chi_y genus and all y-graded class coefficients live here.
-* ``PolyUV`` -- Laurent polynomials in u and v with integer coefficients.
-  E-polynomials of Hodge number tables live here.
 * ``RationalFunctionY`` -- quotients p(y)/(1+y)^k.  A power of (1+y) is the
   only denominator normalized homology classes ever acquire, so the type
   tracks that power instead of a general denominator.
@@ -21,13 +20,13 @@ arithmetic on that format.
 
 Polynomials are stored as finitely supported dictionaries from exponents to
 coefficients with no explicit zeros; values are immutable and arithmetic
-never mutates its operands.  ``render_y``/``parse_y`` and
-``render_uv``/``parse_uv`` give a canonical text form (terms in increasing
-exponent order) that round-trips exactly.  Its parser reads through
-``Tokens``, the one scanner and cursor of every text form in the package
-(motivic expressions and space specs use it too); the parser also accepts
-the polynomials of custom space documents.  ``printed`` is the one guarded
-conversion of numbers to text.
+never mutates its operands.  ``render_y``/``parse_y`` give a canonical
+text form (terms in increasing exponent order) that round-trips exactly;
+``hodge`` prints and parses E-polynomials with the same term writer and
+polynomial parser.  The parser reads through ``Tokens``, the one scanner
+and cursor of every text form in the package (motivic expressions and space
+specs use it too); it also accepts the polynomials of custom space
+documents.  ``printed`` is the one guarded conversion of numbers to text.
 """
 
 from __future__ import annotations
@@ -282,8 +281,11 @@ class LaurentY:
         return _over(_y_inverted(self, 0), self._d)
 
     def __call__(self, value):
-        """Evaluate at a rational value of y (nonzero if negative exponents occur)."""
+        """Evaluate at a rational value of y; ``InvalidParameter`` at y = 0
+        when a negative exponent puts a pole there."""
         value = Fraction(value)
+        if not value and min(self._c, default=0) < 0:
+            raise InvalidParameter("pole at y = 0: negative powers of y")
         return sum((n * value**e for e, n in self._c.items()), Fraction(0)) / self._d
 
     def is_integral_polynomial(self):
@@ -297,139 +299,6 @@ class LaurentY:
         return f"LaurentY({render_y(self)!r})"
 
 
-class PolyUV:
-    """Laurent polynomial in u, v with integer coefficients: {(a, b): n}."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for (a, b), v in coeffs.items():
-                v = int(v)
-                if v:
-                    c[(int(a), int(b))] = v
-        self._c = c
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def const(cls, n):
-        return cls({(0, 0): n})
-
-    @classmethod
-    def u(cls, exp=1):
-        return cls({(exp, 0): 1})
-
-    @classmethod
-    def v(cls, exp=1):
-        return cls({(0, exp): 1})
-
-    def items(self):
-        """Terms as ((a, b), coefficient) sorted by total degree, u first."""
-        return sorted(self._c.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
-
-    def coeff(self, a, b):
-        return self._c.get((a, b), 0)
-
-    def is_zero(self):
-        return not self._c
-
-    def is_monomial(self):
-        return len(self._c) == 1
-
-    def is_symmetric(self):
-        """True when invariant under swapping u and v."""
-        return all(self._c.get((b, a)) == v for (a, b), v in self._c.items())
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        if isinstance(other, PolyUV):
-            return self._c == other._c
-        if isinstance(other, int):
-            return self._c == ({(0, 0): other} if other else {})
-        return NotImplemented
-
-    def __hash__(self):
-        if set(self._c) <= {(0, 0)}:  # equal to the int it holds
-            return hash(self._c.get((0, 0), 0))
-        return hash(frozenset(self._c.items()))
-
-    def __neg__(self):
-        return PolyUV({e: -v for e, v in self._c.items()})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = PolyUV.const(other)
-        if not isinstance(other, PolyUV):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = PolyUV()
-        out._c = c
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = PolyUV.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyUV({e: v * other for e, v in self._c.items()})
-        if not isinstance(other, PolyUV):
-            return NotImplemented
-        c = {}
-        for (a1, b1), v1 in self._c.items():
-            for (a2, b2), v2 in other._c.items():
-                e = (a1 + a2, b1 + b2)
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        out = PolyUV()
-        out._c = c
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            if not self.is_monomial():
-                raise ZeroDivisionError("negative power of a non-monomial")
-            ((a, b), v), = self._c.items()
-            if v not in (1, -1):
-                raise ZeroDivisionError("monomial coefficient is not a unit over Z")
-            return PolyUV({(a * n, b * n): v**n})
-        return _power(self, n, PolyUV.one())
-
-    def __str__(self):
-        return render_uv(self)
-
-    def __repr__(self):
-        return f"PolyUV({render_uv(self)!r})"
-
-
 def _power(base, n, one):
     """base**n for an int n >= 0 by repeated squaring, starting from one."""
     while n:
@@ -438,53 +307,6 @@ def _power(base, n, one):
         base = base * base
         n >>= 1
     return one
-
-
-def substitute(p, u_value, v_value):
-    """Evaluate a PolyUV at u = u_value, v = v_value.
-
-    Each value may be a number, a LaurentY, or a PolyUV; negative exponents
-    of a variable require its value to be an invertible monomial.  Both
-    values must land in the same ring.  Returns an element of that ring, or
-    a Fraction when both values are numbers.
-    """
-    ring = None
-    for val in (u_value, v_value):
-        if isinstance(val, LaurentY):
-            ring = LaurentY
-        elif isinstance(val, PolyUV):
-            if ring is LaurentY:
-                raise TypeError("mixed substitution targets")
-            ring = PolyUV
-    if ring is None:
-        uu, vv = Fraction(u_value), Fraction(v_value)
-        total = Fraction(0)
-        for (a, b), c in p._c.items():
-            total += c * uu**a * vv**b
-        return total
-    uu = ring.one() * u_value
-    vv = ring.one() * v_value
-    total = ring.zero()
-    for (a, b), c in p._c.items():
-        total = total + (uu**a) * (vv**b) * c
-    return total
-
-
-def chi_substitute(p):
-    """The specialization (u, v) -> (-y, 1), from E-polynomials to LaurentY.
-
-    It sums each u-column of coefficients into one term (-1)^a y^a,
-    without the generic ``substitute``'s powers of LaurentY values.
-    """
-    cols = {}
-    for (a, _b), c in p._c.items():
-        cols[a] = cols.get(a, 0) + (c if a % 2 == 0 else -c)
-    return LaurentY(cols)
-
-
-def invert_uv(p):
-    """The substitution (u, v) -> (1/u, 1/v)."""
-    return PolyUV({(-a, -b): v for (a, b), v in p._c.items()})
 
 
 class RationalFunctionY:
@@ -633,23 +455,9 @@ def _mono_y(e):
     return f"y^{e}"
 
 
-def _mono_uv(a, b):
-    parts = []
-    for name, e in (("u", a), ("v", b)):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
 def render_y(p):
     """Canonical string for a LaurentY, exponents increasing."""
     return _render_terms([(c, _mono_y(e)) for e, c in p.items()])
-
-
-def render_uv(p):
-    """Canonical string for a PolyUV, total degree increasing, u before v."""
-    return _render_terms([(c, _mono_uv(a, b)) for (a, b), c in p.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -796,14 +604,4 @@ def parse_y(src):
     out = LaurentY()
     for coeff, expd in _parse_poly(src, {"y"}):
         out = out + LaurentY({expd.get("y", 0): coeff})
-    return out
-
-
-def parse_uv(src):
-    """Parse the canonical PolyUV format (inverse of render_uv)."""
-    out = PolyUV()
-    for coeff, expd in _parse_poly(src, {"u", "v"}):
-        if coeff.denominator != 1:
-            raise ParseError("PolyUV coefficients must be integers", 0)
-        out = out + PolyUV({(expd.get("u", 0), expd.get("v", 0)): coeff.numerator})
     return out

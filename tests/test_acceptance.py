@@ -12,7 +12,8 @@ from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
 from hirzebruch import verify
 from hirzebruch.bundles import k_dual
-from hirzebruch.rings import LaurentY, PolyUV
+from hirzebruch.hodge import HodgeDiamond
+from hirzebruch.rings import LaurentY
 from hirzebruch.transforms import (
     chi_y_genus,
     csm_arrangement,
@@ -37,7 +38,7 @@ def _assert_suite(checks):
 
 def test_criterion_1_elliptic_curve_genera():
     c1 = mo.curve(1)
-    assert c1.e_polynomial() == PolyUV(
+    assert c1.e_polynomial() == HodgeDiamond(
         {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
     assert c1.chi_y() == LaurentY.zero()
     _report(1, "E(C1) = 1-u-v+uv and chi_y(C1) = 0")

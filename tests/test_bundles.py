@@ -437,3 +437,14 @@ class TestKeptChernCharacter:
         assert pushforward(pi, tot.one()) == first == base.constant(1)
         assert pushforward(pi, mhc_y(tot)) == mhc_y(base) * LaurentY({0: 1, 1: -1, 2: 1})
         assert seen == []
+
+    def test_tensor_reads_the_kept_characters(self, monkeypatch):
+        p3 = sp.projective(3)
+        a = sp.sum_of_line_bundles(p3, [0, 2])
+        b = sp.sum_of_line_bundles(p3, [-1, 1, 3])
+        chern_character(a), chern_character(b)
+        seen = counted_power_sums(monkeypatch)
+        got = bundle_tensor(a, b)
+        assert seen == []
+        assert got == ref.bundle_tensor(a, b) == sp.sum_of_line_bundles(
+            p3, [-1, 1, 3, 1, 3, 5])

@@ -5,12 +5,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from hirzebruch import bundles
 from hirzebruch import cli
+from hirzebruch import exprlang
 from hirzebruch.rings import LaurentY
+from test_exprlang import trees
 
 
 NESTING = ("nesting deeper than", "offset")
@@ -41,6 +46,15 @@ class TestCommands:
         code, out, _ = run(capsys, "genus", "--motivic", "P2*P1 - L")
         assert code == 0
         assert "chi_y:" in out
+
+    @pytest.mark.parametrize("expr", ["D(P1)", "((P0) - (D(P3)))^3"])
+    def test_motivic_genus_with_a_pole_at_zero(self, capsys, expr):
+        """A chi_y with negative powers of y has no value at y = 0."""
+        code, out, err = run(capsys, "genus", "--motivic", expr)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "pole at y = 0" in err
+        code, out, _ = run(capsys, "epoly", expr)
+        assert code == 0 and "chi_y:" in out
 
     def test_genus_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "genus")
@@ -302,3 +316,18 @@ class TestJsonShape:
         assert doc["results"]["chi_y"] == "2 - 20*y + 2*y^2"
         assert doc["results"]["euler"] == "24"
         assert doc["results"]["signature"] == "-16"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tree=trees)
+def test_motivic_commands_exit_0_or_2(time_limit, tree):
+    """Any rendered expression tree: each motivic command answers or refuses."""
+    src = exprlang.render(tree)
+    for argv in (["epoly", src], ["genus", "--motivic", src]):
+        with time_limit(10), redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's exit, on a leading "-" read as an option
+                code = exc.code
+        assert code in (0, 2), (argv, code)

@@ -11,7 +11,8 @@ from hirzebruch import exprlang as ex
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
 from hirzebruch.errors import ParseError
-from hirzebruch.rings import PolyUV, parse_uv, parse_y
+from hirzebruch.hodge import HodgeDiamond, parse_uv
+from hirzebruch.rings import parse_y
 
 
 class TestParse:
@@ -23,7 +24,7 @@ class TestParse:
         tree = ex.parse_expr("P2 - 2 P1 + pt")
         cls = ex.evaluate(tree)
         assert cls == mo.arrangement_complement(2, 2)
-        assert cls.e_polynomial() == PolyUV({(2, 2): 1, (1, 1): -1})
+        assert cls.e_polynomial() == HodgeDiamond({(2, 2): 1, (1, 1): -1})
 
     def test_dangling_operator(self):
         with pytest.raises(ParseError) as err:

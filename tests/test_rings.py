@@ -1,4 +1,5 @@
-"""Coefficient ring arithmetic, substitution, and the canonical text form."""
+"""Coefficient ring arithmetic, the substitutions of an E-polynomial, and the
+canonical text form."""
 
 import math
 import random
@@ -9,18 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirzebruch.errors import NotPolynomial, ParseError
-from hirzebruch.rings import (
-    LaurentY,
-    PolyUV,
-    RationalFunctionY,
-    chi_substitute,
-    invert_uv,
-    parse_uv,
-    parse_y,
-    render_uv,
-    render_y,
-    substitute,
-)
+from hirzebruch.hodge import HodgeDiamond, parse_uv, render_uv
+from hirzebruch.rings import LaurentY, RationalFunctionY, parse_y, render_y
 
 import reference_rings as ref
 
@@ -33,22 +24,27 @@ def rand_laurent(rng, span=3, terms=4):
 
 
 def rand_uv(rng, span=2, terms=4):
-    return PolyUV({(rng.randint(-span, span), rng.randint(-span, span)): rng.randint(-5, 5)
-                   for _ in range(rng.randint(0, terms))})
+    return HodgeDiamond({(rng.randint(-span, span), rng.randint(-span, span)): rng.randint(-5, 5)
+                         for _ in range(rng.randint(0, terms))})
+
+
+PT = HodgeDiamond.point()
+U = HodgeDiamond({(1, 0): 1})
+V = HodgeDiamond({(0, 1): 1})
 
 
 class TestCombine:
     def test_monomial_product_uv(self):
-        uv = PolyUV({(1, 1): 1})
-        assert uv * uv == PolyUV({(2, 2): 1})
+        uv = HodgeDiamond({(1, 1): 1})
+        assert uv * uv == HodgeDiamond({(2, 2): 1})
 
     def test_difference_of_squares(self):
         assert ONE_Y * LaurentY({0: 1, 1: -1}) == LaurentY({0: 1, 2: -1})
 
     def test_elliptic_e_polynomial(self):
         # (1-u)(1-v) expands to the four-term sign pattern
-        e = (PolyUV.one() - PolyUV.u()) * (PolyUV.one() - PolyUV.v())
-        assert e == PolyUV({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+        e = (PT - U) * (PT - V)
+        assert e.entries() == [((0, 0), 1), ((0, 1), -1), ((1, 0), -1), ((1, 1), 1)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ring_axioms(self, seed):
@@ -69,28 +65,27 @@ class TestCombine:
 
 
 class TestSubstitute:
+    """The two substitutions of an E-polynomial, both methods of the table:
+    chi_y is (u, v) -> (-y, 1) and the dual is (u, v) -> (1/u, 1/v)."""
+
     def test_tate_value(self):
-        assert substitute(PolyUV({(1, 1): 1}), LaurentY({1: -1}), LaurentY.one()) == LaurentY({1: -1})
+        assert HodgeDiamond({(1, 1): 1}).chi_y() == LaurentY({1: -1})
 
     def test_elliptic_curve_genus_vanishes(self):
-        e = (PolyUV.one() - PolyUV.u()) * (PolyUV.one() - PolyUV.v())
-        assert chi_substitute(e) == LaurentY.zero()
+        assert ((PT - U) * (PT - V)).chi_y() == LaurentY.zero()
 
     def test_monomial_inversion(self):
-        assert invert_uv(PolyUV({(2, 2): 1})) == PolyUV({(-2, -2): 1})
-        p = PolyUV({(2, 2): 1})
-        assert substitute(p, PolyUV.u() ** -1, PolyUV.v() ** -1) == PolyUV({(-2, -2): 1})
-
-    def test_numeric_substitution(self):
-        p = PolyUV({(1, 0): 2, (0, 1): 3})
-        assert substitute(p, Fraction(1, 2), 4) == Fraction(13)
+        assert HodgeDiamond({(2, 2): 1}).dual() == HodgeDiamond({(-2, -2): 1})
+        assert HodgeDiamond({(2, 1): 3, (0, -1): -1}).dual().entries() == [
+            ((-2, -1), 3), ((0, 1), -1)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_chi_substitution_is_homomorphism(self, seed):
+        """chi_y is a ring homomorphism for the tensor product and the sum."""
         rng = random.Random(100 + seed)
         a, b = rand_uv(rng), rand_uv(rng)
-        assert chi_substitute(a * b) == chi_substitute(a) * chi_substitute(b)
-        assert chi_substitute(a + b) == chi_substitute(a) + chi_substitute(b)
+        assert a.tensor(b).chi_y() == a.chi_y() * b.chi_y()
+        assert (a + b).chi_y() == a.chi_y() + b.chi_y()
 
 
 class TestRationalFunctionY:
@@ -134,9 +129,9 @@ class TestRationalFunctionY:
 class TestTextForm:
     def test_canonical_examples(self):
         assert render_y(LaurentY({0: 1, 1: -1, 2: 1})) == "1 - y + y^2"
-        e = PolyUV({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+        e = HodgeDiamond({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
         assert render_uv(e) == "1 - u - v + u*v"
-        assert render_uv(PolyUV({(1, 1): -1, (2, 2): 1})) == "-u*v + u^2*v^2"
+        assert render_uv(HodgeDiamond({(1, 1): -1, (2, 2): 1})) == "-u*v + u^2*v^2"
         assert render_y(LaurentY({-1: Fraction(3, 2)})) == "3/2*y^-1"
         assert render_y(LaurentY.zero()) == "0"
 
@@ -175,7 +170,7 @@ def value_forms(d, j):
         c = lau.coeff(0)
         forms.append(c)
         if c.denominator == 1:
-            forms += [c.numerator, PolyUV.const(c.numerator)]
+            forms += [c.numerator, HodgeDiamond({(0, 0): c.numerator})]
     return forms
 
 
@@ -193,7 +188,7 @@ def test_a_set_holds_one_copy_of_a_value():
     three = LaurentY({0: 3})
     assert len({three, Fraction(3)}) == 1
     assert len({RationalFunctionY(three), three, 3}) == 1
-    assert len({PolyUV.const(3), 3}) == 1
+    assert len({HodgeDiamond({(0, 0): 3}), 3}) == 1
 
 
 # ---------------------------------------------------------------------------
