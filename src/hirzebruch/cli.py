@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .hodge import render_uv
 from .rings import printed, render_y
-from . import bundles
 from . import exprlang
 from . import motivic
 from . import spaces as sp
@@ -129,9 +129,7 @@ _SERIES = {"chern": "chern", "todd": "todd", "l": "lclass", "ty": "hirzebruch"}
 
 def _cmd_classes(args):
     space = exprlang.load_space(args.space)
-    kind = _SERIES[args.series]
-    series = bundles.genus_series(kind, max(space.dim, 1))
-    cls = bundles.apply_series(series, space.tangent_bundle(), space)
+    cls = tr.series_class(space, _SERIES[args.series])
     by_degree = {f"degree {d}": space.render_class(c) for d, c in cls.by_degree().items()}
     return Report(
         command="classes",
@@ -196,8 +194,18 @@ def _cmd_describe(args):
                   results=space.describe())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a word that starts with "-" and a digit as a value, as argparse
+    reads a plain negative number: no hirz option starts so, and an
+    expression such as ``-1*P1`` is valid input."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d.*", re.S)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hirz",
         description="Exact Hodge genera and characteristic classes of space models.",
     )

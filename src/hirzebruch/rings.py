@@ -300,12 +300,14 @@ class LaurentY:
 
 
 def _power(base, n, one):
-    """base**n for an int n >= 0 by repeated squaring, starting from one."""
+    """base**n for an int n >= 0 by repeated squaring, starting from one;
+    the base is squared only while higher bits remain."""
     while n:
         if n & 1:
             one = one * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return one
 
 

@@ -48,19 +48,22 @@ the dimension, which never change after construction.
 ``multiply`` is the kernel with one pair.  Given a degree, the kernel builds
 only that degree: each left monomial meets only the right monomials of the
 complementary degree.  The genus is read through this pairing (the top
-degree of ch * td), while ``mht`` builds the full product in every degree.
+degree of ch * td), except on a product without variation data, where it is
+the product of the factors' genera; ``mht`` builds the full product in every
+degree.
 ``+`` and the scalar ``*`` keep their own short paths.
 
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: its tangent bundle, which keeps its
 Chern character, the closed K-class ``mhc_y(X)`` (a ``CohClass``, its Chern
-character) and the Todd class of the tangent bundle, each computed on first
-use by ``transforms``.  A product keeps the exterior products of its
-factors' kept classes (its tangent Chern class is theirs too), so its
-product table stays empty until a product is taken on its ring.  The Todd
-entry records what it came from, the series object or on a product the
-factors' Todd classes, and is recomputed when that changes, as when
-``bundles.genus_series`` hands out a different series while it is patched.
+character) and the classes of the tangent bundle under the built-in genus
+series (Todd, and any other a caller asks for), each computed on first use
+by ``transforms``.  A product keeps the exterior products of its factors'
+kept classes (its tangent Chern class is theirs too), so its product table
+stays empty until a product is taken on its ring.  A series entry records
+what it came from, the series object or on a product the factors' classes,
+and is recomputed when that changes, as when ``bundles.genus_series`` hands
+out a different series while it is patched.
 Classes that depend on variation data (open-complement and twisted modes)
 are not kept.
 
@@ -1092,16 +1095,17 @@ def relative_tangent(m):
     if m.kind == "bundle_projection":
         return src.extra["relative_tangent"]
     if m.kind == "product_projection":
+        # the other factors' tangent bundles pulled back: its Chern class is
+        # the exterior product of theirs, its ch the sum of their kept ch's
         axis = m.extra["axis"]
         factors = src.extra["factors"]
-        chern = src.one()
-        rank = 0
-        for i, f in enumerate(factors):
-            if i == axis:
-                continue
-            chern = chern * pull_to_product(src, i, f.tangent_chern)
-            rank += f.dim
-        return BundleClass(rank, chern)
+        others = [(i, f) for i, f in enumerate(factors) if i != axis]
+        out = BundleClass(src.dim - factors[axis].dim, exterior_product(
+            *(f.one() if i == axis else f.tangent_chern for i, f in enumerate(factors)),
+            space=src))
+        out._ch = lambda ch: CohClass.combine(src, [
+            (1, pull_to_product(src, i, ch(f.tangent_bundle())), None) for i, f in others])
+        return out
     if m.kind == "hypersurface_inclusion":
         return BundleClass(-1, _inverse_one_plus(src.gen_class(0) * m.extra["degree"]))
     if m.kind == "linear_embedding":

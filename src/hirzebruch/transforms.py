@@ -7,10 +7,12 @@ logarithmic cotangent bundle along the boundary arrangement, optionally
 multiplied by the cohomological class of supplied variation data.  A
 K-class is carried as its Chern character, a ``CohClass``; its rank is its
 degree-0 part.  The classes are functorial for exterior products, so on a
-product model the closed class, the open class without data and the Todd
-class are the exterior products of the factors' kept classes.  The genus
-pairing, pushforward and smooth pullback still work on the product ring,
-so the checks that set them against those classes keep two routes.
+product model the closed class, the open class without data and every
+multiplicative series class of the tangent bundle are the exterior products
+of the factors' classes, and the genus without data is the product of the
+factors' genera, since the integral over X x Y of (a x b)(c x d) is the
+integral over X of ac times that over Y of bd.  Variation data, ``mht``,
+pushforward and smooth pullback still work on the product ring.
 
 The homology side applies a Todd-twisted Chern character: the unnormalized
 transformation is ch * td(TM) set against the fundamental class and graded
@@ -31,7 +33,7 @@ cycle dimension), duality is ``adams(-1).invert_y()`` up to the sign
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from .errors import InvalidParameter, MissingLogStructure, UnsupportedMap
 from .rings import LaurentY, printed
@@ -41,25 +43,39 @@ from . import spaces as sp
 from .spaces import CohClass
 
 
-def _todd(space):
-    """td(TM), kept on the model together with what it came from: the series,
-    or on a product the factors' Todd classes, whose exterior product it is."""
+def series_class(space, kind):
+    """The class of TM under the built-in genus series ``kind`` (see
+    ``bundles.genus_series``), kept on the model together with what it came
+    from: the series, or on a product the factors' classes, each at its
+    factor's own order, whose exterior product it is (a multiplicative
+    series is multiplicative over TX x TY).  It is recomputed when that
+    changes, as when ``genus_series`` hands out a different series."""
     product = space.kind == "product"
-    source = (tuple(map(_todd, space.extra["factors"])) if product
-              else bundles.genus_series("todd", max(space.dim, 1)))
-    memo = space._classes.get("todd")
+    source = (tuple(series_class(f, kind) for f in space.extra["factors"]) if product
+              else bundles.genus_series(kind, max(space.dim, 1)))
+    memo = space._classes.get(kind)
     if memo is None or memo[0] != source:
-        td = (sp.exterior_product(*source, space=space) if product
-              else apply_series(source, space.tangent_bundle(), space))
-        memo = space._classes["todd"] = (source, td)
+        cls = (sp.exterior_product(*source, space=space) if product
+               else apply_series(source, space.tangent_bundle(), space))
+        memo = space._classes[kind] = (source, cls)
     return memo[1]
 
 
+def _todd(space):
+    """td(TM), kept on the model."""
+    return series_class(space, "todd")
+
+
+def _factor_modes(space, mode):
+    """A product model's factors, each with its share of ``mode``: a factor
+    without boundary data takes the closed mode."""
+    return [(f, mode if f.log is not None else "closed") for f in space.extra["factors"]]
+
+
 def _by_factor(space, mode):
-    """The exterior product of a product model's factor classes in ``mode``;
-    a factor without boundary data gives its closed class."""
-    return sp.exterior_product(*(mhc_y(f, mode if f.log is not None else "closed")
-                                 for f in space.extra["factors"]), space=space)
+    """The exterior product of a product model's factor classes in ``mode``."""
+    return sp.exterior_product(*(mhc_y(f, m) for f, m in _factor_modes(space, mode)),
+                               space=space)
 
 
 class VariationData:
@@ -153,8 +169,14 @@ def chi_y_genus(space, mode="closed", data=None):
     i.e. the integral of the top-degree part of ch * td(TM).  That part is
     read through a complementary-degree pairing: only the monomial pairs of
     ch and td whose degrees add up to the dimension are multiplied, and the
-    full ledger that ``mht`` builds is never formed.
+    full ledger that ``mht`` builds is never formed.  On a product without
+    variation data (closed, or open with the product's boundary data) it is
+    the product of the factors' genera, each factor in its share of the mode.
     """
+    if space.kind == "product" and data is None and mode in ("closed", "open_complement"):
+        if space.log is None and mode != "closed":
+            raise MissingLogStructure(f"{space.name} has no boundary arrangement")
+        return prod(chi_y_genus(f, m) for f, m in _factor_modes(space, mode))
     top = mhc_y(space, mode, data).multiply(_todd(space), space.dim)
     return space.integrate(top).reduce_unit_denominator()
 

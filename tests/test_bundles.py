@@ -438,6 +438,24 @@ class TestKeptChernCharacter:
         assert pushforward(pi, mhc_y(tot)) == mhc_y(base) * LaurentY({0: 1, 1: -1, 2: 1})
         assert seen == []
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_product_projection_reads_the_factors(self, axis):
+        prod = sp.product(sp.projective(1), sp.projective(2), sp.projective(1))
+        rel = sp.relative_tangent(sp.product_projection(prod, axis))
+        assert chern_character(rel) == chern_character(rel, prod.dim) == ref.chern_character(rel)
+
+    def test_pullback_along_a_product_projection_runs_no_newton(self, monkeypatch):
+        p1, p2 = sp.projective(1), sp.projective(2)
+        prod = sp.product(p1, p2)
+        pi = sp.product_projection(prod, 0)
+        c = mhc_y(p1)
+        chern_character(p2.tangent_bundle())
+        seen = counted_power_sums(monkeypatch)
+        # T_rel is pr_2^* T P2: its ch is the pulled-back kept ch(T P2)
+        pulled = [pullback_smooth(pi, c) for _ in range(3)]
+        assert seen == []
+        assert pulled[0] == pulled[2] == mhc_y(prod)
+
     def test_tensor_reads_the_kept_characters(self, monkeypatch):
         p3 = sp.projective(3)
         a = sp.sum_of_line_bundles(p3, [0, 2])

@@ -72,6 +72,18 @@ class TestTensor:
         assert raw(a + b) == {e: v for e, v in summed.items() if v}
 
 
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # x^4 is x^2 squared: two squarings and the multiply into the unit
+        base = HodgeDiamond.point() + HodgeDiamond.tate(-1)
+        want = base * base * base * base
+        calls = []
+        real = HodgeDiamond.tensor
+        monkeypatch.setattr(HodgeDiamond, "tensor",
+                            lambda a, b: calls.append(b) or real(a, b))
+        assert base ** 4 == want
+        assert len(calls) == 3
+
+
 class TestDual:
     def test_tate_dual(self):
         assert HodgeDiamond.tate(-1).dual() == HodgeDiamond.tate(1)

@@ -12,7 +12,7 @@ from hirzebruch import spaces as sp
 from hirzebruch.bundles import apply_series, chern_character, k_dual, lambda_y
 from hirzebruch.errors import MissingLogStructure, NotPolynomial
 from hirzebruch.rings import LaurentY, RationalFunctionY
-from hirzebruch.spaces import CohClass
+from hirzebruch.spaces import BundleClass, CohClass
 from hirzebruch.transforms import (
     VariationData,
     chi_y_genus,
@@ -155,8 +155,8 @@ class TestModelMemo:
         assert transforms._todd(prod) is transforms._todd(prod)
         assert not prod._products
         assert all(V.space is not prod for V in calls)
-        chi_y_genus(prod)  # the genus pairing multiplies on the product ring
-        assert prod._products
+        chi_y_genus(prod)  # the product of the factors' genera: no pairing here
+        assert not prod._products
 
 
 class TestMht:
@@ -397,6 +397,60 @@ class TestExterior:
         assert chi == LaurentY({0: 1, 2: -1})  # (1+y)(1-y)
         compact = (mo.torus() * mo.projective(1)).chi_y()
         assert compact == chi.invert_y() * LaurentY({2: 1})
+
+
+TWO_ROUTE_CLOSED = ([sp.product(sp.projective(a), sp.projective(b))
+                     for a in range(1, 4) for b in range(1, 4)]
+                    + [sp.product(sp.hypersurface(3, 4), P1),
+                       sp.product(sp.projective_bundle(P2, sp.sum_of_line_bundles(P2, [-1, 2])),
+                                  P1),
+                       sp.product(P1, P1, P1)])
+ARR12 = sp.with_arrangement(P1, 2)
+TWO_ROUTE_OPEN = [sp.product(ARR12, ARR21), sp.product(ARR12, P1)]
+
+
+def product_ring_route(space, mode):
+    """K-class and Todd class of a product computed on the product ring, from
+    fresh bundles that read none of the classes the factors keep."""
+    V = BundleClass(space.dim, space.tangent_chern)
+    if mode == "closed":
+        k = lambda_y(V.dual())
+    else:
+        log = space.log.log_cotangent
+        k = lambda_y(BundleClass(log.rank, log.total_chern))
+    return k, apply_series(bundles.genus_series("todd", space.dim), V, space)
+
+
+class TestTwoRoutes:
+    """A product's classes and genus, taken from its factors, against the
+    same values computed on the product ring."""
+
+    @pytest.mark.parametrize("space, mode",
+                             [(X, "closed") for X in TWO_ROUTE_CLOSED + TWO_ROUTE_OPEN]
+                             + [(X, "open_complement") for X in TWO_ROUTE_OPEN],
+                             ids=lambda v: model_id(v) if isinstance(v, sp.SpaceModel) else v)
+    def test_genus_and_class(self, space, mode):
+        k, td = product_ring_route(space, mode)
+        assert mhc_y(space, mode) == k
+        pairing = space.integrate(k.multiply(td, space.dim)).reduce_unit_denominator()
+        assert chi_y_genus(space, mode) == pairing
+
+    @pytest.mark.parametrize("space", TWO_ROUTE_CLOSED + TWO_ROUTE_OPEN, ids=model_id)
+    @pytest.mark.parametrize("kind", ["chern", "todd", "lclass", "hirzebruch"])
+    def test_series_class(self, space, kind):
+        V = BundleClass(space.dim, space.tangent_chern)
+        want = apply_series(bundles.genus_series(kind, space.dim), V, space)
+        assert transforms.series_class(space, kind) == want
+
+    def test_open_genus_needs_boundary_data(self):
+        with pytest.raises(MissingLogStructure):
+            chi_y_genus(sp.product(P1, P2), "open_complement")
+
+    def test_data_keeps_the_pairing(self):
+        # a Tate twist multiplies the genus by -y; with data the pairing runs
+        space = TWO_ROUTE_OPEN[0]
+        tw = chi_y_genus(space, "open_complement", VariationData.tate(space, 1))
+        assert tw == chi_y_genus(space, "open_complement") * LaurentY({1: -1})
 
 
 ORACLE_SPACES = (
