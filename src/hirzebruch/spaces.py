@@ -56,16 +56,23 @@ degree.
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: its tangent bundle, which keeps its
 Chern character, the closed K-class ``mhc_y(X)`` (a ``CohClass``, its Chern
-character) and the classes of the tangent bundle under the built-in genus
-series (Todd, and any other a caller asks for), each computed on first use
-by ``transforms``.  A product keeps the exterior products of its factors'
-kept classes (its tangent Chern class is theirs too), so its product table
-stays empty until a product is taken on its ring.  A series entry records
-what it came from, the series object or on a product the factors' classes,
-and is recomputed when that changes, as when ``bundles.genus_series`` hands
-out a different series while it is patched.
+character), the classes of the tangent bundle under the built-in genus
+series (Todd, and any other a caller asks for) and, except on a product,
+the closed genus, each computed on first use by ``transforms``.  A series
+entry records what it came from, the series object or on a product the
+factors' classes, and the genus records the closed class and Todd class it
+was paired from; each is recomputed when its source changes, as when
+``bundles.genus_series`` hands out a different series while it is patched.
 Classes that depend on variation data (open-complement and twisted modes)
 are not kept.
+
+A product's classes are exterior products of its factors' kept classes, so
+its product table stays empty until a product is taken on its ring.  For k
+factors such a class has up to 2^k terms, so a product builds its tangent
+Chern class and the bundle of its log-cotangent classes on first read
+(``_FirstRead``), and building the model costs what its factors cost; its
+genus is the product of the factors' kept genera.  ``describe`` and the
+classes a caller asks for still cost 2^k.
 
 ``SpaceModel.key`` is unique: the constructor's kind and arguments as ints
 and tuples, which fix everything a caller can see of the model (an
@@ -449,12 +456,35 @@ class BundleClass:
         return f"BundleClass(rank={self.rank}, c={self.space.render_class(self.total_chern)!r})"
 
 
+class _FirstRead:
+    """An attribute whose private slot ``_<name>`` holds its value, or a
+    function of no arguments that gives it: the function runs on the first
+    read and its value replaces it in the slot."""
+
+    def __set_name__(self, owner, name):
+        self.slot = vars(owner)["_" + name]
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        v = self.slot.__get__(obj)
+        if callable(v):
+            v = v()
+            self.slot.__set__(obj, v)
+        return v
+
+    def __set__(self, obj, v):
+        self.slot.__set__(obj, v)
+
+
 class LogStructure:
     """Boundary data for an open complement inside the model: the classes of
     the normal-crossing divisor components and the logarithmic cotangent
-    bundle along them."""
+    bundle along them, given as a bundle or a function that builds it."""
 
-    __slots__ = ("divisors", "log_cotangent")
+    __slots__ = ("divisors", "_log_cotangent")
+
+    log_cotangent = _FirstRead()
 
     def __init__(self, divisors, log_cotangent):
         self.divisors = tuple(divisors)
@@ -465,9 +495,11 @@ class SpaceModel:
     """Immutable model; build with the module constructors below."""
 
     __slots__ = (
-        "kind", "key", "name", "dim", "gens", "_rules", "_integrals", "tangent_chern",
+        "kind", "key", "name", "dim", "gens", "_rules", "_integrals", "_tangent_chern",
         "log", "extra", "_products", "_table_den", "_classes", "_caps", "__weakref__",
     )
+
+    tangent_chern = _FirstRead()  # c(TM), or a function that builds it on first read
 
     def __init__(self, kind, key, name, dim, gens, rules, integrals, extra=None):
         self.kind = kind
@@ -729,16 +761,17 @@ def _product(key, flat):
         extra={"factors": flat, "offsets": offsets},
     )
     m._caps = sum((_block_caps(f, i) for i, f in zip(offsets, flat)), ())
-    m.tangent_chern = exterior_product(*(f.tangent_chern for f in flat), space=m)
+    # the exterior products have 2^k terms for k factors: built on first read
+    m.tangent_chern = lambda: exterior_product(*(f.tangent_chern for f in flat), space=m)
     if any(f.log is not None for f in flat):
         # factors without boundary data contribute an empty arrangement,
         # i.e. their plain cotangent bundle
         logs = [f.tangent_bundle().dual() if f.log is None else f.log.log_cotangent for f in flat]
+        rank = sum(V.rank for V in logs)
         m.log = LogStructure(
             [pull_to_product(m, i, d) for i, f in enumerate(flat) if f.log is not None
              for d in f.log.divisors],
-            BundleClass(sum(V.rank for V in logs),
-                        exterior_product(*(V.total_chern for V in logs), space=m)))
+            lambda: BundleClass(rank, exterior_product(*(V.total_chern for V in logs), space=m)))
     return m
 
 

@@ -172,13 +172,24 @@ def chi_y_genus(space, mode="closed", data=None):
     full ledger that ``mht`` builds is never formed.  On a product without
     variation data (closed, or open with the product's boundary data) it is
     the product of the factors' genera, each factor in its share of the mode.
+    The closed genus without data of any other model is kept on the model
+    with what it came from, the kept closed class and ``_todd``, and is
+    recomputed when either changes, as ``series_class`` is; so the factors
+    of (P^1)^k share one pairing.
     """
     if space.kind == "product" and data is None and mode in ("closed", "open_complement"):
         if space.log is None and mode != "closed":
             raise MissingLogStructure(f"{space.name} has no boundary arrangement")
         return prod(chi_y_genus(f, m) for f, m in _factor_modes(space, mode))
-    top = mhc_y(space, mode, data).multiply(_todd(space), space.dim)
-    return space.integrate(top).reduce_unit_denominator()
+    source = (mhc_y(space, mode, data), _todd(space))
+    kept = mode == "closed" and data is None
+    memo = space._classes.get("genus") if kept else None
+    if memo is None or memo[0] != source:
+        top = source[0].multiply(source[1], space.dim)
+        memo = (source, space.integrate(top).reduce_unit_denominator())
+        if kept:
+            space._classes["genus"] = memo
+    return memo[1]
 
 
 # -- functorialities -----------------------------------------------------------

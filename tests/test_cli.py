@@ -259,6 +259,18 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["results"]["chi_y"] == render_y(LaurentY({0: 1, 1: -1}) ** 14)
 
+    @pytest.mark.parametrize("spec, chi", [
+        ("x".join(["P1"] * 24), LaurentY({0: 1, 1: -1}) ** 24),
+        # Arr(1,1)^20's log-cotangent class has 2^20 terms, Arr(1,2)'s one
+        ("x".join(["Arr(1,1)"] * 20 + ["Arr(1,2)"]), LaurentY({0: 1, 1: 1})),
+    ], ids=["P1^24", "Arr(1,1)^20xArr(1,2)"])
+    def test_genus_of_a_product_builds_no_exterior_class(self, capsys, time_limit, spec, chi):
+        # the genus reads no 2^k-term class of the product
+        with time_limit(2):
+            code, out, _ = run(capsys, "genus", "--space", spec, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["chi_y"] == render_y(chi)
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):

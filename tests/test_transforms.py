@@ -158,6 +158,20 @@ class TestModelMemo:
         chi_y_genus(prod)  # the product of the factors' genera: no pairing here
         assert not prod._products
 
+    def test_factors_share_one_kept_genus(self, monkeypatch):
+        # the closed genus of P1 is kept, so (P1)^5 runs one pairing, on P1
+        p1 = sp.projective(1)
+        mhc_y(p1), transforms._todd(p1)
+        p1._classes.pop("genus", None)
+        calls = []
+        real = CohClass.multiply
+        monkeypatch.setattr(CohClass, "multiply", lambda a, b, degree=None:
+                            calls.append(a.space) or real(a, b, degree))
+        assert chi_y_genus(sp.product(*[p1] * 5)) == LaurentY({0: 1, 1: -1}) ** 5
+        assert calls == [p1]
+        assert chi_y_genus(p1) is chi_y_genus(p1)
+        assert calls == [p1]
+
 
 class TestMht:
     def test_pole_in_the_chern_character(self):
@@ -192,8 +206,14 @@ class TestMht:
         # the normalized transformation of the closed class equals the
         # interpolating genus series applied to the tangent bundle
         from hirzebruch.bundles import apply_series, genus_series
-        for space in (sp.projective(1), sp.projective(2), sp.projective(3),
-                      sp.product(sp.projective(1), sp.projective(1))):
+        # on a product this sets the kept exterior closed class against the
+        # tangent class built on first read
+        p1, p2 = sp.projective(1), sp.projective(2)
+        for space in (p1, p2, sp.projective(3), sp.product(p1, p1), sp.product(p1, p2),
+                      sp.product(sp.hypersurface(3, 4), p1),
+                      sp.product(sp.projective_bundle(p2, sp.sum_of_line_bundles(p2, [-1, 2])),
+                                 p1),
+                      sp.product(p1, p1, p1)):
             want = apply_series(genus_series("hirzebruch", max(space.dim, 1)),
                                 space.tangent_bundle())
             assert mht(mhc_y(space, "closed")) == want, space.name
@@ -419,6 +439,33 @@ def product_ring_route(space, mode):
         log = space.log.log_cotangent
         k = lambda_y(BundleClass(log.rank, log.total_chern))
     return k, apply_series(bundles.genus_series("todd", space.dim), V, space)
+
+
+class TestFirstRead:
+    """A product builds its tangent and log-cotangent classes on first read;
+    they equal the exterior products built eagerly from the factors."""
+
+    @pytest.mark.parametrize("space", CLOSED_PRODUCTS + TWO_ROUTE_OPEN, ids=model_id)
+    def test_lazy_classes_match_the_eager_ones(self, space):
+        factors = space.extra["factors"]
+        fresh = sp._product(space.key, factors)  # an instance whose classes are unread
+        assert callable(fresh._tangent_chern)
+        assert fresh.tangent_chern == sp.exterior_product(
+            *(f.tangent_chern for f in factors), space=fresh)
+        if space.log is not None:
+            assert callable(fresh.log._log_cotangent)
+            logs = [f.tangent_bundle().dual() if f.log is None else f.log.log_cotangent
+                    for f in factors]
+            log = fresh.log.log_cotangent
+            assert log.rank == sum(V.rank for V in logs) == space.log.log_cotangent.rank
+            assert log.total_chern == sp.exterior_product(
+                *(V.total_chern for V in logs), space=fresh)
+        assert fresh.tangent_chern is fresh.tangent_chern
+        assert not fresh._products
+
+    def test_other_constructors_assign_the_class(self):
+        for space in (P2, sp.hypersurface(3, 4), PROJ, ARR21, SURPLUS):
+            assert isinstance(space._tangent_chern, CohClass)
 
 
 class TestTwoRoutes:
