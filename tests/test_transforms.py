@@ -463,10 +463,6 @@ class TestFirstRead:
         assert fresh.tangent_chern is fresh.tangent_chern
         assert not fresh._products
 
-    def test_other_constructors_assign_the_class(self):
-        for space in (P2, sp.hypersurface(3, 4), PROJ, ARR21, SURPLUS):
-            assert isinstance(space._tangent_chern, CohClass)
-
 
 class TestTwoRoutes:
     """A product's classes and genus, taken from its factors, against the
