@@ -161,7 +161,8 @@ class TestModelMemo:
     def test_factors_share_one_kept_genus(self, monkeypatch):
         # the closed genus of P1 is kept, so (P1)^5 runs one pairing, on P1
         p1 = sp.projective(1)
-        mhc_y(p1), transforms._todd(p1)
+        mhc_y(p1)  # the classes it pairs are kept before counting
+        transforms._todd(p1)
         p1._classes.pop("genus", None)
         calls = []
         real = CohClass.multiply
