@@ -1,17 +1,26 @@
 """Chern-root calculus on bundle classes.
 
-Everything here works through the splitting principle without ever naming
-individual roots: a bundle class is its total Chern class, Newton's
-identities convert between Chern classes and power sums of the roots, and a
-multiplicative genus is applied as exp(sum of log-series coefficients times
-power sums), all exact and uniform for virtual classes.  The power sums are
-read off the Chern character, p_m = m! ch_m, which a bundle keeps after the
-one Newton run that gives it; a dual reads it off the original's as
-adams(-1), so lambda_y(T*X) and td(TX) share one run.  lambda_y runs
-Newton's identities on the reduced roots e^x - 1, which start in degree 1,
-so it stops at min(rank, dim) and keeps its coefficients in Q[y].  Each sum
-of products (Newton's identities both ways, ch, the sums inside lambda_y,
-apply_series and class_exp) is one ``CohClass.combine``, normalized once.
+Everything here works through the splitting principle: a bundle class is
+its total Chern class, Newton's identities convert between Chern classes
+and power sums of the roots, and a multiplicative genus is applied as
+exp(sum of log-series coefficients times power sums), all exact and uniform
+for virtual classes.  The power sums are read off the Chern character,
+p_m = m! ch_m, which a bundle keeps after the one Newton run that gives it;
+a dual reads it off the original's as adams(-1), so lambda_y(T*X) and
+td(TX) share one run.  lambda_y runs Newton's identities on the reduced
+roots e^x - 1, which start in degree 1, so it stops at min(rank, dim) and
+keeps its coefficients in Q[y].  Each sum of products (Newton's identities
+both ways, ch, the sums inside lambda_y, apply_series and class_exp) is one
+``CohClass.combine``, normalized once.
+
+One kind of bundle names its roots: one carrying a ``splitting`` (N, c1),
+N copies of a line bundle L with c1(L) = c1 plus a trivial bundle, as the
+tangent bundle of P^n (Euler sequence) and the log-cotangent bundle of an
+arrangement complement (residue sequence) do.  Its ch is N e^c1 + rank - N
+and its lambda_y is (1+y)^(rank - N) times the sum of C(N,j) y^j e^(j c1),
+both multiplicative over the Whitney sum, so it runs no Newton identities.
+Every other bundle, a Whitney sum of split pieces included, takes the
+Newton route, which serves as the reference for the closed form.
 
 A K-class with y-graded coefficients is carried as its Chern character, a
 ``CohClass`` over Q[y, 1/y, 1/(1+y)]; its rank is its degree-0 part.
@@ -35,8 +44,8 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .errors import InvalidParameter
-from .rings import LaurentY
-from .spaces import BundleClass, CohClass
+from .rings import LaurentY, RationalFunctionY
+from .spaces import BundleClass, CohClass, pull_to_product
 
 
 # -- series on coefficient lists (index = power of x, entries LaurentY) ------
@@ -157,7 +166,7 @@ def chern_character(V, order=None):
     tangent bundle) reads it off theirs instead."""
     if order is None:
         if V._ch is None:
-            V._ch = chern_character(V, V.space.dim)
+            V._ch = chern_character(V, V.space.dim) if V.splitting is None else _split_character(V)
         elif V._ch.__class__ is not CohClass:
             V._ch = V._ch(chern_character)
         return V._ch
@@ -165,6 +174,13 @@ def chern_character(V, order=None):
     return CohClass.combine(space, [(V.rank, space.one(), None)] + [
         (Fraction(1, factorial(m)), p, None)
         for m, p in enumerate(power_sums(V, order), start=1)])
+
+
+def _split_character(V):
+    """ch(V) = N e^c1 + rank - N for a bundle with a splitting (N, c1)."""
+    N, c1 = V.splitting
+    space = V.space
+    return CohClass.combine(space, [(N, class_exp(c1), None), (V.rank - N, space.one(), None)])
 
 
 def class_exp(X):
@@ -241,6 +257,8 @@ def lambda_y(V):
     """
     if V.rank < 0:
         raise InvalidParameter("lambda_y needs an honest (non-virtual) rank")
+    if V.splitting is not None:
+        return _split_lambda_y(V)
     space, r = V.space, V.rank
     p = _z_power_sums(chern_character(V), min(r, space.dim))
     return CohClass.combine(space, [
@@ -248,9 +266,36 @@ def lambda_y(V):
         for j, c in enumerate(_elementary_from_power_sums(space, p, len(p)))])
 
 
+def _split_lambda_y(V):
+    """lambda_y of V = N L + O^(r-N) with c1(L) = c1: (1+y)^(r-N) times the
+    sum of C(N,j) y^j psi^j(e^c1) over j = 0..N, one degree-wise scaling of
+    e^c1 per j and no products.  e^c1 is read off the kept ch(V); with N = 0
+    only psi^0(e^c1) = 1 is read.  A negative power of (1+y) is a
+    RationalFunctionY weight, divided out by the canonical form."""
+    N, _ = V.splitting
+    space, m = V.space, V.rank - N
+    e = CohClass.combine(space, [(Fraction(1, N), chern_character(V), None),
+                                 (Fraction(-m, N), space.one(), None)]) if N else space.one()
+    p = max(m, 0)
+    terms = []
+    for j in range(N + 1):
+        w = LaurentY({j + i: comb(N, j) * comb(p, i) for i in range(p + 1)})
+        terms.append((w if m >= 0 else RationalFunctionY(w, -m), e.adams(j), None))
+    return CohClass.combine(space, terms)
+
+
 def k_dual(k):
     """Grothendieck duality on K-classes of a smooth model of dimension m:
-    each term [F] y^i goes to (-1)^m [F* (x) omega] (1/y)^i."""
+    each term [F] y^i goes to (-1)^m [F* (x) omega] (1/y)^i.  On a product,
+    omega is the exterior product of the factors' canonical bundles, so its
+    ch multiplies in one factor at a time, each a sparse pulled-back class."""
     space = k.space
-    omega_ch = class_exp(space.canonical_chern_root())
-    return CohClass.combine(space, [((-1) ** space.dim, k.adams(-1).invert_y(), omega_ch)])
+    if space.kind == "product":
+        omegas = [pull_to_product(space, i, class_exp(f.canonical_chern_root()))
+                  for i, f in enumerate(space.extra["factors"])]
+    else:
+        omegas = [class_exp(space.canonical_chern_root())]
+    out, sign = k.adams(-1).invert_y(), (-1) ** space.dim
+    for omega in omegas:
+        out, sign = CohClass.combine(space, [(sign, out, omega)]), 1
+    return out

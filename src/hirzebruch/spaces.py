@@ -55,10 +55,12 @@ degree.
 
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: its tangent bundle, which keeps its
-Chern character, the closed K-class ``mhc_y(X)`` (a ``CohClass``, its Chern
-character), the classes of the tangent bundle under the built-in genus
-series (Todd, and any other a caller asks for) and, except on a product,
-the closed genus, each computed on first use by ``transforms``.  A series
+Chern character (on P^n built with its splitting), the relative tangent
+bundle of each product projection, the closed K-class ``mhc_y(X)`` (a
+``CohClass``, its Chern character), the classes of the tangent bundle
+under the built-in genus series (Todd, and any other a caller asks for)
+and, except on a product, the closed genus, each computed on first use by
+``transforms``.  A series
 entry records what it came from, the series object or on a product the
 factors' classes, and the genus records the closed class and Todd class it
 was paired from; each is recomputed when its source changes, as when
@@ -416,16 +418,20 @@ class BundleClass:
     """A vector-bundle class: rank plus total Chern class (constant term 1).
 
     Virtual classes (rank inconsistent with the Chern data) are allowed;
-    every consumer works through Chern classes or power sums only.
+    every consumer works through Chern classes or power sums only.  A
+    bundle may also carry a ``splitting`` (N, c1): it is N*L + O^(rank - N)
+    for a line bundle L with c1(L) = c1, so its total Chern class is
+    (1 + c1)^N, and ``bundles`` reads its ch and lambda_y in closed form.
     """
 
-    __slots__ = ("rank", "total_chern", "_ch")
+    __slots__ = ("rank", "total_chern", "splitting", "_ch")
 
-    def __init__(self, rank, total_chern):
+    def __init__(self, rank, total_chern, splitting=None):
         if total_chern.coeff(total_chern.space._zero_exp) != 1:
             raise InvalidParameter("total Chern class must have constant term 1")
         self.rank = int(rank)
         self.total_chern = total_chern
+        self.splitting = splitting
         self._ch = None  # ch(V) once known, or a function of bundles.chern_character giving it
 
     @property
@@ -448,7 +454,8 @@ class BundleClass:
 
     def dual(self):
         """c_i -> (-1)^i c_i; its Chern character is read off this one's."""
-        out = BundleClass(self.rank, self.total_chern.adams(-1))
+        split = self.splitting and (self.splitting[0], -self.splitting[1])
+        out = BundleClass(self.rank, self.total_chern.adams(-1), split)
         out._ch = lambda ch: ch(self).adams(-1)
         return out
 
@@ -616,7 +623,12 @@ class SpaceModel:
         return self._classes["tangent"]
 
     def canonical_chern_root(self):
-        """-c1(TM), the Chern root of the canonical bundle."""
+        """-c1(TM), the Chern root of the canonical bundle; on a product the
+        sum of the factors' roots pulled back, so c(TM) is not built."""
+        if self.kind == "product":
+            return CohClass.combine(self, [
+                (1, pull_to_product(self, i, f.canonical_chern_root()), None)
+                for i, f in enumerate(self.extra["factors"])])
         return -self.tangent_chern.component(1)
 
     # -- rendering -------------------------------------------------------------
@@ -698,6 +710,8 @@ def _projective(key, n):
         integrals={(n,): Fraction(1)},
     )
     m.tangent_chern = CohClass(m, {(j,): Fraction(comb(n + 1, j)) for j in range(n + 1)})
+    # the Euler sequence: T + O = (n+1) O(1)
+    m._classes["tangent"] = BundleClass(n, m.tangent_chern, (n + 1, m.gen_class(0)))
     return m
 
 
@@ -980,7 +994,8 @@ def _arrangement(key, n, k):
     m = _projective(key, n)
     m.name = f"P{n}\\{k}H"
     h = m.gen_class(0)
-    m.log = LogStructure([h] * k, BundleClass(n, (m.one() - h) ** (n + 1 - k)))
+    # the residue sequence: in K-theory the bundle is (n+1-k) O(-1) + (k-1) O
+    m.log = LogStructure([h] * k, BundleClass(n, (m.one() - h) ** (n + 1 - k), (n + 1 - k, -h)))
     m.extra = {"arrangement_k": k}
     return m
 
@@ -1129,15 +1144,19 @@ def relative_tangent(m):
         return src.extra["relative_tangent"]
     if m.kind == "product_projection":
         # the other factors' tangent bundles pulled back: its Chern class is
-        # the exterior product of theirs, its ch the sum of their kept ch's
+        # the exterior product of theirs, its ch the sum of their kept ch's;
+        # one bundle per axis is kept on the product
         axis = m.extra["axis"]
-        factors = src.extra["factors"]
-        others = [(i, f) for i, f in enumerate(factors) if i != axis]
-        out = BundleClass(src.dim - factors[axis].dim, exterior_product(
-            *(f.one() if i == axis else f.tangent_chern for i, f in enumerate(factors)),
-            space=src))
-        out._ch = lambda ch: CohClass.combine(src, [
-            (1, pull_to_product(src, i, ch(f.tangent_bundle())), None) for i, f in others])
+        out = src._classes.get(("relative_tangent", axis))
+        if out is None:
+            factors = src.extra["factors"]
+            others = [(i, f) for i, f in enumerate(factors) if i != axis]
+            out = src._classes["relative_tangent", axis] = BundleClass(
+                src.dim - factors[axis].dim, exterior_product(
+                    *(f.one() if i == axis else f.tangent_chern for i, f in enumerate(factors)),
+                    space=src))
+            out._ch = lambda ch: CohClass.combine(src, [
+                (1, pull_to_product(src, i, ch(f.tangent_bundle())), None) for i, f in others])
         return out
     if m.kind == "hypersurface_inclusion":
         return BundleClass(-1, _inverse_one_plus(src.gen_class(0) * m.extra["degree"]))

@@ -418,11 +418,19 @@ class TestKeptChernCharacter:
         assert chern_character(p3.tangent_bundle()) == ref.chern_character(p3.tangent_bundle())
 
     def test_genus_runs_newton_once(self, monkeypatch):
-        # lambda_y(T*) and td(T) read one kept ch(T)
+        # lambda_y(T*) and td(T) read one kept ch(T); a quartic surface's
+        # tangent bundle has no splitting, so that ch takes the Newton route
+        k3 = fresh(lambda: sp.hypersurface(3, 4))
+        seen = counted_power_sums(monkeypatch)
+        assert chi_y_genus(k3) == LaurentY({0: 2, 1: -20, 2: 2})
+        assert seen == [k3.tangent_bundle()] and seen[0] is k3.tangent_bundle()
+
+    def test_projective_genus_runs_no_newton(self, monkeypatch):
+        # T P^4 = 5 O(1) - O: its ch and lambda_y are read in closed form
         p4 = fresh(lambda: sp.projective(4))
         seen = counted_power_sums(monkeypatch)
         assert chi_y_genus(p4) == LaurentY({p: (-1) ** p for p in range(5)})
-        assert seen == [p4.tangent_bundle()] and seen[0] is p4.tangent_bundle()
+        assert seen == []
 
     def test_second_pushforward_runs_no_newton(self, monkeypatch):
         base = sp.projective(2)
@@ -466,3 +474,81 @@ class TestKeptChernCharacter:
         assert seen == []
         assert got == ref.bundle_tensor(a, b) == sp.sum_of_line_bundles(
             p3, [-1, 1, 3, 1, 3, 5])
+
+    def test_relative_tangent_along_a_projection_is_kept(self, monkeypatch):
+        # its Chern class is an exterior product of 2^(k-1) terms: built once per axis
+        prod = fresh(lambda: sp.product(*[sp.projective(1)] * 4))
+        calls = []
+        real = sp.exterior_product
+        monkeypatch.setattr(sp, "exterior_product",
+                            lambda *c, space=None: calls.append(space) or real(*c, space=space))
+        rel = sp.relative_tangent(sp.product_projection(prod, 1))
+        assert sp.relative_tangent(sp.product_projection(prod, 1)) is rel
+        assert calls == [prod]
+        assert sp.relative_tangent(sp.product_projection(prod, 2)) is not rel
+        assert rel.rank == 3 and rel.total_chern == real(*(
+            f.one() if i == 1 else f.tangent_chern for i, f in enumerate(prod.extra["factors"])),
+            space=prod)
+
+
+# ---------------------------------------------------------------------------
+# bundles with a splitting N L + O^(rank - N): closed form against Newton
+
+
+def _split_bundles():
+    out = []
+    for n in range(13):
+        T = fresh(lambda: sp.projective(n)).tangent_bundle()
+        out += [(f"TP{n}", T), (f"T*P{n}", T.dual())]
+    for n in range(7):
+        for k in range(n + 2):
+            out.append((f"log-Arr({n},{k})",
+                        fresh(lambda: sp.with_arrangement(sp.projective(n), k)).log.log_cotangent))
+    return out
+
+
+SPLIT_BUNDLES = _split_bundles()
+
+
+class TestSplitBundles:
+    @pytest.mark.parametrize("V", [V for _, V in SPLIT_BUNDLES], ids=[i for i, _ in SPLIT_BUNDLES])
+    def test_closed_form_against_newton(self, V):
+        N, c1 = V.splitting
+        assert (V.space.one() + c1) ** N == V.total_chern
+        plain = sp.BundleClass(V.rank, V.total_chern)  # no splitting: the Newton route
+        assert plain.splitting is None
+        assert chern_character(V) == chern_character(plain)
+        assert lambda_y(V) == lambda_y(plain)
+
+    def test_kinds_of_split_bundles(self):
+        p3 = sp.projective(3)
+        h = p3.gen_class(0)
+        assert p3.tangent_bundle().splitting == (4, h)
+        assert p3.tangent_bundle().dual().splitting == (4, -h)
+        arr = sp.with_arrangement(p3, 2)
+        assert arr.log.log_cotangent.splitting == (2, -arr.gen_class(0))
+        # sums, line bundles and other models take the Newton route
+        assert sp.line_bundle(p3, 1).splitting is None
+        assert (p3.tangent_bundle() + sp.trivial_bundle(p3, 1)).splitting is None
+        assert sp.hypersurface(3, 4).tangent_bundle().splitting is None
+        assert sp.product(p3, p3).tangent_bundle().splitting is None
+
+
+class TestCanonicalRoot:
+    @pytest.mark.parametrize("build", [
+        lambda: sp.product(sp.projective(1), sp.projective(2)),
+        lambda: sp.product(sp.hypersurface(3, 4), sp.projective(1)),
+    ], ids=["P1xP2", "Hyp(3,4)xP1"])
+    def test_product_root_reads_the_factors(self, build):
+        X = fresh(build)
+        root = X.canonical_chern_root()
+        assert callable(X._tangent_chern)  # c(TX) is not built
+        assert root == -X.tangent_chern.component(1)
+
+    def test_k_dual_on_a_large_product_builds_no_tangent_class(self, time_limit):
+        # c(TX) has 4,096 terms, and so do k and ch(omega): omega multiplies in by factor
+        X = fresh(lambda: sp.product(*[sp.projective(1)] * 12))
+        with time_limit(10):
+            c = mhc_y(X)
+            assert k_dual(c) == c * LaurentY({-12: 1})
+        assert callable(X._tangent_chern)

@@ -15,6 +15,7 @@ from hirzebruch import bundles
 from hirzebruch import cli
 from hirzebruch import exprlang
 from hirzebruch.rings import LaurentY, render_y
+from hirzebruch.transforms import csm_arrangement, render_homology_on_projective
 from test_exprlang import trees
 
 
@@ -258,6 +259,24 @@ class TestCommands:
                                "--format", "json")
         assert code == 0
         assert json.loads(out)["results"]["chi_y"] == render_y(LaurentY({0: 1, 1: -1}) ** 14)
+
+    def test_genus_of_a_large_projective_space(self, capsys, time_limit):
+        # T P^n is (n+1) O(1) - O: ch and lambda_y in closed form, no Newton
+        # identities, which cost about n^4 monomial pairs
+        with time_limit(5):
+            code, out, _ = run(capsys, "genus", "--space", "P150", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["chi_y"] == render_y(
+            LaurentY({p: (-1) ** p for p in range(151)}))
+
+    def test_mht_of_a_large_arrangement_complement(self, capsys, time_limit):
+        # the log-cotangent bundle is 98 O(-1) + 2 O: lambda_y in closed form
+        with time_limit(5):
+            code, out, _ = run(capsys, "arrangement", "--n", "100", "--k", "3", "--op", "mht",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["y=-1"] == render_homology_on_projective(
+            csm_arrangement(100, 3))
 
     @pytest.mark.parametrize("spec, chi", [
         ("x".join(["P1"] * 24), LaurentY({0: 1, 1: -1}) ** 24),
