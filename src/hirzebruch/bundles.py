@@ -44,7 +44,7 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .errors import InvalidParameter
-from .rings import LaurentY, RationalFunctionY
+from .rings import LaurentY, _over
 from .spaces import BundleClass, CohClass, pull_to_product
 
 
@@ -270,8 +270,8 @@ def _split_lambda_y(V):
     """lambda_y of V = N L + O^(r-N) with c1(L) = c1: (1+y)^(r-N) times the
     sum of C(N,j) y^j psi^j(e^c1) over j = 0..N, one degree-wise scaling of
     e^c1 per j and no products.  e^c1 is read off the kept ch(V); with N = 0
-    only psi^0(e^c1) = 1 is read.  A negative power of (1+y) is a
-    RationalFunctionY weight, divided out by the canonical form."""
+    only psi^0(e^c1) = 1 is read.  With N > r, the weight's negative power of
+    (1+y) is its denominator (1+y)^(N-r), divided out by the canonical form."""
     N, _ = V.splitting
     space, m = V.space, V.rank - N
     e = CohClass.combine(space, [(Fraction(1, N), chern_character(V), None),
@@ -280,7 +280,7 @@ def _split_lambda_y(V):
     terms = []
     for j in range(N + 1):
         w = LaurentY({j + i: comb(N, j) * comb(p, i) for i in range(p + 1)})
-        terms.append((w if m >= 0 else RationalFunctionY(w, -m), e.adams(j), None))
+        terms.append((w if m >= 0 else _over(w, 1, -m), e.adams(j), None))
     return CohClass.combine(space, terms)
 
 

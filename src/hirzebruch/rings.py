@@ -1,22 +1,20 @@
 """Exact coefficient rings for the genus engine.
 
-Every y-coefficient this package produces lives in one of two rings, both
-built on integers and ``fractions.Fraction`` (no floating point anywhere);
-E-polynomials are Hodge tables, ``hodge.HodgeDiamond``:
+Every y-coefficient this package produces lies in one ring,
+Q[y, 1/y, 1/(1+y)], and has one type, ``LaurentY``, built on integers (no
+floating point anywhere): the chi_y genus, all y-graded class coefficients,
+and the normalized homology classes, whose only denominators are powers of
+(1+y).  E-polynomials are Hodge tables, ``hodge.HodgeDiamond``.
+``RationalFunctionY`` is another name for ``LaurentY``.
 
-* ``LaurentY`` -- Laurent polynomials in y with rational coefficients.
-  The chi_y genus and all y-graded class coefficients live here.
-* ``RationalFunctionY`` -- quotients p(y)/(1+y)^k.  A power of (1+y) is the
-  only denominator normalized homology classes ever acquire, so the type
-  tracks that power instead of a general denominator.
-
-This module alone knows how a value of Q[y, 1/y, 1/(1+y)] is stored: a
-numerator in Z[y, 1/y] -- an int when constant in y, else a LaurentY over
-1 -- over a positive integer times a power of (1+y).  A LaurentY holds
-integer numerators ``{exponent: int}`` over one denominator, in lowest
-terms; ``spaces.CohClass`` holds one numerator per monomial over one
-class-wide denominator.  The numerator helpers below are the only
-arithmetic on that format.
+This module alone knows how such a value is stored: a numerator in
+Z[y, 1/y] -- an int when constant in y, else a LaurentY over 1 -- over a
+positive integer times a power of (1+y), in the one canonical form of
+``_reduced``: (1+y) does not divide the numerator while its power is
+positive, and the numerator and the integer are in lowest terms.  A
+LaurentY holds one numerator ``{exponent: int}``; ``spaces.CohClass``
+holds one numerator per monomial over one class-wide denominator.  The
+numerator helpers below are the only arithmetic on that format.
 
 Polynomials are stored as finitely supported dictionaries from exponents to
 coefficients with no explicit zeros; values are immutable and arithmetic
@@ -40,7 +38,8 @@ from .errors import InvalidParameter, NotPolynomial, ParseError
 
 # -- numerators in Z[y, 1/y] ---------------------------------------------------
 # The helpers read a LaurentY operand's terms ``_c`` alone, so a LaurentY over
-# any denominator passes as its numerator; they return canonical numerators.
+# any denominator d*(1+y)^k passes as its numerator; they return canonical
+# numerators.
 
 
 def _ydict(n):
@@ -48,10 +47,10 @@ def _ydict(n):
     return {0: n} if n.__class__ is int else n._c
 
 
-def _raw(c, d=1):
-    """The LaurentY with the nonzero int terms c over d, already in lowest terms."""
+def _raw(c, d=1, k=0):
+    """The LaurentY with the nonzero int terms c over d*(1+y)^k, already canonical."""
     out = LaurentY.__new__(LaurentY)
-    out._c, out._d = c, d
+    out._c, out._d, out._k = c, d, k
     return out
 
 
@@ -123,74 +122,79 @@ def _div_one_plus_y(n):
     return _numerator(q)
 
 
-def _lowest(nums, d):
-    """(nums, d) with the gcd of d and every integer of the numerators
-    nums, a dict of canonical numerators, divided out."""
-    g = d
+def _reduced(nums, den, k):
+    """Canonical (numerators, denominator, power of (1+y)) of the nonzero
+    numerators nums, a dict, over den*(1+y)^k: (1+y) is divided out while it
+    divides every numerator, then the gcd of den and all their integers.
+    This is the canonical form of a LaurentY and of a ``spaces.CohClass``."""
+    if not nums:
+        return {}, 1, 0
+    while k and not any(_at_minus_one(n) for n in nums.values()):
+        nums = {e: _div_one_plus_y(n) for e, n in nums.items()}
+        k -= 1
+    g = den
     for n in nums.values():
         if g == 1:
-            return nums, d
+            return nums, den, k
         g = gcd(g, n) if n.__class__ is int else gcd(g, *n._c.values())
     if g == 1:
-        return nums, d
+        return nums, den, k
     return {e: n // g if n.__class__ is int else _raw({y: m // g for y, m in n._c.items()})
-            for e, n in nums.items()}, d // g
+            for e, n in nums.items()}, den // g, k
 
 
-def _over(n, d=1):
-    """The LaurentY n/d of a numerator n over a positive int d."""
+def _over(n, d=1, k=0):
+    """The LaurentY n/(d*(1+y)^k) of a numerator n over a positive int d."""
     if not n:
         return _raw({})
-    nums, d = _lowest({0: n}, d)
-    return _raw(_ydict(nums[0]), d)
+    nums, d, k = _reduced({0: n}, d, k)
+    return _raw(_ydict(nums[0]), d, k)
 
 
 def _parts(v):
     """(numerator, denominator, power of (1+y)) of a scalar, or None for a
     value that is not a coefficient."""
-    if isinstance(v, LaurentY):
-        c = v._c
-        if c.keys() <= {0}:
-            return c.get(0, 0), v._d, 0
-        return (v if v._d == 1 else _raw(c)), v._d, 0
+    if isinstance(v, LaurentY):  # which passes as its numerator
+        return v, v._d, v._k
     if isinstance(v, int):
         return v, 1, 0
     if isinstance(v, Fraction):
         return v.numerator, v.denominator, 0
-    if isinstance(v, RationalFunctionY):
-        n, d, _ = _parts(v.num)
-        return n, d, v.den_pow
-    return None
-
-
-def _sum(a, b, ja=0, jb=0):
-    """The LaurentY a*(1+y)^ja + b*(1+y)^jb."""
-    d = lcm(a._d, b._d)
-    return _over(_num_sum(_num_scaled(a, d // a._d, ja), _num_scaled(b, d // b._d, jb)), d)
-
-
-def _operand(v):
-    """A LaurentY, int or Fraction operand as a LaurentY; None for any other
-    value, a RationalFunctionY included, whose reflected operation then runs."""
-    if isinstance(v, LaurentY):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return _over(v.numerator, v.denominator)
     return None
 
 
 class LaurentY:
-    """Laurent polynomial in y over the rationals: integer numerators
-    {exponent: int} in ``_c`` over one positive denominator ``_d``, in lowest
-    terms, so that equal values are stored identically."""
+    """An element of Q[y, 1/y, 1/(1+y)]: integer numerators {exponent: int}
+    in ``_c`` over a positive integer ``_d`` times (1+y)^``_k``, in the
+    canonical form of ``_reduced``, so that equal values are stored
+    identically.  With ``_k`` = 0 it is a Laurent polynomial; with ``_k`` > 0
+    it has a pole at y = -1, and reading its terms or values raises
+    NotPolynomial.
 
-    __slots__ = ("_c", "_d")
+    ``LaurentY(coeffs, den_pow)`` is coeffs/(1+y)^den_pow, for a dict
+    {exponent: rational} or one int, Fraction or LaurentY ``coeffs``."""
 
-    def __init__(self, coeffs=None):
-        terms = {int(e): Fraction(v) for e, v in (coeffs or {}).items()}
-        d = lcm(*(v.denominator for v in terms.values()))
-        self._c = {e: v.numerator * (d // v.denominator) for e, v in terms.items() if v}
-        self._d = d if self._c else 1
+    __slots__ = ("_c", "_d", "_k")
+
+    def __init__(self, coeffs=None, den_pow=0):
+        den_pow = int(den_pow)
+        if den_pow < 0:
+            raise ValueError("denominator power must be >= 0")
+        if coeffs is None or isinstance(coeffs, dict):
+            terms = {int(e): Fraction(v) for e, v in (coeffs or {}).items()}
+            d = lcm(*(v.denominator for v in terms.values()))
+            # over the lcm of the reduced denominators: in lowest terms already
+            self._c = {e: v.numerator * (d // v.denominator) for e, v in terms.items() if v}
+            self._d, self._k = d if self._c else 1, 0
+            if not den_pow:
+                return
+            coeffs = self
+        part = _parts(coeffs)
+        if part is None:
+            raise TypeError(f"not a y-coefficient: {coeffs!r}")
+        n, d, k = part
+        v = _over(n, d, k + den_pow)
+        self._c, self._d, self._k = v._c, v._d, v._k
 
     @classmethod
     def zero(cls):
@@ -209,56 +213,65 @@ class LaurentY:
         return cls({exp: Fraction(coeff)})
 
     def items(self):
-        """Terms as (exponent, coefficient), exponents increasing."""
-        d = self._d
+        """Terms as (exponent, coefficient), exponents increasing;
+        NotPolynomial with a pole at y = -1."""
+        d = self.reduce_unit_denominator()._d
         return [(e, Fraction(n, d)) for e, n in sorted(self._c.items())]
 
     def coeff(self, e):
-        return Fraction(self._c.get(e, 0), self._d)
+        return Fraction(self._c.get(e, 0), self.reduce_unit_denominator()._d)
 
     def is_zero(self):
         return not self._c
 
     def is_monomial(self):
-        return len(self._c) == 1
+        return len(self._c) == 1 and not self._k
 
     def __bool__(self):
         return bool(self._c)
 
     def __eq__(self, other):
         if isinstance(other, LaurentY):
-            return self._c == other._c and self._d == other._d
+            return self._c == other._c and self._d == other._d and self._k == other._k
         if isinstance(other, (int, Fraction)):
-            return self._d == other.denominator and self._c == ({0: other.numerator}
-                                                                if other else {})
+            return (not self._k and self._d == other.denominator
+                    and self._c == ({0: other.numerator} if other else {}))
         return NotImplemented
 
     def __hash__(self):
-        if self._c.keys() <= {0}:  # equal to the Fraction it holds
+        if self._c.keys() <= {0} and not self._k:  # equal to the Fraction it holds
             return hash(Fraction(self._c.get(0, 0), self._d))
-        return hash((frozenset(self._c.items()), self._d))
+        key = (frozenset(self._c.items()), self._d)
+        return hash((key, self._k) if self._k else key)
 
     def __neg__(self):
-        return _raw(_negated(self)._c, self._d)
+        return _raw(_negated(self)._c, self._d, self._k)
 
     def __add__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else _sum(self, other)
+        part = _parts(other)
+        if part is None:
+            return NotImplemented
+        n, d, k = part
+        den, j = lcm(self._d, d), max(self._k, k)
+        return _over(_num_sum(_num_scaled(self, den // self._d, j - self._k),
+                              _num_scaled(n, den // d, j - k)), den, j)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else _sum(self, -other)
+        if not isinstance(other, (LaurentY, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _operand(other)
-        if other is None:
+        part = _parts(other)
+        if part is None:
             return NotImplemented
-        return _over(_num_product(self, other), self._d * other._d)
+        n, d, k = part
+        return _over(_num_product(self, n), self._d * d, self._k + k)
 
     __rmul__ = __mul__
 
@@ -271,32 +284,53 @@ class LaurentY:
         n = int(n)
         if n < 0:
             if not self.is_monomial():
-                raise ZeroDivisionError("negative power of a non-monomial Laurent polynomial")
+                raise ZeroDivisionError("negative power of a value that is not a monomial")
             (e, v), = self.items()
             return LaurentY({e * n: v**n})
-        return _power(self, n, LaurentY.one())
+        return _power(self, n, _raw({0: 1}))
 
     def invert_y(self):
-        """Substitute y -> 1/y (negate every exponent)."""
-        return _over(_y_inverted(self, 0), self._d)
+        """Substitute y -> 1/y: as 1 + 1/y = (1+y)/y, the numerator n(y)
+        becomes y^k n(1/y) over the same d*(1+y)^k."""
+        return _over(_y_inverted(self, self._k), self._d, self._k)
 
     def __call__(self, value):
-        """Evaluate at a rational value of y; ``InvalidParameter`` at y = 0
-        when a negative exponent puts a pole there."""
+        """Evaluate at a rational value of y; NotPolynomial with a pole at
+        y = -1, ``InvalidParameter`` at y = 0 when a negative exponent puts a
+        pole there."""
+        d = self.reduce_unit_denominator()._d
         value = Fraction(value)
         if not value and min(self._c, default=0) < 0:
             raise InvalidParameter("pole at y = 0: negative powers of y")
-        return sum((n * value**e for e, n in self._c.items()), Fraction(0)) / self._d
+        return sum((n * value**e for e, n in self._c.items()), Fraction(0)) / d
 
     def is_integral_polynomial(self):
         """True when the value lies in Z[y] (integer coefficients, exponents >= 0)."""
-        return self._d == 1 and min(self._c, default=0) >= 0
+        return self._d == 1 and not self._k and min(self._c, default=0) >= 0
+
+    def reduce_unit_denominator(self):
+        """The value, once every (1+y) factor has cancelled; NotPolynomial
+        while a pole at y = -1 remains."""
+        if self._k:
+            raise NotPolynomial(
+                f"({render_y(_raw(self._c, self._d))}) is not divisible by (1+y)^{self._k}")
+        return self
+
+    def at_minus_one(self):
+        """The value at y = -1; NotPolynomial when it has a pole there."""
+        return Fraction(_at_minus_one(self), self.reduce_unit_denominator()._d)
 
     def __str__(self):
-        return render_y(self)
+        if not self._k:
+            return render_y(self)
+        tail = "(1+y)" if self._k == 1 else f"(1+y)^{self._k}"
+        return f"({render_y(_raw(self._c, self._d))})/{tail}"
 
     def __repr__(self):
-        return f"LaurentY({render_y(self)!r})"
+        return f"LaurentY({str(self)!r})"
+
+
+RationalFunctionY = LaurentY  # the name of the Laurent polynomials over (1+y)^k
 
 
 def _power(base, n, one):
@@ -309,109 +343,6 @@ def _power(base, n, one):
         if n:
             base = base * base
     return one
-
-
-class RationalFunctionY:
-    """A Laurent polynomial in y divided by (1+y)^k, kept normalized so that
-    (1+y) does not divide the numerator while k > 0."""
-
-    __slots__ = ("num", "den_pow")
-
-    def __init__(self, num, den_pow=0):
-        if not isinstance(num, LaurentY):
-            num = LaurentY({0: num})
-        den_pow = int(den_pow)
-        if den_pow < 0:
-            raise ValueError("denominator power must be >= 0")
-        n = num
-        while den_pow and n and not _at_minus_one(n):
-            n = _div_one_plus_y(n)
-            den_pow -= 1
-        self.num = num if n is num else _over(n, num._d)
-        self.den_pow = den_pow if n else 0
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunctionY):
-            return other
-        if isinstance(other, (LaurentY, int, Fraction)):
-            return RationalFunctionY(other)
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den_pow == other.den_pow
-
-    def __hash__(self):
-        # without a pole the value equals its numerator
-        return hash((self.num, self.den_pow)) if self.den_pow else hash(self.num)
-
-    def __neg__(self):
-        q = RationalFunctionY.__new__(RationalFunctionY)
-        q.num = -self.num
-        q.den_pow = self.den_pow
-        return q
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        k = max(self.den_pow, other.den_pow)
-        return RationalFunctionY(_sum(self.num, other.num, k - self.den_pow, k - other.den_pow), k)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunctionY(self.num * other.num, self.den_pow + other.den_pow)
-
-    __rmul__ = __mul__
-
-    def invert_y(self):
-        """Substitute y -> 1/y.  Uses 1 + 1/y = (1+y)/y."""
-        return RationalFunctionY(_over(_y_inverted(self.num, self.den_pow), self.num._d),
-                                 self.den_pow)
-
-    def reduce_unit_denominator(self):
-        """Return the numerator once every (1+y) factor has cancelled.
-
-        Raises NotPolynomial when the normalized denominator power is still
-        positive, i.e. the value has a genuine pole at y = -1.
-        """
-        if self.den_pow:
-            raise NotPolynomial(
-                f"({render_y(self.num)}) is not divisible by (1+y)^{self.den_pow}"
-            )
-        return self.num
-
-    def at_minus_one(self):
-        """Evaluate at y = -1 (after cancelling the denominator)."""
-        num = self.reduce_unit_denominator()
-        return Fraction(_at_minus_one(num), num._d)
-
-    def __str__(self):
-        if self.den_pow == 0:
-            return render_y(self.num)
-        tail = "(1+y)" if self.den_pow == 1 else f"(1+y)^{self.den_pow}"
-        return f"({render_y(self.num)})/{tail}"
-
-    def __repr__(self):
-        return f"RationalFunctionY({str(self)!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,15 @@ Q[y, 1/y, 1/(1+y)].  It stores one numerator in Z[y, 1/y] per monomial
 over a single class-wide denominator d*(1+y)^k, in a canonical form: d > 0,
 the gcd of d and all integer coefficients of the numerators is 1, and when
 k > 0, (1+y) does not divide every numerator, so equal classes are stored
-identically.  The numerators and their arithmetic are those of ``rings``
-(an int when constant in y, else a LaurentY over 1); maps that only re-key
-monomials move them as they are.  Arithmetic runs on these integers and
-normalizes once per result; ``Fraction``, ``LaurentY`` and
-``RationalFunctionY`` values are accepted by the constructors and scalar
-operations and handed out by ``coeff``, ``items`` and ``map_coeffs``: each
-coefficient as a Fraction when it is constant in y, a LaurentY when it is a
-Laurent polynomial, and a RationalFunctionY when a pole at y = -1 remains.
-``integrate`` always returns a RationalFunctionY.  Built-in proper/smooth
+identically.  The numerators, their arithmetic and this canonical form
+(``_reduced``) are those of ``rings``, where a ``LaurentY`` is one numerator
+over d*(1+y)^k; maps that only re-key monomials move them as they are.
+Arithmetic runs on these integers and normalizes once per result;
+``Fraction`` and ``LaurentY`` values are accepted by the constructors and
+scalar operations and handed out by ``coeff``, ``items`` and
+``map_coeffs``: each coefficient as a Fraction when it is constant in y, else
+a LaurentY, whose power of (1+y) is positive when a pole at y = -1 remains.
+``integrate`` returns a LaurentY.  Built-in proper/smooth
 maps between models support Gysin pushforward and ring pullback.
 
 Every product of two classes on a model runs through one multiply-accumulate
@@ -93,10 +93,7 @@ from operator import add
 
 from .errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
 from .rings import (
-    RationalFunctionY,
     _at_minus_one,
-    _div_one_plus_y,
-    _lowest,
     _negated,
     _num_product,
     _num_scaled,
@@ -105,6 +102,7 @@ from .rings import (
     _over,
     _parts,
     _power,
+    _reduced,
     _y_inverted,
     _ydict,
     printed,
@@ -127,25 +125,11 @@ def _total(exp):
 
 def _coefficient(n, den, k):
     """The value n / (den*(1+y)^k) of a numerator: a Fraction when it is
-    constant in y, a LaurentY when it is a Laurent polynomial, a
-    RationalFunctionY when a pole at y = -1 remains."""
-    while k and not _at_minus_one(n):
-        n = _div_one_plus_y(n)
-        k -= 1
+    constant in y, else a LaurentY."""
     if n.__class__ is int and not k:
         return Fraction(n, den)
-    return RationalFunctionY(_over(n, den), k) if k else _over(n, den)
-
-
-def _reduced(nums, den, k):
-    """Canonical (numerators, denominator, power of (1+y)) of nonzero
-    numerators over den*(1+y)^k."""
-    if not nums:
-        return {}, 1, 0
-    while k and not any(_at_minus_one(n) for n in nums.values()):
-        nums = {e: _div_one_plus_y(n) for e, n in nums.items()}
-        k -= 1
-    return (*_lowest(nums, den), k)
+    v = _over(n, den, k)
+    return v if v._k or v._c.keys() != {0} else Fraction(v._c[0], v._d)
 
 
 def _canonical(acc, den, k):
@@ -159,7 +143,7 @@ def _canonical(acc, den, k):
 
 
 def _from_values(values):
-    """Canonical form of {monomial: int | Fraction | LaurentY | RationalFunctionY}."""
+    """Canonical form of {monomial: int | Fraction | LaurentY}."""
     parts = {}
     den, k = 1, 0
     for e, v in values.items():
@@ -266,7 +250,7 @@ class CohClass:
 
     def __mul__(self, other):
         if not isinstance(other, CohClass):
-            # scalar: int / Fraction / LaurentY / RationalFunctionY
+            # scalar: int / Fraction / LaurentY
             part = _parts(other)
             if part is None:
                 return NotImplemented
@@ -284,8 +268,9 @@ class CohClass:
     @staticmethod
     def combine(space, terms, degree=None):
         """The sum of w*a*b over the terms (w, a, b), w*a where b is None, on
-        ``space``; a weight is an int, Fraction, LaurentY or RationalFunctionY.
-        Given ``degree``, only the part in that degree."""
+        ``space``; a weight is an int, Fraction or LaurentY, a power of (1+y)
+        in its denominator included.  Given ``degree``, only the part in that
+        degree."""
         terms = tuple(terms)
         q = space._table_den
         work = []
@@ -607,14 +592,15 @@ class SpaceModel:
 
     def integrate(self, c):
         """Value of the degree-dim part under the integration functional, as
-        a RationalFunctionY."""
+        a LaurentY, which keeps the class's power of (1+y) when it does not
+        cancel."""
         w = lcm(*(x.denominator for x in self._integrals.values()))
         total = 0
         for exp, weight in self._integrals.items():
             n = c._c.get(exp)
             if n is not None:
                 total = _num_sum(total, _num_scaled(n, (weight * w).numerator, 0))
-        return RationalFunctionY(_over(total, c._d * w), c._k)
+        return _over(total, c._d * w, c._k)
 
     def tangent_bundle(self):
         """TM, one instance kept in ``_classes``, so its Chern character is computed once."""

@@ -125,6 +125,23 @@ class TestRationalFunctionY:
         q = RationalFunctionY(ONE_Y * LaurentY({0: 2, 1: 1}), 1)
         assert q.at_minus_one() == Fraction(1)
 
+    def test_one_type(self):
+        assert RationalFunctionY is LaurentY
+
+    def test_a_pole_refuses_terms_and_values(self):
+        q = LaurentY({0: 2, 1: 1}, 2)  # (2+y)/(1+y)^2
+        assert q._k == 2 and str(q) == "(2 + y)/(1+y)^2"
+        for read in (lambda: q(0), lambda: q(2), q.items, lambda: q.coeff(0),
+                     q.at_minus_one, q.reduce_unit_denominator):
+            with pytest.raises(NotPolynomial):
+                read()
+        assert not q.is_integral_polynomial() and not q.is_monomial()
+        assert q * ONE_Y**2 == LaurentY({0: 2, 1: 1})
+
+    def test_negative_denominator_power(self):
+        with pytest.raises(ValueError):
+            LaurentY(1, -1)
+
 
 class TestTextForm:
     def test_canonical_examples(self):
@@ -209,10 +226,12 @@ def agrees(new, old):
     """``new`` holds the value ``old`` holds, in the matching type; a
     LaurentY keeps int numerators over a positive denominator in lowest terms."""
     if isinstance(old, ref.RationalFunctionY):
-        return (isinstance(new, RationalFunctionY) and agrees(new.num, old.num)
-                and new.den_pow == old.den_pow)
+        # the power of (1+y), and the numerator over d as stored
+        num = new * ONE_Y**new._k
+        return (new._k == old.den_pow and agrees(num, old.num)
+                and (new._c, new._d) == (num._c, num._d))
     if isinstance(old, ref.LaurentY):
-        return (isinstance(new, LaurentY) and new.items() == old.items()
+        return (isinstance(new, LaurentY) and not new._k and new.items() == old.items()
                 and all(n.__class__ is int and n for n in new._c.values())
                 and new._d > 0 and math.gcd(new._d, *new._c.values()) == 1)
     return type(new) is type(old) and new == old
@@ -288,7 +307,9 @@ def test_rational_functions_match_the_reference(d1, j, k, d2, k2, s):
              (-q, -rq), (q.invert_y(), rq.invert_y()), (q + a, rq + ra),
              (a - q, -(rq - ra)),  # the reference LaurentY cannot subtract one
              (q * s, rq * s), (s + q, s + rq),
-             (RationalFunctionY(s, k), ref.RationalFunctionY(s, k))]
+             (RationalFunctionY(s, k), ref.RationalFunctionY(s, k)),
+             # the dict form of the constructor builds the same values
+             (LaurentY(dict((a * ONE_Y**j).items()), k), rq), (LaurentY(d2, k2), rp)]
     for new, old in pairs:
         assert agrees(new, old), (new, old)
     assert (q == p) == (rq == rp)

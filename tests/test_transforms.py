@@ -239,10 +239,10 @@ class TestMht:
         for space in (sp.projective(3), sp.hypersurface(3, 4),
                       sp.with_arrangement(sp.projective(3), 2)):
             mode = "open_complement" if space.log is not None else "closed"
-            # a coefficient is handed out as a RationalFunctionY exactly
-            # when a pole at y = -1 remains
+            # a coefficient keeps a power of (1+y) in its denominator
+            # exactly when a pole at y = -1 remains
             for _, v in mht(mhc_y(space, mode)).items():
-                assert not isinstance(v, RationalFunctionY)
+                assert isinstance(v, Fraction) or not v._k
 
 
 class TestDegree:
@@ -274,6 +274,16 @@ class TestDegree:
     def test_open_complement_of_torus(self):
         gm = sp.with_arrangement(sp.projective(1), 2)
         assert chi_y_genus(gm, "open_complement") == ONE_Y
+
+    def test_an_integrated_polynomial_is_a_laurent_polynomial(self):
+        # the unnormalized degree of the plane: its (1+y) powers all cancel
+        chi = degree(mht(mhc_y(sp.projective(2)), normalized=False))
+        assert chi == LaurentY({0: 1, 1: -1, 2: 1})
+        assert chi(0) == 1
+        assert chi**2 == LaurentY({0: 1, 1: -2, 2: 3, 3: -2, 4: 1})
+        assert chi / 2 == LaurentY({0: Fraction(1, 2), 1: Fraction(-1, 2), 2: Fraction(1, 2)})
+        assert chi.items() == [(0, 1), (1, -1), (2, 1)]
+        assert chi.is_integral_polynomial()
 
 
 def genus_by_ledger(space, mode="closed", data=None):
