@@ -131,14 +131,12 @@ def genus_series(kind, order):
 # -- Newton's identities -------------------------------------------------------
 
 
-def power_sums(V, order=None):
-    """Power sums p_1..p_order of the Chern roots, from the Chern classes."""
+def power_sums(V):
+    """Power sums p_1..p_dim of the Chern roots, from the Chern classes."""
     space = V.space
-    if order is None:
-        order = space.dim
-    e = [V.chern(i) for i in range(order + 1)]
+    e = [V.chern(i) for i in range(space.dim + 1)]
     p = [None]
-    for k in range(1, order + 1):
+    for k in range(1, space.dim + 1):
         p.append(CohClass.combine(space, [((-1) ** (k - 1) * k, e[k], None)] + [
             ((-1) ** (i - 1), e[i], p[k - i]) for i in range(1, k)]))
     return p[1:]
@@ -154,26 +152,20 @@ def _elementary_from_power_sums(space, psums, upto):
     return e
 
 
-def chern_from_power_sums(space, rank, psums):
-    """Rebuild a BundleClass from power sums of its roots."""
-    e = _elementary_from_power_sums(space, psums, space.dim)
-    return BundleClass(rank, CohClass.combine(space, [(1, c, None) for c in e]))
-
-
-def chern_character(V, order=None):
-    """ch(V) = rank + sum of p_m / m!.  At the default order it is kept on V;
-    a bundle that knows its ch from other bundles' (a dual, a relative
-    tangent bundle) reads it off theirs instead."""
-    if order is None:
-        if V._ch is None:
-            V._ch = chern_character(V, V.space.dim) if V.splitting is None else _split_character(V)
-        elif V._ch.__class__ is not CohClass:
-            V._ch = V._ch(chern_character)
-        return V._ch
-    space = V.space
-    return CohClass.combine(space, [(V.rank, space.one(), None)] + [
-        (Fraction(1, factorial(m)), p, None)
-        for m, p in enumerate(power_sums(V, order), start=1)])
+def chern_character(V):
+    """ch(V) = rank + sum of p_m / m!, kept on V.  A bundle with a splitting
+    reads it in closed form, one that knows its ch from other bundles' (a
+    dual, a relative tangent bundle) reads it off theirs, and every other
+    bundle runs Newton's identities once."""
+    if V._ch is None and V.splitting is not None:
+        V._ch = _split_character(V)
+    elif V._ch is None:
+        space = V.space
+        V._ch = CohClass.combine(space, [(V.rank, space.one(), None)] + [
+            (Fraction(1, factorial(m)), p, None) for m, p in enumerate(power_sums(V), start=1)])
+    elif V._ch.__class__ is not CohClass:
+        V._ch = V._ch(chern_character)
+    return V._ch
 
 
 def _split_character(V):
@@ -193,14 +185,13 @@ def class_exp(X):
                                     for j, p in enumerate(powers)])
 
 
-def apply_series(series, V, space=None):
-    """Product of series(root) over the Chern roots of V.
+def apply_series(series, V):
+    """Product of series(root) over the Chern roots of V, on V's space.
 
     Computed as exp(sum of log-series coefficients times power sums), which
     is exact to the truncation order and multiplicative over Whitney sums.
     """
-    if space is None:
-        space = V.space
+    space = V.space
     if series.order < space.dim:
         raise InvalidParameter(
             f"series order {series.order} is below the space dimension {space.dim}"
@@ -211,27 +202,7 @@ def apply_series(series, V, space=None):
         (lcoeffs[m], c, None) for m, c in p.by_degree().items() if m]))
 
 
-# -- bundle combinations ---------------------------------------------------------
-
-
-def _kept_power_sums(V):
-    """p_0..p_dim of V's roots, p_0 the rank, read off its kept Chern
-    character: p_m = m! ch_m."""
-    d = V.space.dim
-    p = chern_character(V).degree_scaled([factorial(m) for m in range(d + 1)])
-    return [p.component(m) for m in range(d + 1)]
-
-
-def bundle_tensor(a, b):
-    """Tensor product via power sums: roots add pairwise."""
-    if a.space.key != b.space.key:
-        raise InvalidParameter("bundles live on different spaces")
-    space = a.space
-    d = space.dim
-    pa, pb = _kept_power_sums(a), _kept_power_sums(b)
-    psums = [CohClass.combine(space, [(comb(m, k), pa[k], pb[m - k]) for k in range(m + 1)])
-             for m in range(1, d + 1)]
-    return chern_from_power_sums(space, a.rank * b.rank, psums)
+# -- exterior powers and duality ------------------------------------------------
 
 
 def _z_power_sums(ch, upto):

@@ -16,16 +16,15 @@ Commands:
 Every command accepts ``--format text|json``; JSON output is a single
 deterministic document {command, inputs, results, suites}.  A space SPEC may
 be ``@path`` to load a custom space document.  Exit codes: 0 success,
-1 verification failure, 2 usage or computation-domain error.  The
-``HIRZ_ORDER`` environment variable sets the default series order for
-``verify``.
+1 verification failure, 2 usage or computation-domain error.  ``verify
+--order N`` sets the series order of ``series-limits`` (default 8, at most
+``verify.MAX_ORDER``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -165,13 +164,7 @@ def _cmd_arrangement(args):
 
 def _cmd_verify(args):
     from . import verify as verify_mod  # compiled only for this command
-    order = args.order
-    if order is None:
-        try:
-            order = int(os.environ.get("HIRZ_ORDER", "8"))
-        except ValueError:
-            raise InvalidParameter("HIRZ_ORDER must be an integer") from None
-    results = verify_mod.run_suites(args.suite, order=order)
+    results = verify_mod.run_suites(args.suite, order=args.order)
     suites = []
     counts = {}
     for name, checks in results.items():
@@ -181,7 +174,7 @@ def _cmd_verify(args):
             suites.append((f"{name}: {c.name}", "pass" if c.ok else "fail", c.detail))
     report = Report(
         command="verify",
-        inputs={"suite": args.suite, "order": order},
+        inputs={"suite": args.suite, "order": args.order},
         results={"summary": counts},
         suites=suites,
     )
@@ -234,7 +227,7 @@ def build_parser():
 
     p = add("verify", help="run verification suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=8)
 
     p = add("describe", help="print a space model's presentation")
     p.add_argument("--space", required=True)

@@ -30,7 +30,8 @@ class HodgeDiamond:
 
     When ``pure_weight`` is set to n, entries are required to sit on the
     anti-diagonal p + q = n and to satisfy the symmetry h(p, q) = h(q, p).
-    A table equals an int n when it is n times the point.
+    A table equals an int n when it is n times the point.  The constructor
+    refuses an index or entry that is not an int.
     """
 
     __slots__ = ("_c", "pure_weight")
@@ -38,8 +39,10 @@ class HodgeDiamond:
     def __init__(self, entries=None, pure_weight=None):
         c = {}
         for (p, q), v in (entries or {}).items():
-            if v := int(v):
-                c[int(p), int(q)] = v
+            if not all(isinstance(x, int) for x in (p, q, v)):
+                raise InvalidParameter(f"Hodge entry {v!r} at ({p!r}, {q!r}) is not integral")
+            if v:
+                c[p, q] = v
         if pure_weight is not None:
             for (p, q), v in c.items():
                 if p + q != pure_weight:
@@ -72,13 +75,6 @@ class HodgeDiamond:
         """The rank-one class of type (-n, -n) (weight -2n)."""
         return cls({(-n, -n): 1}, pure_weight=-2 * n)
 
-    @classmethod
-    def from_triples(cls, triples, pure_weight=None):
-        c = {}
-        for p, q, v in triples:
-            c[p, q] = c.get((p, q), 0) + v
-        return cls(c, pure_weight=pure_weight)
-
     # -- basic structure ---------------------------------------------------
 
     def entries(self):
@@ -89,24 +85,8 @@ class HodgeDiamond:
         """Entries as [p, q, h] lists (the text/JSON interchange form)."""
         return [[p, q, v] for (p, q), v in self.entries()]
 
-    def to_json(self):
-        import json
-
-        return json.dumps(self.triples())
-
-    def entry(self, p, q):
-        return self._c.get((p, q), 0)
-
-    def total_dimension(self):
-        """Sum of all entries; equals chi_y evaluated at y = -1."""
-        return sum(self._c.values())
-
     def is_zero(self):
         return not self._c
-
-    def is_symmetric(self):
-        """True when h(p, q) = h(q, p): E is invariant under swapping u and v."""
-        return all(self._c.get((q, p)) == v for (p, q), v in self._c.items())
 
     def __bool__(self):
         return bool(self._c)

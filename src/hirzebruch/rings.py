@@ -172,7 +172,7 @@ class LaurentY:
     NotPolynomial.
 
     ``LaurentY(coeffs, den_pow)`` is coeffs/(1+y)^den_pow, for a dict
-    {exponent: rational} or one int, Fraction or LaurentY ``coeffs``."""
+    {int exponent: rational} or one int, Fraction or LaurentY ``coeffs``."""
 
     __slots__ = ("_c", "_d", "_k")
 
@@ -181,7 +181,10 @@ class LaurentY:
         if den_pow < 0:
             raise ValueError("denominator power must be >= 0")
         if coeffs is None or isinstance(coeffs, dict):
-            terms = {int(e): Fraction(v) for e, v in (coeffs or {}).items()}
+            terms = {e: Fraction(v) for e, v in (coeffs or {}).items()}
+            for e in terms:
+                if not isinstance(e, int):
+                    raise InvalidParameter(f"y-exponent {e!r} is not an integer")
             d = lcm(*(v.denominator for v in terms.values()))
             # over the lcm of the reduced denominators: in lowest terms already
             self._c = {e: v.numerator * (d // v.denominator) for e, v in terms.items() if v}

@@ -10,7 +10,9 @@ projective space (virtual: classes live in the ambient ring and integration
 twists by the divisor class), and projective space equipped with a
 general-position hyperplane arrangement at infinity (which adds boundary
 data: the arrangement divisors and the Chern class of the bundle of forms
-with logarithmic poles along them).  A product or projective bundle also
+with logarithmic poles along them).  A product or projective bundle puts
+each factor's or the base's rules and classes on its own slots of the wider
+ring through one embedding (``_embedded_rules``, ``_embedded``), and
 truncates a factor or base at its own dimension (``_caps``) when its rules
 leave monomials above it, as a custom document's may.
 
@@ -88,7 +90,8 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from math import comb, lcm
+from itertools import accumulate, product as cartesian
+from math import comb, lcm, prod
 from operator import add
 
 from .errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
@@ -169,8 +172,15 @@ class CohClass:
     __slots__ = ("space", "_c", "_d", "_k")
 
     def __init__(self, space, comps=None):
+        comps = comps or {}
+        n = len(space.gens)
+        for e in comps:
+            if not (isinstance(e, tuple) and len(e) == n
+                    and all(isinstance(x, int) and x >= 0 for x in e)):
+                raise InvalidParameter(f"{e!r} is not a monomial in the {n} generators "
+                                       f"of {space.name}")
         self.space = space
-        self._c, self._d, self._k = _from_values(space._reduce(comps or {}))
+        self._c, self._d, self._k = _from_values(space._reduce(comps))
 
     @classmethod
     def _raw(cls, space, nums, den=1, k=0):
@@ -729,35 +739,17 @@ def product(*factors):
 
 
 def _product(key, flat):
-    gens, offsets = [], []
-    pos = 0
-    for i, f in enumerate(flat):
-        offsets.append(pos)
-        for g in f.gens:
-            gens.append(f"{g}{i + 1}")
-        pos += len(f.gens)
-    total_slots = pos
-
-    rules = []
-    pos = 0
-    for f in flat:
-        for rule in f._rules:
-            if rule is None or rule[0] == "nilpotent":
-                rules.append(rule)
-            else:
-                _, r, rel = rule
-                rules.append(("relation", r,
-                              {_pad_exp(e, pos, total_slots): v for e, v in rel.items()}))
-        pos += len(f.gens)
-
+    offsets = list(accumulate((len(f.gens) for f in flat[:-1]), initial=0))
+    width = offsets[-1] + len(flat[-1].gens)
     m = SpaceModel(
         kind="product",
         key=key,
         name="x".join(f.name for f in flat),
         dim=sum(f.dim for f in flat),
-        gens=gens,
-        rules=rules,
-        integrals=_product_integrals(flat),
+        gens=[f"{g}{i + 1}" for i, f in enumerate(flat) for g in f.gens],
+        rules=[r for f, o in zip(flat, offsets) for r in _embedded_rules(f, o, width)],
+        integrals={sum((e for e, _ in t), ()): prod(w for _, w in t)
+                   for t in cartesian(*(f._integrals.items() for f in flat))},
         extra={"factors": flat, "offsets": offsets},
     )
     m._caps = sum((_block_caps(f, i) for i, f in zip(offsets, flat)), ())
@@ -781,33 +773,25 @@ def _block_caps(f, offset):
     return tuple((offset + i, offset + j, d) for i, j, d in f._caps + own)
 
 
-def _pad_exp(exp, offset, width):
-    out = [0] * width
-    for j, e in enumerate(exp):
-        out[offset + j] = e
-    return tuple(out)
+def _embedded_rules(f, offset, width):
+    """The rewrite rules of ``f``, each relation's monomials put on the slots
+    from ``offset`` of a ring with ``width`` slots."""
+    lo, hi = (0,) * offset, (0,) * (width - offset - len(f.gens))
+    return [rule if rule is None or rule[0] == "nilpotent" else
+            rule[:2] + ({lo + e + hi: v for e, v in rule[2].items()},) for rule in f._rules]
 
 
-def _product_integrals(flat):
-    integrals = {}
-
-    def rec(i, exp, weight):
-        if i == len(flat):
-            integrals[tuple(exp)] = weight
-            return
-        for e, w in flat[i]._integrals.items():
-            rec(i + 1, exp + list(e), weight * w)
-
-    rec(0, [], Fraction(1))
-    return integrals
+def _embedded(space, offset, c):
+    """The class ``c`` with its monomials put on the slots of ``space`` from
+    ``offset``: a factor's class pulled back to a product, a base's to a
+    projective bundle."""
+    lo, hi = (0,) * offset, (0,) * (len(space.gens) - offset - len(c.space.gens))
+    return CohClass._raw(space, {lo + e + hi: n for e, n in c._c.items()}, c._d, c._k)
 
 
-def pull_to_product(prod, axis, c):
-    """Pull a class on factor ``axis`` back to the product ring."""
-    start = prod.extra["offsets"][axis]
-    width = len(prod.gens)
-    return CohClass._raw(prod, {_pad_exp(e, start, width): n for e, n in c._c.items()},
-                         c._d, c._k)
+def pull_to_product(space, axis, c):
+    """Pull a class on factor ``axis`` back to the product ring of ``space``."""
+    return _embedded(space, space.extra["offsets"][axis], c)
 
 
 def exterior_product(*classes, space=None):
@@ -879,20 +863,12 @@ def projective_bundle(base, E):
 def _projective_bundle(key, base, E):
     r = E.rank
     nb = len(base.gens)
-    width = nb + 1
     rel = {}
     for i in range(1, r + 1):
         ci = E.chern(i)
         for exp, v in ci.items():
             rel[tuple(exp) + (r - i,)] = -v
-    rules = []
-    for rule in base._rules:
-        if rule is None or rule[0] == "nilpotent":
-            rules.append(rule)
-        else:
-            _, rr, rrel = rule
-            rules.append(("relation", rr, {e + (0,): v for e, v in rrel.items()}))
-    rules.append(("relation", r, rel) if rel else ("nilpotent", r))
+    rules = _embedded_rules(base, 0, nb + 1) + [("relation", r, rel) if rel else ("nilpotent", r)]
 
     xi_name = "xi" if "xi" not in base.gens else f"xi{sum(1 for g in base.gens if g.startswith('xi')) + 1}"
     integrals = {exp + (r - 1,): w for exp, w in base._integrals.items()}
@@ -904,21 +880,17 @@ def _projective_bundle(key, base, E):
         gens=base.gens + (xi_name,),
         rules=rules,
         integrals=integrals,
-        extra={"base": base, "rank": r, "E": E},
+        extra={"base": base, "rank": r},
     )
     m._caps = _block_caps(base, 0)
     xi = m.gen_class(nb)
-    E_up = BundleClass(r, _lift_from_base(m, E.total_chern))
+    E_up = BundleClass(r, _embedded(m, 0, E.total_chern))
     rel_chern = _twisted_chern(E_up, xi)
     rel = m.extra["relative_tangent"] = BundleClass(r - 1, rel_chern)
-    m.tangent_chern = _lift_from_base(m, base.tangent_chern) * rel_chern
+    m.tangent_chern = _embedded(m, 0, base.tangent_chern) * rel_chern
     # T(P(E)) is the lifted T(base) plus T_rel, so ch(T_rel) is a difference of kept classes
-    rel._ch = lambda ch: ch(m.tangent_bundle()) - _lift_from_base(m, ch(base.tangent_bundle()))
+    rel._ch = lambda ch: ch(m.tangent_bundle()) - _embedded(m, 0, ch(base.tangent_bundle()))
     return m
-
-
-def _lift_from_base(total, c):
-    return CohClass._raw(total, {e + (0,): n for e, n in c._c.items()}, c._d, c._k)
 
 
 def hypersurface(n, d):
@@ -946,7 +918,6 @@ def _hypersurface(key, n, d):
     )
     h = m.gen_class(0)
     m.tangent_chern = (m.one() + h) ** (n + 1) * _inverse_one_plus(h * d)
-    m.extra["virtual_rank"] = n - 1
     return m
 
 
@@ -1112,7 +1083,7 @@ def ring_pullback(m, c):
     if m.kind == "constant":
         return m.source.constant(c.coeff(c.space._zero_exp))
     if m.kind == "bundle_projection":
-        return _lift_from_base(m.source, c)
+        return _embedded(m.source, 0, c)
     if m.kind == "product_projection":
         return pull_to_product(m.source, m.extra["axis"], c)
     raise UnsupportedMap(f"{m.kind} has no ring pullback")

@@ -56,7 +56,7 @@ def series_class(space, kind):
     memo = space._classes.get(kind)
     if memo is None or memo[0] != source:
         cls = (sp.exterior_product(*source, space=space) if product
-               else apply_series(source, space.tangent_bundle(), space))
+               else apply_series(source, space.tangent_bundle()))
         memo = space._classes[kind] = (source, cls)
     return memo[1]
 
@@ -214,7 +214,7 @@ def pushforward(m, k):
     at y = -1.  A homology ledger is pushed by ``spaces.gysin_pushforward``.
     """
     tdrel = apply_series(bundles.genus_series("todd", max(m.source.dim, 1)),
-                         sp.relative_tangent(m), m.source)
+                         sp.relative_tangent(m))
     pushed = sp.gysin_pushforward(m, k * tdrel)
     pushed.component(0).at_minus_one()  # NotPolynomial while the rank keeps a pole
     return pushed

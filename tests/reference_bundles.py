@@ -114,15 +114,6 @@ def _elementary_from_power_sums(space, psums, upto):
     return e
 
 
-def chern_from_power_sums(space, rank, psums):
-    """Rebuild a BundleClass from power sums of its roots."""
-    e = _elementary_from_power_sums(space, psums, space.dim)
-    total = space.zero()
-    for c in e:
-        total = total + c
-    return BundleClass(rank, total)
-
-
 def chern_character(V, order=None):
     """ch(V) = rank + sum of p_m / m!."""
     space = V.space
@@ -163,25 +154,6 @@ def apply_series(series, V, space=None):
         if lcoeffs[m]:
             X = X + p * lcoeffs[m]
     return class_exp(X)
-
-
-def bundle_tensor(a, b):
-    """Tensor product via power sums: roots add pairwise."""
-    if a.space.key != b.space.key:
-        raise InvalidParameter("bundles live on different spaces")
-    space = a.space
-    d = space.dim
-    pa = [space.constant(Fraction(a.rank))] + power_sums(a, d)
-    pb = [space.constant(Fraction(b.rank))] + power_sums(b, d)
-    psums = []
-    for m in range(1, d + 1):
-        acc = space.zero()
-        binom = 1
-        for k in range(m + 1):
-            acc = acc + pa[k] * pb[m - k] * Fraction(binom)
-            binom = binom * (m - k) // (k + 1)
-        psums.append(acc)
-    return chern_from_power_sums(space, a.rank * b.rank, psums)
 
 
 def lambda_y(V):

@@ -301,22 +301,20 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
-    def test_order_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("HIRZ_ORDER", "5")
-        code, out, _ = run(capsys, "verify", "--suite", "series-limits", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["inputs"]["order"] == 5
-
-    def test_order_from_environment_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("HIRZ_ORDER", "x")
-        code, out, err = run(capsys, "verify", "--suite", "series-limits")
+    def test_order_above_the_cap(self, capsys, time_limit):
+        from hirzebruch.verify import MAX_ORDER
+        with time_limit(5):
+            code, out, err = run(capsys, "verify", "--order", "100000")
         assert code == 2 and not out
-        assert err.startswith("error:") and "HIRZ_ORDER" in err
+        assert err.startswith("error:") and str(MAX_ORDER) in err
+        code, out, _ = run(capsys, "verify", "--suite", "series-limits",
+                           "--order", str(MAX_ORDER), "--format", "json")
+        assert code == 0 and json.loads(out)["inputs"]["order"] == MAX_ORDER
 
-    def test_order_flag_wins(self, capsys, monkeypatch):
-        monkeypatch.setenv("HIRZ_ORDER", "5")
+    def test_order_flag_wins(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "series-limits",
                            "--order", "6", "--format", "json")
+        assert code == 0
         assert json.loads(out)["inputs"]["order"] == 6
 
     def test_other_commands_do_not_load_verify(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirzebruch.errors import NotPolynomial, ParseError
+from hirzebruch.errors import InvalidParameter, NotPolynomial, ParseError
 from hirzebruch.hodge import HodgeDiamond, parse_uv, render_uv
 from hirzebruch.rings import LaurentY, RationalFunctionY, parse_y, render_y
 
@@ -86,6 +86,14 @@ class TestSubstitute:
         a, b = rand_uv(rng), rand_uv(rng)
         assert a.tensor(b).chi_y() == a.chi_y() * b.chi_y()
         assert (a + b).chi_y() == a.chi_y() + b.chi_y()
+
+
+class TestExponents:
+    @pytest.mark.parametrize("coeffs", [{0: 1, 0.5: 2}, {1.0: 1}, {Fraction(1): 1}])
+    def test_non_integer_exponent_is_refused(self, coeffs):
+        # {0: 1, 0.5: 2} printed 2: int(0.5) overwrote the constant term
+        with pytest.raises(InvalidParameter, match="not an integer"):
+            LaurentY(coeffs)
 
 
 class TestRationalFunctionY:

@@ -101,6 +101,18 @@ class TestConstruction:
         with pytest.raises(InvalidParameter):
             sp.projective_bundle(sp.projective(1), sp.trivial_bundle(sp.projective(1), 0))
 
+    @pytest.mark.parametrize("exp", [(1.5,), (-1,), (1, 2), (), 1])
+    def test_malformed_monomial_is_refused(self, exp):
+        # (1.5,) and (-1,) printed h^1.5 and h^-1; (1, 2) gave 0
+        with pytest.raises(InvalidParameter, match="not a monomial"):
+            sp.CohClass(sp.projective(2), {exp: 1})
+
+    def test_monomial_of_the_wrong_length_is_refused(self):
+        p2 = sp.projective(2)
+        with pytest.raises(InvalidParameter, match="not a monomial"):
+            p2.monomial((0, 3))
+        assert p2.monomial((3,)).is_zero()  # a well-formed monomial above the dimension
+
     def test_arrangement_on_an_arrangement_is_refused(self):
         # it would replace the boundary data, not add to it
         arr = sp.with_arrangement(sp.projective(2), 1)
@@ -733,7 +745,7 @@ def old_adams_power_sums(V):
     """q_k = rank + sum of k^m p_m / m! for k = 1..rank, one scalar multiply
     and one add per (k, m)."""
     space = V.space
-    p = power_sums(V, space.dim)
+    p = power_sums(V)
     q = []
     for k in range(1, V.rank + 1):
         acc = space.constant(Fraction(V.rank))
@@ -806,7 +818,7 @@ class TestRegistryArithmetic:
     def test_twisted_chern_on_the_bundle_family(self, family_members):
         for twists, E, tot in family_members:
             xi = tot.gen_class(len(tot.gens) - 1)
-            E_up = sp.BundleClass(E.rank, sp._lift_from_base(tot, E.total_chern))
+            E_up = sp.BundleClass(E.rank, sp._embedded(tot, 0, E.total_chern))
             assert sp._twisted_chern(E_up, xi) == old_twisted_chern(E_up, xi), twists
             assert tot.extra["relative_tangent"].total_chern == old_twisted_chern(E_up, xi)
 
@@ -868,7 +880,8 @@ class TestRegistryArithmetic:
 
 def old_pull_to_product(prod, axis, c):
     start, width = prod.extra["offsets"][axis], len(prod.gens)
-    return sp.CohClass(prod, {sp._pad_exp(e, start, width): v for e, v in c.items()})
+    pad = lambda e: (0,) * start + e + (0,) * (width - start - len(e))
+    return sp.CohClass(prod, {pad(e): v for e, v in c.items()})
 
 
 def old_lift_from_base(total, c):
@@ -916,7 +929,7 @@ class TestRekeyingMaps:
     def test_lift_from_base(self, data):
         tot = data.draw(st.sampled_from(BUNDLES))
         c = data.draw(classes_on(tot.extra["base"]))
-        assert sp._lift_from_base(tot, c) == old_lift_from_base(tot, c)
+        assert sp._embedded(tot, 0, c) == old_lift_from_base(tot, c)
         assert sp.ring_pullback(sp.bundle_projection(tot), c) == old_lift_from_base(tot, c)
 
     @settings(max_examples=60, deadline=None)

@@ -149,8 +149,8 @@ class TestModelMemo:
         prod._products.clear()
         prod._classes.clear()
         real_series = transforms.apply_series
-        monkeypatch.setattr(transforms, "apply_series", lambda s, V, space=None:
-                            calls.append(V) or real_series(s, V, space))
+        monkeypatch.setattr(transforms, "apply_series", lambda s, V:
+                            calls.append(V) or real_series(s, V))
         assert mhc_y(prod) is mhc_y(prod)
         assert transforms._todd(prod) is transforms._todd(prod)
         assert not prod._products
@@ -449,7 +449,7 @@ def product_ring_route(space, mode):
     else:
         log = space.log.log_cotangent
         k = lambda_y(BundleClass(log.rank, log.total_chern))
-    return k, apply_series(bundles.genus_series("todd", space.dim), V, space)
+    return k, apply_series(bundles.genus_series("todd", space.dim), V)
 
 
 class TestFirstRead:
@@ -493,7 +493,7 @@ class TestTwoRoutes:
     @pytest.mark.parametrize("kind", ["chern", "todd", "lclass", "hirzebruch"])
     def test_series_class(self, space, kind):
         V = BundleClass(space.dim, space.tangent_chern)
-        want = apply_series(bundles.genus_series(kind, space.dim), V, space)
+        want = apply_series(bundles.genus_series(kind, space.dim), V)
         assert transforms.series_class(space, kind) == want
 
     def test_open_genus_needs_boundary_data(self):
