@@ -45,7 +45,7 @@ from math import comb, factorial
 
 from .errors import InvalidParameter
 from .rings import LaurentY, _over
-from .spaces import BundleClass, CohClass, pull_to_product
+from .spaces import CohClass, pull_to_product
 
 
 # -- series on coefficient lists (index = power of x, entries LaurentY) ------

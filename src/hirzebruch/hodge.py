@@ -40,7 +40,8 @@ class HodgeDiamond:
         c = {}
         for (p, q), v in (entries or {}).items():
             if not all(isinstance(x, int) for x in (p, q, v)):
-                raise InvalidParameter(f"Hodge entry {v!r} at ({p!r}, {q!r}) is not integral")
+                raise InvalidParameter(f"Hodge entry {v!r} at ({p!r}, {q!r}): indices and "
+                                       "entries must be ints")
             if v:
                 c[p, q] = v
         if pure_weight is not None:

@@ -167,7 +167,9 @@ def _check(space, c):
 
 
 class CohClass:
-    """Sparse cohomology class on a model; immutable after construction."""
+    """Sparse cohomology class on a model; immutable after construction.
+    The constructor refuses a key that is not a monomial of the model, a
+    tuple of one non-negative int per generator."""
 
     __slots__ = ("space", "_c", "_d", "_k")
 
@@ -705,7 +707,7 @@ def _projective(key, n):
         rules=[("nilpotent", n + 1)],
         integrals={(n,): Fraction(1)},
     )
-    m.tangent_chern = CohClass(m, {(j,): Fraction(comb(n + 1, j)) for j in range(n + 1)})
+    m.tangent_chern = CohClass._raw(m, {(j,): comb(n + 1, j) for j in range(n + 1)})
     # the Euler sequence: T + O = (n+1) O(1)
     m._classes["tangent"] = BundleClass(n, m.tangent_chern, (n + 1, m.gen_class(0)))
     return m

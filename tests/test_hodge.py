@@ -167,7 +167,7 @@ class TestConstructor:
         {(0, Fraction(1)): 3},
     ])
     def test_non_integral_index_or_entry(self, entries):
-        with pytest.raises(InvalidParameter, match="not integral"):
+        with pytest.raises(InvalidParameter, match="must be ints"):
             HodgeDiamond(entries)
 
 
