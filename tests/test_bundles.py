@@ -46,7 +46,6 @@ class TestBundleCombine:
         assert sp.BundleClass(2, triple.total_chern) == p2.tangent_bundle()
 
 
-
 class TestGenusSeries:
     def test_todd_low_order(self):
         td = genus_series("todd", 2)
