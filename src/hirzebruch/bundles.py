@@ -51,18 +51,15 @@ from .spaces import CohClass, pull_to_product
 # -- series on coefficient lists (index = power of x, entries LaurentY) ------
 
 
-def _series_log(a, order, out=None):
-    """log(a) to x^order; given ``out``, a prefix of the log, it is grown in place."""
-    if a[0] != 1:
-        raise InvalidParameter("series log needs constant term 1")
-    out = [LaurentY()] if out is None else out
+def _series_log(a, order, out):
+    """Grow ``out``, a prefix of log(a) holding at least its constant term 0,
+    in place to x^order."""
     for k in range(len(out), order + 1):
         acc = (a[k] if k < len(a) else LaurentY()) * k
         for j in range(1, k):
             if k - j < len(a):
                 acc = acc - out[j] * a[k - j] * j
         out.append(acc / k)
-    return out
 
 
 class ChernRootSeries:
@@ -76,17 +73,16 @@ class ChernRootSeries:
         self.kind = kind
         self.coeffs = tuple(coeffs)
         self.order = order
-        self._log = log  # a built-in series: its kind's log, a list grown in place
+        # a prefix of the log, grown in place: a built-in series shares its kind's
+        self._log = [LaurentY()] if log is None else log
 
     def log(self):
-        """log(series) to x^order, computed on first use and kept; its x^k
-        coefficient needs the series to x^k only, so a lower order reads a
-        prefix, and a built-in series reads one of its kind's log."""
-        if self._log is None:
-            self._log = tuple(_series_log(self.coeffs, self.order))
-        elif self._log.__class__ is list:
-            self._log = tuple(_series_log(self.coeffs, self.order, self._log)[:self.order + 1])
-        return self._log
+        """log(series) to x^order, grown on first use; its x^k coefficient
+        needs the series to x^k only, so a lower order reads a prefix, and a
+        built-in series reads one of its kind's log."""
+        if len(self._log) <= self.order:
+            _series_log(self.coeffs, self.order, self._log)
+        return tuple(self._log[:self.order + 1])
 
     def at_y(self, value):
         """Evaluate the y-dependence at a rational value, as a plain list."""

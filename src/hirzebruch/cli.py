@@ -255,7 +255,7 @@ def main(argv=None):
             report = _cmd_describe(args)
         text = printed(Report.to_json if args.format == "json" else Report.to_text, report)
     except (ParseError, InvalidParameter, NotPolynomial,
-            MissingLogStructure, UnsupportedMap, KeyError, OSError) as exc:
+            MissingLogStructure, UnsupportedMap, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

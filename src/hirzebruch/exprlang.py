@@ -213,15 +213,10 @@ def parse_space(src):
     return space
 
 
-def load_space(spec, read_file=None):
+def load_space(spec):
     """Resolve a --space argument: either a spec string or @path to a
     custom space document."""
     if spec.startswith("@"):
-        path = spec[1:]
-        if read_file is not None:
-            text = read_file(path)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        return sp.from_document(text)
+        with open(spec[1:], "r", encoding="utf-8") as fh:
+            return sp.from_document(fh.read())
     return parse_space(spec)

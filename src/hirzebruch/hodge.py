@@ -21,7 +21,7 @@ increasing total degree, u before v), which round-trips exactly.
 from __future__ import annotations
 
 from .errors import InvalidParameter, ParseError
-from .rings import LaurentY, _parse_poly, _power, _render_terms
+from .rings import LaurentY, _parse_poly, _power, _render_terms, render_monomial
 
 
 class HodgeDiamond:
@@ -191,20 +191,11 @@ class HodgeDiamond:
         return f"HodgeDiamond({dict(self.entries())!r})"
 
 
-def _mono_uv(a, b):
-    parts = []
-    for name, e in (("u", a), ("v", b)):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
 def render_uv(table):
     """Canonical string for a table's E-polynomial, total degree
     increasing, u before v."""
     terms = sorted(table._c.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
-    return _render_terms([(c, _mono_uv(a, b)) for (a, b), c in terms])
+    return _render_terms([(c, render_monomial("uv", e)) for e, c in terms])
 
 
 def parse_uv(src):

@@ -21,10 +21,12 @@ coefficients with no explicit zeros; values are immutable and arithmetic
 never mutates its operands.  ``render_y``/``parse_y`` give a canonical
 text form (terms in increasing exponent order) that round-trips exactly;
 ``hodge`` prints and parses E-polynomials with the same term writer and
-polynomial parser.  The parser reads through ``Tokens``, the one scanner
-and cursor of every text form in the package (motivic expressions and space
-specs use it too); it also accepts the polynomials of custom space
-documents.  ``printed`` is the one guarded conversion of numbers to text.
+polynomial parser.  ``render_monomial`` is the one monomial writer, of
+powers of y, of u and v, and of a space model's generators.  The parser
+reads through ``Tokens``, the one scanner and cursor of every text form in
+the package (motivic expressions and space specs use it too); it also
+accepts the polynomials of custom space documents.  ``printed`` is the one
+guarded conversion of numbers to text.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ class LaurentY:
     NotPolynomial.
 
     ``LaurentY(coeffs, den_pow)`` is coeffs/(1+y)^den_pow, for a dict
-    {int exponent: rational} or one int, Fraction or LaurentY ``coeffs``."""
+    {int exponent: int or Fraction} or one int, Fraction or LaurentY
+    ``coeffs``; a float or string coefficient raises ``InvalidParameter``."""
 
     __slots__ = ("_c", "_d", "_k")
 
@@ -181,10 +184,12 @@ class LaurentY:
         if den_pow < 0:
             raise ValueError("denominator power must be >= 0")
         if coeffs is None or isinstance(coeffs, dict):
-            terms = {e: Fraction(v) for e, v in (coeffs or {}).items()}
-            for e in terms:
+            terms = coeffs or {}
+            for e, v in terms.items():
                 if not isinstance(e, int):
                     raise InvalidParameter(f"y-exponent {e!r} is not an integer")
+                if not isinstance(v, (int, Fraction)):
+                    raise InvalidParameter(f"y-coefficient {v!r} is not an int or a Fraction")
             d = lcm(*(v.denominator for v in terms.values()))
             # over the lcm of the reduced denominators: in lowest terms already
             self._c = {e: v.numerator * (d // v.denominator) for e, v in terms.items() if v}
@@ -209,11 +214,11 @@ class LaurentY:
 
     @classmethod
     def const(cls, v):
-        return cls({0: Fraction(v)})
+        return cls({0: v})
 
     @classmethod
     def y(cls, exp=1, coeff=1):
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: coeff})
 
     def items(self):
         """Terms as (exponent, coefficient), exponents increasing;
@@ -383,17 +388,15 @@ def _render_terms(terms):
     return "".join(pieces)
 
 
-def _mono_y(e):
-    if e == 0:
-        return ""
-    if e == 1:
-        return "y"
-    return f"y^{e}"
+def render_monomial(names, exps):
+    """The monomial with these exponents of these variables: ``name^e``
+    (``name`` for e = 1, nothing for e = 0) joined by ``*``; "" for 1."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
 
 
 def render_y(p):
     """Canonical string for a LaurentY, exponents increasing."""
-    return _render_terms([(c, _mono_y(e)) for e, c in p.items()])
+    return _render_terms([(c, render_monomial("y", (e,))) for e, c in p.items()])
 
 
 # ---------------------------------------------------------------------------

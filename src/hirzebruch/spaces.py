@@ -109,6 +109,7 @@ from .rings import (
     _y_inverted,
     _ydict,
     printed,
+    render_monomial,
 )
 
 # Rewrite rules attached to a generator slot:
@@ -169,18 +170,21 @@ def _check(space, c):
 class CohClass:
     """Sparse cohomology class on a model; immutable after construction.
     The constructor refuses a key that is not a monomial of the model, a
-    tuple of one non-negative int per generator."""
+    tuple of one non-negative int per generator, and a value that is not an
+    int, Fraction or LaurentY."""
 
     __slots__ = ("space", "_c", "_d", "_k")
 
     def __init__(self, space, comps=None):
         comps = comps or {}
         n = len(space.gens)
-        for e in comps:
+        for e, v in comps.items():
             if not (isinstance(e, tuple) and len(e) == n
                     and all(isinstance(x, int) and x >= 0 for x in e)):
                 raise InvalidParameter(f"{e!r} is not a monomial in the {n} generators "
                                        f"of {space.name}")
+            if _parts(v) is None:
+                raise InvalidParameter(f"{v!r} at {e!r} is not a class coefficient")
         self.space = space
         self._c, self._d, self._k = _from_values(space._reduce(comps))
 
@@ -365,12 +369,7 @@ class CohClass:
                 for d, c in sorted(out.items())}
 
     def map_coeffs(self, fn):
-        c = {}
-        for e, v in self.items():
-            w = fn(v)
-            if w:
-                c[e] = w
-        return CohClass._raw(self.space, *_from_values(c))
+        return CohClass._raw(self.space, *_from_values({e: fn(v) for e, v in self.items()}))
 
     def degree_scaled(self, weights):
         """The degree-j part times the int ``weights[j]``, on the integer numerators."""
@@ -631,14 +630,6 @@ class SpaceModel:
 
     # -- rendering -------------------------------------------------------------
 
-    def render_monomial(self, exp):
-        parts = []
-        for name, e in zip(self.gens, exp):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
     def render_class(self, c):
         if not c:
             return "0"
@@ -647,7 +638,7 @@ class SpaceModel:
             coeff = printed(str, v)
             if " " in coeff:
                 coeff = f"({coeff})"
-            mono = self.render_monomial(exp)
+            mono = render_monomial(self.gens, exp)
             if not mono:
                 pieces.append(coeff)
             elif coeff == "1":
@@ -663,7 +654,7 @@ class SpaceModel:
             "dim": self.dim,
             "generators": list(self.gens),
             "tangent_chern": self.render_class(self.tangent_chern),
-            "integrals": {self.render_monomial(e) or "1": printed(str, w)
+            "integrals": {render_monomial(self.gens, e) or "1": printed(str, w)
                           for e, w in sorted(self._integrals.items())},
         }
         if self.log is not None:
@@ -1039,15 +1030,12 @@ def gysin_pushforward(m, c):
     if m.kind == "constant":
         return tgt.constant(m.source.integrate(c))
     if m.kind == "bundle_projection":
-        # the xi^(r-1) monomials, read as base monomials (already reduced there)
+        # the xi^(r-1) monomials, read one-to-one as base monomials (already
+        # reduced there)
         r = m.source.extra["rank"]
         nb = len(tgt.gens)
-        nums = {}
-        for exp, n in c._c.items():
-            if exp[nb] == r - 1:
-                e = exp[:nb]
-                nums[e] = _num_sum(nums[e], n) if e in nums else n
-        return CohClass._raw(tgt, *_reduced({e: n for e, n in nums.items() if n}, c._d, c._k))
+        nums = {exp[:nb]: n for exp, n in c._c.items() if exp[nb] == r - 1}
+        return CohClass._raw(tgt, *_reduced(nums, c._d, c._k))
     if m.kind == "product_projection":
         axis = m.extra["axis"]
         prod = m.source

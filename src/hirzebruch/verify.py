@@ -16,10 +16,10 @@ one model and share these classes (over P^1, P(E) depends only on c_1(E));
 within one identity the two sides are still computed on different models.
 
 ``integrality`` checks genera that ``ghrr``, ``multiplicativity`` and
-``arrangements`` compute anyway.  ``run_suites`` hands these four suites
-one ``genera`` dict per call, keyed by the names ``integrality`` reports;
-a genus already kept there is read, not recomputed.  Run alone,
-``integrality`` computes every genus itself, with the same check.
+``arrangements`` compute too.  Each suite calls ``chi_y_genus``; a closed
+genus is kept on its model (see ``transforms``), so on the family that
+``run_suites`` shares it is read, not recomputed.  The other 20 genera it
+checks are of small models, which it builds and computes again.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import InvalidParameter
-from .rings import LaurentY, render_y
+from .rings import LaurentY, render_monomial, render_y
 from .hodge import HodgeDiamond
 from . import motivic
 from . import spaces as sp
@@ -72,7 +72,7 @@ def _difference(what, got, want, grade):
     if got == want:
         return ""
     e, _ = (got - want).items()[0]
-    return (f"{what} differs first in {grade(e)} at {got.space.render_monomial(e) or '1'}: "
+    return (f"{what} differs first in {grade(e)} at {render_monomial(got.space.gens, e) or '1'}: "
             f"{got.coeff(e)} vs {want.coeff(e)}")
 
 
@@ -88,28 +88,18 @@ def hom_difference(got, want):
     return _difference("ledger", got, want, lambda e: f"dimension {got.space.dim - sum(e)}")
 
 
-def _genus(genera, name, build, mode="closed"):
-    """chi_y of the model ``build()`` in ``mode``, kept in ``genera`` (when
-    given) under ``name``; the model is not built when the genus is kept."""
-    if genera is None:
-        return chi_y_genus(build(), mode)
-    if name not in genera:
-        genera[name] = chi_y_genus(build(), mode)
-    return genera[name]
-
-
 def _chi_projective(n):
     return LaurentY({p: (-1) ** p for p in range(n + 1)})
 
 
-def suite_ghrr(genera=None):
+def suite_ghrr():
     """Genus of projective spaces and of the quartic surface, via the
     transformation pipeline against directly known values."""
     checks = []
     for n in range(1, 5):
-        got = _genus(genera, f"P{n}", lambda: sp.projective(n))
+        got = chi_y_genus(sp.projective(n))
         checks.append(_eq(f"chi_y(P{n})", got, _chi_projective(n), render_y))
-    chi = _genus(genera, "quartic surface", lambda: sp.hypersurface(3, 4))
+    chi = chi_y_genus(sp.hypersurface(3, 4))
     checks.append(_eq("chi_y(quartic surface)", chi,
                       LaurentY({0: 2, 1: -20, 2: 2}), render_y))
     checks.append(_eq("quartic Euler number", chi(Fraction(-1)), 24))
@@ -150,14 +140,14 @@ def bundle_family():
     return out
 
 
-def suite_multiplicativity(family=None, genera=None):
+def suite_multiplicativity(family=None):
     """chi_y of a projective bundle equals the fiber genus times the base
     genus, for split bundles of rank <= 3 over P1 and P2."""
     checks = []
     for base_n, (base, members) in (family or bundle_family()).items():
         chi_base = chi_y_genus(base)
         for twists, E, tot in members:
-            got = _genus(genera, f"{tot.name}O({twists})", lambda: tot)
+            got = chi_y_genus(tot)
             want = _chi_projective(E.rank - 1) * chi_base
             checks.append(_eq(f"chi_y(P(O({','.join(map(str, twists))})) over P{base_n})",
                               got, want, render_y))
@@ -267,19 +257,18 @@ def _arrangement(n, k):
     return sp.with_arrangement(sp.projective(n), k)
 
 
-def suite_arrangements(genera=None):
+def suite_arrangements():
     """Compact-support versus ordinary genus duality for torus powers and
     arrangement complements: chi^c_y = (-y)^dim chi_{1/y}."""
     checks = []
     for n in range(1, 4):
-        ordinary = _genus(genera, f"Gm^{n}", lambda: _gm(n), "open_complement")
+        ordinary = chi_y_genus(_gm(n), "open_complement")
         compact = (motivic.torus() ** n).chi_y()
         want = ordinary.invert_y() * LaurentY({n: (-1) ** n})
         checks.append(_eq(f"compact-support duality for Gm^{n}", compact, want, render_y))
     for n in range(1, 4):
         for k in range(0, n + 2):
-            ordinary = _genus(genera, f"P{n} minus {k}H", lambda: _arrangement(n, k),
-                              "open_complement")
+            ordinary = chi_y_genus(_arrangement(n, k), "open_complement")
             compact = motivic.arrangement_complement(n, k).chi_y()
             want = ordinary.invert_y() * LaurentY({n: (-1) ** n})
             checks.append(_eq(f"compact-support duality for P{n} minus {k} hyperplanes",
@@ -288,29 +277,22 @@ def suite_arrangements(genera=None):
                       motivic.arrangement_complement(2, 2).chi_y(),
                       LaurentY({1: 1, 2: 1}), render_y))
     checks.append(_eq("2-line complement, ordinary genus",
-                      _genus(genera, "P2 minus 2H", lambda: _arrangement(2, 2), "open_complement"),
+                      chi_y_genus(_arrangement(2, 2), "open_complement"),
                       LaurentY({0: 1, 1: 1}), render_y))
     return checks
 
 
-def suite_integrality(family=None, genera=None):
+def suite_integrality(family=None):
     """Every genus the other suites produce lies in Z[y] after cancelling
     the (1+y) denominators."""
-    kept = []
-
-    def keep(name, build, mode="closed"):
-        kept.append((name, _genus(genera, name, build, mode)))
-
-    for n in range(1, 5):
-        keep(f"P{n}", lambda: sp.projective(n))
-    keep("quartic surface", lambda: sp.hypersurface(3, 4))
+    kept = [(f"P{n}", chi_y_genus(sp.projective(n))) for n in range(1, 5)]
+    kept.append(("quartic surface", chi_y_genus(sp.hypersurface(3, 4))))
     for _, members in (family or bundle_family()).values():
-        for twists, _, tot in members:
-            keep(f"{tot.name}O({twists})", lambda: tot)
+        kept += [(f"{tot.name}O({twists})", chi_y_genus(tot)) for twists, _, tot in members]
     for n in range(1, 4):
-        keep(f"Gm^{n}", lambda: _gm(n), "open_complement")
-        for k in range(0, n + 2):
-            keep(f"P{n} minus {k}H", lambda: _arrangement(n, k), "open_complement")
+        kept.append((f"Gm^{n}", chi_y_genus(_gm(n), "open_complement")))
+        kept += [(f"P{n} minus {k}H", chi_y_genus(_arrangement(n, k), "open_complement"))
+                 for k in range(n + 2)]
     bad = [(name, g) for name, g in kept if not g.is_integral_polynomial()]
     return [Check(f"all {len(kept)} computed genera lie in Z[y]", not bad,
                   "" if not bad else "; ".join(f"{n}: {render_y(g)}" for n, g in bad))]
@@ -330,7 +312,6 @@ SUITES = {
 
 
 _FAMILY_SUITES = ("multiplicativity", "updown", "integrality")
-_GENERA_SUITES = ("ghrr", "multiplicativity", "arrangements", "integrality")
 
 
 # the highest series order: series-limits takes about 0.1 s at order 128,
@@ -344,8 +325,8 @@ def run_suites(names, order=8):
     ``order`` is the series order of ``series-limits``, the only suite that
     depends on one; an order above ``MAX_ORDER`` is refused.  The bundle
     family is built once per call, on first need, and handed to every suite
-    that runs on it; one ``genera`` dict per call goes to every suite that
-    computes or reads genera."""
+    that runs on it, so its models and the genera kept on them live through
+    the call.  An unknown suite name raises ``InvalidParameter``."""
     if order > MAX_ORDER:
         raise InvalidParameter(f"series order {order} is above the cap of {MAX_ORDER}")
     if names in ("all", None):
@@ -354,17 +335,14 @@ def run_suites(names, order=8):
         names = [names]
     results = {}
     family = None
-    genera = {}
     for name in names:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+            raise InvalidParameter(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
         kwargs = {}
         if name == "series-limits":
             kwargs["order"] = order
         if name in _FAMILY_SUITES:
             kwargs["family"] = family = family or bundle_family()
-        if name in _GENERA_SUITES:
-            kwargs["genera"] = genera
         results[name] = SUITES[name](**kwargs)
     return results
 

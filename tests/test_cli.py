@@ -300,6 +300,17 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+        # an InvalidParameter: a KeyError's message printed inside quotes
+        assert err.startswith("error: unknown suite 'nonsense'; known: ")
+
+    def test_a_key_error_inside_a_command_propagates(self, monkeypatch):
+        # an engine bug is not a usage error: no exit 2 for a stray KeyError
+        def broken(names, order=8):
+            return {}["missing"]
+
+        monkeypatch.setattr("hirzebruch.verify.run_suites", broken)
+        with pytest.raises(KeyError, match="missing"):
+            cli.main(["verify", "--suite", "ghrr"])
 
     def test_order_above_the_cap(self, capsys, time_limit):
         from hirzebruch.verify import MAX_ORDER

@@ -41,7 +41,7 @@ def signed_columns(d):
     """Oracle: chi_y from the entries, each u-column summed with the sign (-1)^p."""
     cols = {}
     for (p, _q), v in d.entries():
-        cols[p] = cols.get(p, 0) + (-1) ** p * v
+        cols[p] = cols.get(p, 0) + (-1 if p % 2 else 1) * v  # (-1) ** p is a float for p < 0
     return LaurentY(cols)
 
 

@@ -96,6 +96,27 @@ class TestExponents:
             LaurentY(coeffs)
 
 
+class TestCoefficients:
+    # 0.1 was read as its binary fraction, "1/2" as 1/2; nan and inf raised
+    # ValueError and OverflowError
+    @pytest.mark.parametrize("value", [0.1, 0.5, "1/2", float("nan"), float("inf"), None])
+    def test_only_ints_and_fractions_are_coefficients(self, value):
+        with pytest.raises(InvalidParameter, match="not an int or a Fraction"):
+            LaurentY({0: value})
+
+    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    def test_const_and_y_refuse_them_too(self, value):
+        with pytest.raises(InvalidParameter):
+            LaurentY.const(value)
+        with pytest.raises(InvalidParameter):
+            LaurentY.y(1, value)
+
+    def test_ints_and_fractions_are_exact(self):
+        half = Fraction(1, 2)
+        assert LaurentY({0: half, 2: -3}) == LaurentY.const(half) - 3 * LaurentY.y(2)
+        assert str(LaurentY({0: True, 1: Fraction(4, 2)})) == "1 + 2*y"
+
+
 class TestRationalFunctionY:
     def test_simple_cancellation(self):
         q = RationalFunctionY(LaurentY({0: 1, 2: -1}), 1)  # (1-y^2)/(1+y)

@@ -107,6 +107,14 @@ class TestConstruction:
         with pytest.raises(InvalidParameter, match="not a monomial"):
             sp.CohClass(sp.projective(2), {exp: 1})
 
+    @pytest.mark.parametrize("value", [0.5, "1/2", None])
+    def test_coefficient_that_is_not_exact_is_refused(self, value):
+        # 0.5 raised a TypeError, and "1/2" one from adding it to an int
+        with pytest.raises(InvalidParameter, match="not a class coefficient"):
+            sp.CohClass(sp.projective(2), {(1,): value})
+        with pytest.raises(InvalidParameter, match="not a class coefficient"):
+            sp.CohClass(sp.projective(2), {(3,): value})  # one that the ring kills
+
     def test_monomial_of_the_wrong_length_is_refused(self):
         p2 = sp.projective(2)
         with pytest.raises(InvalidParameter, match="not a monomial"):
