@@ -175,7 +175,8 @@ class LaurentY:
 
     ``LaurentY(coeffs, den_pow)`` is coeffs/(1+y)^den_pow, for a dict
     {int exponent: int or Fraction} or one int, Fraction or LaurentY
-    ``coeffs``; a float or string coefficient raises ``InvalidParameter``."""
+    ``coeffs``; a float or string coefficient, in the dict or alone, raises
+    ``InvalidParameter``."""
 
     __slots__ = ("_c", "_d", "_k")
 
@@ -199,7 +200,7 @@ class LaurentY:
             coeffs = self
         part = _parts(coeffs)
         if part is None:
-            raise TypeError(f"not a y-coefficient: {coeffs!r}")
+            raise InvalidParameter(f"y-coefficient {coeffs!r} is not an int or a Fraction")
         n, d, k = part
         v = _over(n, d, k + den_pow)
         self._c, self._d, self._k = v._c, v._d, v._k

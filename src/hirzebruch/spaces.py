@@ -147,13 +147,14 @@ def _canonical(acc, den, k):
 
 
 def _from_values(values):
-    """Canonical form of {monomial: int | Fraction | LaurentY}."""
+    """Canonical form of {monomial: int | Fraction | LaurentY}; InvalidParameter
+    for any other value."""
     parts = {}
     den, k = 1, 0
     for e, v in values.items():
         part = _parts(v)
         if part is None:
-            raise TypeError(f"not a class coefficient: {v!r}")
+            raise InvalidParameter(f"{v!r} is not a class coefficient")
         if part[0]:
             parts[e] = part
             den = lcm(den, part[1])

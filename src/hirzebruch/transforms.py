@@ -108,7 +108,7 @@ def mhc_cohomological(space, data):
     for _, V in data.pieces:
         if V.space.key != space.key:
             raise InvalidParameter("variation piece lives on the wrong space")
-    return CohClass.combine(space, [(LaurentY({p: (-1) ** p}), chern_character(V), None)
+    return CohClass.combine(space, [(LaurentY({p: -1 if p % 2 else 1}), chern_character(V), None)
                                     for p, V in data.pieces])
 
 

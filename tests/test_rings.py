@@ -104,6 +104,12 @@ class TestCoefficients:
         with pytest.raises(InvalidParameter, match="not an int or a Fraction"):
             LaurentY({0: value})
 
+    @pytest.mark.parametrize("value", [0.5, "1/2", [1]])
+    def test_a_scalar_alone_is_refused_the_same_way(self, value):
+        # 0.5 and "1/2" alone raised a TypeError
+        with pytest.raises(InvalidParameter, match="not an int or a Fraction"):
+            LaurentY(value)
+
     @pytest.mark.parametrize("value", [0.5, "1/2"])
     def test_const_and_y_refuse_them_too(self, value):
         with pytest.raises(InvalidParameter):

@@ -115,6 +115,15 @@ class TestConstruction:
         with pytest.raises(InvalidParameter, match="not a class coefficient"):
             sp.CohClass(sp.projective(2), {(3,): value})  # one that the ring kills
 
+    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    def test_scalar_that_is_not_exact_is_refused(self, value):
+        # these raised a TypeError from the shared canonical form
+        p2 = sp.projective(2)
+        for make in (lambda: p2.one() + value, lambda: value - p2.one(),
+                     lambda: p2.constant(value)):
+            with pytest.raises(InvalidParameter, match="not a class coefficient"):
+                make()
+
     def test_monomial_of_the_wrong_length_is_refused(self):
         p2 = sp.projective(2)
         with pytest.raises(InvalidParameter, match="not a monomial"):

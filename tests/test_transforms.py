@@ -45,6 +45,15 @@ class TestMhcCohomological:
         assert got.component(0) == LaurentY({1: -1})
         assert got == p1.one() * LaurentY({1: -1})
 
+    @pytest.mark.parametrize("p, sign", [(-1, -1), (-2, 1), (-3, -1)])
+    def test_tate_piece_in_negative_degree(self, p, sign):
+        # (-1) ** p is a float for p < 0, which a coefficient must not be
+        p1 = sp.projective(1)
+        data = VariationData.tate(p1, p)
+        assert mhc_cohomological(p1, data) == p1.one() * LaurentY({p: sign})
+        assert mhc_y(p1, "twisted", data) == mhc_y(p1, "closed") * LaurentY({p: sign})
+        assert chi_y_genus(p1, "twisted", data) == LaurentY({p: sign, p + 1: -sign})
+
     def test_two_pieces_on_line(self):
         # by definition the sum of (-y)^p [piece_p]
         p1 = sp.projective(1)
