@@ -9,9 +9,9 @@ p_m = m! ch_m, which a bundle keeps after the one Newton run that gives it;
 a dual reads it off the original's as adams(-1), so lambda_y(T*X) and
 td(TX) share one run.  lambda_y runs Newton's identities on the reduced
 roots e^x - 1, which start in degree 1, so it stops at min(rank, dim) and
-keeps its coefficients in Q[y].  Each sum of products (Newton's identities
-both ways, ch, the sums inside lambda_y, apply_series and class_exp) is one
-``CohClass.combine``, normalized once.
+keeps its coefficients in Q[y].  Newton's identities both ways and exp are
+one graded recurrence, ``spaces.graded_recurrence``, one ``CohClass.combine``
+per degree; ch and the sums inside lambda_y and apply_series are one each.
 
 One kind of bundle names its roots: one carrying a ``splitting`` (N, c1),
 N copies of a line bundle L with c1(L) = c1 plus a trivial bundle, as the
@@ -45,7 +45,7 @@ from math import comb, factorial
 
 from .errors import InvalidParameter
 from .rings import LaurentY, _over
-from .spaces import CohClass, pull_to_product
+from .spaces import CohClass, _unit_series, graded_recurrence, pull_to_product
 
 
 # -- series on coefficient lists (index = power of x, entries LaurentY) ------
@@ -129,23 +129,14 @@ def genus_series(kind, order):
 
 def power_sums(V):
     """Power sums p_1..p_dim of the Chern roots, from the Chern classes."""
-    space = V.space
-    e = [V.chern(i) for i in range(space.dim + 1)]
-    p = [None]
-    for k in range(1, space.dim + 1):
-        p.append(CohClass.combine(space, [((-1) ** (k - 1) * k, e[k], None)] + [
-            ((-1) ** (i - 1), e[i], p[k - i]) for i in range(1, k)]))
-    return p[1:]
+    return graded_recurrence(V.space, {i: V.chern(i) for i in range(1, V.space.dim + 1)},
+                             lambda i, k: (-1) ** (i - 1) * (k if i == k else 1), V.space.dim)
 
 
 def _elementary_from_power_sums(space, psums, upto):
-    """e_0..e_upto from power sums (Newton's identities, exact division)."""
-    e = [space.one()]
-    for k in range(1, upto + 1):
-        e.append(CohClass.combine(space, [
-            (Fraction((-1) ** (i - 1), k), e[k - i], psums[i - 1])
-            for i in range(1, min(k, len(psums)) + 1)]))
-    return e
+    """e_0..e_upto from power sums: k e_k = sum of (-1)^(i-1) p_i e_(k-i)."""
+    return [space.one(), *graded_recurrence(space, dict(enumerate(psums, 1)),
+                                            lambda i, k: Fraction((-1) ** (i - 1), k), upto)]
 
 
 def chern_character(V):
@@ -172,13 +163,9 @@ def _split_character(V):
 
 
 def class_exp(X):
-    """exp of a cohomology class with zero constant term (finite sum)."""
-    space = X.space
-    powers = [space.one()]
-    for _ in range(space.dim):
-        powers.append(powers[-1] * X)
-    return CohClass.combine(space, [(Fraction(1, factorial(j)), p, None)
-                                    for j, p in enumerate(powers)])
+    """exp of a class X with no constant term (else InvalidParameter), the
+    sum of its degree parts E_k, by k E_k = sum of j X_j E_(k-j)."""
+    return _unit_series(X, lambda j, k: Fraction(j, k))
 
 
 def apply_series(series, V):

@@ -17,8 +17,8 @@ Every command accepts ``--format text|json``; JSON output is a single
 deterministic document {command, inputs, results, suites}.  A space SPEC may
 be ``@path`` to load a custom space document.  Exit codes: 0 success,
 1 verification failure, 2 usage or computation-domain error.  ``verify
---order N`` sets the series order of ``series-limits`` (default 8, at most
-``verify.MAX_ORDER``).
+--order N`` sets the series order of ``series-limits`` (default 8, from 1 to
+``verify.MAX_ORDER``; every suite refuses an order outside that range).
 """
 
 from __future__ import annotations

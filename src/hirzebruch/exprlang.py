@@ -214,9 +214,12 @@ def parse_space(src):
 
 
 def load_space(spec):
-    """Resolve a --space argument: either a spec string or @path to a
-    custom space document."""
+    """Resolve a --space argument: either a spec string or @path to a custom
+    space document in UTF-8, decoded whole (ParseError at a byte that is not)."""
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return sp.from_document(fh.read())
+        try:
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                return sp.from_document(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8", exc.start) from None
     return parse_space(spec)

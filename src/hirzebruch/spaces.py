@@ -24,36 +24,32 @@ k > 0, (1+y) does not divide every numerator, so equal classes are stored
 identically.  The numerators, their arithmetic and this canonical form
 (``_reduced``) are those of ``rings``, where a ``LaurentY`` is one numerator
 over d*(1+y)^k; maps that only re-key monomials move them as they are.
-Arithmetic runs on these integers and normalizes once per result;
-``Fraction`` and ``LaurentY`` values are accepted by the constructors and
-scalar operations and handed out by ``coeff``, ``items`` and
-``map_coeffs``: each coefficient as a Fraction when it is constant in y, else
-a LaurentY, whose power of (1+y) is positive when a pole at y = -1 remains.
-``integrate`` returns a LaurentY.  Built-in proper/smooth
-maps between models support Gysin pushforward and ring pullback.
+Arithmetic runs on these integers and normalizes once per result.  The
+constructors and scalar operations accept ints, Fractions and LaurentYs;
+``coeff``, ``items`` and ``map_coeffs`` hand out a Fraction when it is
+constant in y, else a LaurentY, and ``integrate`` a LaurentY.  Built-in
+proper/smooth maps between models support Gysin pushforward and pullback.
 
 Every product of two classes on a model runs through one multiply-accumulate
 kernel, ``CohClass.combine``: the sum of w*a*b over terms (w, a, b), w*a
 where b is None, for scalar weights w.  It looks up each pair of monomials
-in the model's product table, which maps the pair to the reduced product:
-the monomials and integer multiples left after truncation and rewriting,
-nothing when the product vanishes.  A vanishing pair is skipped before its
-coefficients are multiplied; a live pair's coefficient product goes straight
-into one sum of integer numerators over the lcm of the terms' denominators
-and their largest power of (1+y), put in canonical form once per call.  The
-table is filled lazily, one ``_reduce`` per new pair (stored under both
-orders), so building a model costs nothing extra.  Its integers sit over one
-table-wide denominator, which is 1 unless a custom document's relations
-carry denominators; the kernel folds it into the class denominator.  The
-table lives on the model instance and depends only on the rewrite rules and
-the dimension, which never change after construction.
-``multiply`` is the kernel with one pair.  Given a degree, the kernel builds
-only that degree: each left monomial meets only the right monomials of the
-complementary degree.  The genus is read through this pairing (the top
+in the model's product table, which maps the pair to the reduced product
+left after truncation and rewriting, nothing when it vanishes.  A vanishing
+pair is skipped before its coefficients are multiplied; a live pair's go
+straight into one sum of integer numerators over the lcm of the terms'
+denominators and their largest power of (1+y), put in canonical form once
+per call.  The table is filled lazily, one ``_reduce`` per new pair (stored
+under both orders), so building a model costs nothing extra.  Its integers
+sit over one table-wide denominator, 1 unless a custom document's relations
+carry denominators, which the kernel folds into the class denominator; it
+depends only on the rules and the dimension, which never change.
+``multiply`` is the kernel with one pair; given a degree, the kernel builds
+only that degree, each left monomial meeting only the right monomials of
+the complementary degree.  The genus is read through this pairing (the top
 degree of ch * td), except on a product without variation data, where it is
-the product of the factors' genera; ``mht`` builds the full product in every
-degree.
-``+`` and the scalar ``*`` keep their own short paths.
+the product of the factors' genera.  ``+`` and the scalar ``*`` keep their
+own short paths.  Every series of a class, Newton's identities both ways,
+exp and (1+x)^a, is one ``graded_recurrence``, one kernel call per degree.
 
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: its tangent bundle, which keeps its
@@ -62,28 +58,29 @@ bundle of each product projection, the closed K-class ``mhc_y(X)`` (a
 ``CohClass``, its Chern character), the classes of the tangent bundle
 under the built-in genus series (Todd, and any other a caller asks for)
 and, except on a product, the closed genus, each computed on first use by
-``transforms``.  A series
-entry records what it came from, the series object or on a product the
-factors' classes, and the genus records the closed class and Todd class it
-was paired from; each is recomputed when its source changes, as when
-``bundles.genus_series`` hands out a different series while it is patched.
-Classes that depend on variation data (open-complement and twisted modes)
-are not kept.
+``transforms``.  A series entry records what it came from, the series
+object or on a product the factors' classes, and the genus the closed and
+Todd classes it was paired from; each is recomputed when its source
+changes, as when ``bundles.genus_series`` hands out a different series
+while it is patched.  Classes that depend on variation data
+(open-complement and twisted modes) are not kept.
 
 A product's classes are exterior products of its factors' kept classes, so
-its product table stays empty until a product is taken on its ring.  For k
-factors such a class has up to 2^k terms, so a product builds its tangent
-Chern class and the bundle of its log-cotangent classes on first read
-(``_FirstRead``), and building the model costs what its factors cost; its
-genus is the product of the factors' kept genera.  ``describe`` and the
-classes a caller asks for still cost 2^k.
+its product table stays empty until a product is taken on its ring.  Such
+a class has up to 2^k terms for k factors, so a product builds its tangent
+Chern class and log-cotangent bundle on first read (``_FirstRead``): the
+model costs what its factors cost, and its genus is the product of their
+kept genera.  ``describe`` and the classes a caller asks for cost 2^k.
 
 ``SpaceModel.key`` is unique: the constructor's kind and arguments as ints
 and tuples, which fix everything a caller can see of the model (an
 arrangement ``("arr", n, k)`` apart from ``("proj", n)``).  Each public
 constructor computes the key first and hands out the live model with that
 key when there is one, so equal models are one instance, with one product
-table and one ``_classes``; the table of live models holds them weakly.
+table and one ``_classes``.  The table of live models holds weak references,
+but a model that keeps a class sits in a reference cycle (model,
+``_classes``, class, model), so it stays live, and is handed out with its
+kept classes, until the garbage collector runs.
 """
 
 from __future__ import annotations
@@ -409,6 +406,30 @@ class CohClass:
 
     def __repr__(self):
         return f"CohClass({self.space.name}, {self.space.render_class(self)!r})"
+
+
+def graded_recurrence(space, parts, weight, top):
+    """g_1..g_top of g_k = sum of weight(i, k) parts[i] g_(k-i) over the
+    degrees i <= k of ``parts``, with g_0 = 1; one ``combine`` per degree."""
+    g = [None]  # g_0 = 1 enters as the term (w, parts[k], None)
+    for k in range(1, top + 1):
+        g.append(CohClass.combine(space, [(weight(i, k), p, g[k - i])
+                                          for i, p in parts.items() if i <= k]))
+    return g[1:]
+
+
+def _unit_series(x, weight):
+    """1 + g_1 + ... + g_dim of the recurrence on the degree parts of x."""
+    space, parts = x.space, x.by_degree()
+    if 0 in parts:
+        raise InvalidParameter(f"{x} has a constant term")
+    gs = graded_recurrence(space, parts, weight, space.dim)
+    return CohClass.combine(space, [(1, g, None) for g in [space.one(), *gs]])
+
+
+def _one_plus_power(x, a):
+    """(1 + x)^a for an int a, by J.C.P. Miller's recurrence."""
+    return _unit_series(x, lambda j, k: Fraction((a + 1) * j - k, k))
 
 
 class BundleClass:
@@ -911,17 +932,8 @@ def _hypersurface(key, n, d):
         extra={"ambient_n": n, "degree": d},
     )
     h = m.gen_class(0)
-    m.tangent_chern = (m.one() + h) ** (n + 1) * _inverse_one_plus(h * d)
+    m.tangent_chern = _one_plus_power(h, n + 1) * _one_plus_power(h * d, -1)
     return m
-
-
-def _inverse_one_plus(x):
-    """1/(1 + x) = 1 - x + x^2 - ... for a class x with no constant term."""
-    out = term = x.space.one()
-    for _ in range(x.space.dim):
-        term = term * -x
-        out = out + term
-    return out
 
 
 def with_arrangement(space, k):
@@ -946,7 +958,7 @@ def _arrangement(key, n, k):
     m.name = f"P{n}\\{k}H"
     h = m.gen_class(0)
     # the residue sequence: in K-theory the bundle is (n+1-k) O(-1) + (k-1) O
-    m.log = LogStructure([h] * k, BundleClass(n, (m.one() - h) ** (n + 1 - k), (n + 1 - k, -h)))
+    m.log = LogStructure([h] * k, BundleClass(n, _one_plus_power(-h, n + 1 - k), (n + 1 - k, -h)))
     m.extra = {"arrangement_k": k}
     return m
 
@@ -1107,10 +1119,10 @@ def relative_tangent(m):
                 (1, pull_to_product(src, i, ch(f.tangent_bundle())), None) for i, f in others])
         return out
     if m.kind == "hypersurface_inclusion":
-        return BundleClass(-1, _inverse_one_plus(src.gen_class(0) * m.extra["degree"]))
+        return BundleClass(-1, _one_plus_power(src.gen_class(0) * m.extra["degree"], -1))
     if m.kind == "linear_embedding":
         codim = m.target.dim - src.dim
-        return BundleClass(-codim, _inverse_one_plus(src.gen_class(0)) ** codim)
+        return BundleClass(-codim, _one_plus_power(src.gen_class(0), -codim))
     raise UnsupportedMap(m.kind)
 
 

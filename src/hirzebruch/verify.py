@@ -8,18 +8,16 @@ suites, so a perturbation anywhere in the pipeline shows up in both.
 
 ``multiplicativity``, ``updown`` and ``integrality`` run on the same
 projective-bundle family.  ``run_suites`` builds it once per call, on first
-need, and hands it to each of them; nothing outlives the call.  Called
-without a family, a suite builds its own.  The models of the family keep
-their closed K-class and Todd class (see ``spaces``), so a later suite
-reuses what an earlier one computed on them.  Members with equal keys are
-one model and share these classes (over P^1, P(E) depends only on c_1(E));
-within one identity the two sides are still computed on different models.
-
-``integrality`` checks genera that ``ghrr``, ``multiplicativity`` and
-``arrangements`` compute too.  Each suite calls ``chi_y_genus``; a closed
-genus is kept on its model (see ``transforms``), so on the family that
-``run_suites`` shares it is read, not recomputed.  The other 20 genera it
-checks are of small models, which it builds and computes again.
+need, and hands it to each of them; called without a family, a suite builds
+its own.  Its models keep their closed K-class, Todd class and genus (see
+``spaces``), so a later suite reuses what an earlier one computed on them,
+``integrality`` the family's genera among them; the other 20 genera it
+checks are of small models, which it builds and computes again.  Members
+with equal keys are one model and share these classes (over P^1, P(E)
+depends only on c_1(E)); within one identity the two sides are still
+computed on different models.  The call keeps no reference to the family,
+but its models live on in reference cycles (model, ``_classes``, class,
+model), and later calls read them, until the garbage collector runs.
 """
 
 from __future__ import annotations
@@ -323,12 +321,12 @@ def run_suites(names, order=8):
     """Run the named suites (or all of them); returns {suite: [Check]}.
 
     ``order`` is the series order of ``series-limits``, the only suite that
-    depends on one; an order above ``MAX_ORDER`` is refused.  The bundle
+    depends on one; every suite refuses an order outside 1..``MAX_ORDER``.  The bundle
     family is built once per call, on first need, and handed to every suite
     that runs on it, so its models and the genera kept on them live through
     the call.  An unknown suite name raises ``InvalidParameter``."""
-    if order > MAX_ORDER:
-        raise InvalidParameter(f"series order {order} is above the cap of {MAX_ORDER}")
+    if not 1 <= order <= MAX_ORDER:
+        raise InvalidParameter(f"series order {order} is outside 1..{MAX_ORDER}")
     if names in ("all", None):
         names = list(SUITES)
     elif isinstance(names, str):

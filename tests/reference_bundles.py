@@ -1,15 +1,16 @@
 """The class-by-class loops of ``hirzebruch.bundles`` that the
 multiply-accumulate kernel ``CohClass.combine`` replaced, kept verbatim (each
 ``+`` and ``*`` a separate canonical class) as the reference for the tests
-in ``test_bundles.py``; ``lambda_y_adams``, the Newton's-identities
-route over all rank Adams operations that the reduced roots e^x - 1
-replaced, kept verbatim; and the product-ring route to a product model's
-classes that the exterior products of its factors' classes replaced: the
-tangent and log-cotangent Chern classes as products of the pulled-back
-factor classes, and the closed, open and Todd classes from those bundles
-on the product ring; and the genus series and their logs expanded from
-scratch at each order, by the series reciprocal and product, that the one
-in-place expansion per kind replaced."""
+in ``test_bundles.py``, among them ``class_exp`` and ``_inverse_one_plus``,
+the powers of a class that the graded recurrence replaced; ``lambda_y_adams``,
+the Newton's-identities route over all rank Adams operations that the
+reduced roots e^x - 1 replaced, kept verbatim; and the product-ring route to
+a product model's classes that the exterior products of its factors' classes
+replaced: the tangent and log-cotangent Chern classes as products of the
+pulled-back factor classes, and the closed, open and Todd classes from those
+bundles on the product ring; and the genus series and their logs expanded
+from scratch at each order, by the series reciprocal and product, that the
+one in-place expansion per kind replaced."""
 
 from fractions import Fraction
 from math import factorial
@@ -132,6 +133,15 @@ def class_exp(X):
     term = space.one()
     for j in range(1, space.dim + 1):
         term = term * X * Fraction(1, j)
+        out = out + term
+    return out
+
+
+def _inverse_one_plus(x):
+    """1/(1 + x) = 1 - x + x^2 - ... for a class x with no constant term."""
+    out = term = x.space.one()
+    for _ in range(x.space.dim):
+        term = term * -x
         out = out + term
     return out
 

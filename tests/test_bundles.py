@@ -27,7 +27,14 @@ from hirzebruch.rings import LaurentY, RationalFunctionY, render_y
 from hirzebruch.spaces import CohClass
 from hirzebruch.transforms import chi_y_genus, mhc_y, pullback_smooth, pushforward
 from hirzebruch.verify import bundle_family
-from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, SURPLUS_DOCUMENT, fresh, model_id
+from test_spaces import (
+    FRACTIONAL_DOCUMENT,
+    KERNEL_MODELS,
+    SURPLUS_DOCUMENT,
+    classes_on,
+    fresh,
+    model_id,
+)
 
 
 class TestBundleCombine:
@@ -274,6 +281,30 @@ class TestKernelCallers:
         for tot in members[::3]:
             _check_newton_and_characters(tot)
             _check_series_and_exp(tot)
+
+
+class TestGradedRecurrence:
+    """exp and (1+x)^a by the one graded recurrence against the repeated
+    multiplies they replaced, on random classes without a constant term."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exp_and_powers_match_repeated_multiplies(self, data):
+        space = data.draw(st.sampled_from(KERNEL_MODELS))
+        c = data.draw(classes_on(space))
+        x = c - c.component(0)
+        assert class_exp(x) == ref.class_exp(x)
+        for a in range(-3, 5):
+            want = (space.one() + x) ** a if a >= 0 else ref._inverse_one_plus(x) ** -a
+            assert sp._one_plus_power(x, a) == want, a
+
+    @pytest.mark.parametrize("space", KERNEL_MODELS, ids=model_id)
+    def test_a_constant_term_is_refused(self, space):
+        for x in (space.one() + space.gen_class(0), space.constant(Fraction(-1, 2))):
+            with pytest.raises(InvalidParameter, match="constant term"):
+                class_exp(x)
+            with pytest.raises(InvalidParameter, match="constant term"):
+                sp._one_plus_power(x, -1)
 
 
 # ---------------------------------------------------------------------------

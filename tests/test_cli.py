@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hirzebruch import bundles
 from hirzebruch import cli
 from hirzebruch import exprlang
+from hirzebruch.errors import ParseError
 from hirzebruch.rings import LaurentY, render_y
 from hirzebruch.transforms import csm_arrangement, render_homology_on_projective
 from test_exprlang import trees
@@ -159,6 +160,16 @@ class TestCommands:
         assert code == 2 and not out
         assert err.startswith("error:") and where in err
 
+    def test_document_that_is_not_utf8_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "latin1.space"
+        path.write_bytes(b"dim 1\ngens h\xff\n")
+        with pytest.raises(ParseError) as caught:
+            exprlang.load_space(f"@{path}")
+        assert caught.value.position == 12
+        code, out, err = run(capsys, "genus", "--space", f"@{path}")
+        assert code == 2 and not out
+        assert err == "error: byte 0xff is not UTF-8 at offset 12\n"
+
     def test_cyclic_relations_exit_code(self, capsys, tmp_path, time_limit):
         path = tmp_path / "cyclic.space"
         path.write_text("dim 2\ngens a b\nrelation a^2 = b^2\nrelation b^2 = a^2\n"
@@ -269,6 +280,24 @@ class TestCommands:
         assert json.loads(out)["results"]["chi_y"] == render_y(
             LaurentY({p: (-1) ** p for p in range(151)}))
 
+    def test_genus_of_a_larger_projective_space(self, capsys, time_limit):
+        # the Todd class is exp of a dense class, one kernel call per degree
+        with time_limit(5):
+            code, out, _ = run(capsys, "genus", "--space", "P250", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["chi_y"] == render_y(
+            LaurentY({p: (-1) ** p for p in range(251)}))
+
+    def test_ty_class_of_a_large_projective_space(self, capsys, time_limit):
+        # exp of the dense T_y log sum, one kernel call per degree
+        with time_limit(5):
+            code, out, _ = run(capsys, "classes", "--space", "P80", "--series", "ty",
+                               "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["class"]["degree 1"] == "(81/2 - 81/2*y)*h"
+        assert results["integral"] == render_y(LaurentY({p: (-1) ** p for p in range(81)}))
+
     def test_mht_of_a_large_arrangement_complement(self, capsys, time_limit):
         # the log-cotangent bundle is 98 O(-1) + 2 O: lambda_y in closed form
         with time_limit(5):
@@ -321,6 +350,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "series-limits",
                            "--order", str(MAX_ORDER), "--format", "json")
         assert code == 0 and json.loads(out)["inputs"]["order"] == MAX_ORDER
+
+    @pytest.mark.parametrize("suite", ["ghrr", "series-limits"])
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_order_below_one(self, capsys, suite, order):
+        # one range rule for every suite, though only series-limits reads it
+        from hirzebruch.verify import MAX_ORDER
+        code, out, err = run(capsys, "verify", "--suite", suite, "--order", order)
+        assert code == 2 and not out
+        assert err == f"error: series order {order} is outside 1..{MAX_ORDER}\n"
 
     def test_order_flag_wins(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "series-limits",
