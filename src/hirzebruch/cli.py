@@ -45,13 +45,15 @@ from . import transforms as tr
 
 
 class Report:
-    """What a command produced, in a rendering-agnostic form."""
+    """What a command produced, in a rendering-agnostic form; ``failed``
+    (a verification failure, exit code 1) is not rendered."""
 
-    def __init__(self, command, inputs=None, results=None, suites=None):
+    def __init__(self, command, inputs=None, results=None, suites=None, failed=False):
         self.command = command
         self.inputs = inputs or {}
         self.results = results or {}
         self.suites = suites or []
+        self.failed = failed
 
     def to_json(self):
         doc = {
@@ -172,13 +174,13 @@ def _cmd_verify(args):
         counts[name] = f"{passed}/{len(checks)}"
         for c in checks:
             suites.append((f"{name}: {c.name}", "pass" if c.ok else "fail", c.detail))
-    report = Report(
+    return Report(
         command="verify",
         inputs={"suite": args.suite, "order": args.order},
         results={"summary": counts},
         suites=suites,
+        failed=not verify_mod.all_passed(results),
     )
-    return report, verify_mod.all_passed(results)
 
 
 def _cmd_describe(args):
@@ -204,62 +206,50 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, **kwargs):
+    def add(name, run, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(run=run)
         return p
 
-    p = add("epoly", help="E-polynomial of a motivic expression")
+    p = add("epoly", _cmd_epoly, help="E-polynomial of a motivic expression")
     p.add_argument("expr")
 
-    p = add("genus", help="chi_y genus of a motivic class or space model")
+    p = add("genus", _cmd_genus, help="chi_y genus of a motivic class or space model")
     p.add_argument("--motivic")
     p.add_argument("--space")
 
-    p = add("classes", help="characteristic class of the tangent bundle")
+    p = add("classes", _cmd_classes, help="characteristic class of the tangent bundle")
     p.add_argument("--space", required=True)
     p.add_argument("--series", required=True, choices=sorted(_SERIES))
 
-    p = add("arrangement", help="hyperplane-arrangement complement computations")
+    p = add("arrangement", _cmd_arrangement,
+            help="hyperplane-arrangement complement computations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--op", choices=("csm", "mht", "genus"), default="genus")
 
-    p = add("verify", help="run verification suites")
+    p = add("verify", _cmd_verify, help="run verification suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--order", type=int, default=8)
 
-    p = add("describe", help="print a space model's presentation")
+    p = add("describe", _cmd_describe, help="print a space model's presentation")
     p.add_argument("--space", required=True)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    exit_code = 0
+    args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "epoly":
-            report = _cmd_epoly(args)
-        elif args.cmd == "genus":
-            report = _cmd_genus(args)
-        elif args.cmd == "classes":
-            report = _cmd_classes(args)
-        elif args.cmd == "arrangement":
-            report = _cmd_arrangement(args)
-        elif args.cmd == "verify":
-            report, ok = _cmd_verify(args)
-            exit_code = 0 if ok else 1
-        else:
-            report = _cmd_describe(args)
+        report = args.run(args)
         text = printed(Report.to_json if args.format == "json" else Report.to_text, report)
     except (ParseError, InvalidParameter, NotPolynomial,
             MissingLogStructure, UnsupportedMap, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)
-    return exit_code
+    return 1 if report.failed else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Truncated cohomology-ring models of smooth projective varieties.
 
 A ``SpaceModel`` is a finite presentation of the even cohomology (Chow) ring
-of a variety: degree-one generators, rewrite rules (nilpotency caps or a
-single Grothendieck-type relation per generator), truncation at the
+of a variety: degree-one generators, one rewrite rule per generator (a
+Grothendieck-type relation, or a nilpotency cap), truncation at the
 dimension, an integration functional on top-degree monomials, and total
 Chern data for the tangent bundle.  Models exist for projective spaces,
 finite products, projective bundles of split bundles, hypersurfaces inside
@@ -63,7 +63,7 @@ object or on a product the factors' classes, and the genus the closed and
 Todd classes it was paired from; each is recomputed when its source
 changes, as when ``bundles.genus_series`` hands out a different series
 while it is patched.  Classes that depend on variation data
-(open-complement and twisted modes) are not kept.
+(in either mode) are not kept.
 
 A product's classes are exterior products of its factors' kept classes, so
 its product table stays empty until a product is taken on its ring.  Such
@@ -109,10 +109,9 @@ from .rings import (
     render_monomial,
 )
 
-# Rewrite rules attached to a generator slot:
-#   ("nilpotent", c)          -- any monomial with exponent >= c dies
-#   ("relation", r, rel)      -- gen^r rewrites to rel, a raw {exp: Fraction}
-#                                dict of total degree r with gen-exponent < r
+# The rewrite rule of a generator slot is (r, rel): gen^r rewrites to rel, a
+# raw {exp: coefficient} dict of total degree r with gen-exponent < r.  A
+# nilpotency cap is the rule with rel empty: the monomial dies.
 
 
 def _total(exp):
@@ -534,11 +533,8 @@ class SpaceModel:
         self.gens = tuple(gens)
         # whole relation coefficients become ints, so products of integral
         # models reduce in integers
-        self._rules = tuple(
-            rule if rule is None or rule[0] == "nilpotent" else
-            rule[:2] + ({e: c.numerator if c.denominator == 1 else c
-                         for e, c in rule[2].items()},)
-            for rule in rules)
+        self._rules = tuple((r, {e: c.numerator if c.denominator == 1 else c
+                                 for e, c in rel.items()}) for r, rel in rules)
         self._integrals = dict(integrals)
         self.tangent_chern = None
         self.log = None
@@ -563,16 +559,14 @@ class SpaceModel:
                 continue
             if _total(exp) > self.dim:
                 continue
-            for i, rule in enumerate(self._rules):
-                if rule is None or exp[i] < rule[1]:
-                    continue
-                if rule[0] == "relation":
-                    _, r, rel = rule
-                    base = list(exp)
-                    base[i] -= r
-                    for rexp, rc in rel.items():
-                        work.append((tuple(b + x for b, x in zip(base, rexp)), coeff * rc))
-                break  # monomial was rewritten or is nilpotent
+            for i, (r, rel) in enumerate(self._rules):
+                if exp[i] >= r:
+                    if rel:
+                        base = list(exp)
+                        base[i] -= r
+                        for rexp, rc in rel.items():
+                            work.append((tuple(b + x for b, x in zip(base, rexp)), coeff * rc))
+                    break  # monomial was rewritten or is nilpotent
             else:
                 w = out.get(exp, 0) + coeff
                 if w:
@@ -717,7 +711,7 @@ def _projective(key, n):
         name=f"P{n}",
         dim=n,
         gens=("h",),
-        rules=[("nilpotent", n + 1)],
+        rules=[(n + 1, {})],
         integrals={(n,): Fraction(1)},
     )
     m.tangent_chern = CohClass._raw(m, {(j,): comb(n + 1, j) for j in range(n + 1)})
@@ -784,7 +778,7 @@ def _product(key, flat):
 
 def _block_caps(f, offset):
     """Caps of ``f`` at slots from ``offset``, plus its own if its rules leave higher monomials."""
-    own = ((0, len(f.gens), f.dim),) if sum(rule[1] - 1 for rule in f._rules) > f.dim else ()
+    own = ((0, len(f.gens), f.dim),) if sum(r - 1 for r, _ in f._rules) > f.dim else ()
     return tuple((offset + i, offset + j, d) for i, j, d in f._caps + own)
 
 
@@ -792,8 +786,7 @@ def _embedded_rules(f, offset, width):
     """The rewrite rules of ``f``, each relation's monomials put on the slots
     from ``offset`` of a ring with ``width`` slots."""
     lo, hi = (0,) * offset, (0,) * (width - offset - len(f.gens))
-    return [rule if rule is None or rule[0] == "nilpotent" else
-            rule[:2] + ({lo + e + hi: v for e, v in rule[2].items()},) for rule in f._rules]
+    return [(r, {lo + e + hi: v for e, v in rel.items()}) for r, rel in f._rules]
 
 
 def _embedded(space, offset, c):
@@ -883,7 +876,7 @@ def _projective_bundle(key, base, E):
         ci = E.chern(i)
         for exp, v in ci.items():
             rel[tuple(exp) + (r - i,)] = -v
-    rules = _embedded_rules(base, 0, nb + 1) + [("relation", r, rel) if rel else ("nilpotent", r)]
+    rules = _embedded_rules(base, 0, nb + 1) + [(r, rel)]
 
     xi_name = "xi" if "xi" not in base.gens else f"xi{sum(1 for g in base.gens if g.startswith('xi')) + 1}"
     integrals = {exp + (r - 1,): w for exp, w in base._integrals.items()}
@@ -927,7 +920,7 @@ def _hypersurface(key, n, d):
         name=f"X({d})inP{n}",
         dim=n - 1,
         gens=("h",),
-        rules=[("nilpotent", n)],
+        rules=[(n, {})],
         integrals={(n - 1,): Fraction(d)},
         extra={"ambient_n": n, "degree": d},
     )
@@ -1008,8 +1001,7 @@ def product_projection(prod, axis):
 def hypersurface_inclusion(hyp):
     if hyp.kind != "hypersurface":
         raise UnsupportedMap("hypersurface_inclusion needs a hypersurface model")
-    return SpaceMap("hypersurface_inclusion", hyp, projective(hyp.extra["ambient_n"]),
-                    degree=hyp.extra["degree"])
+    return SpaceMap("hypersurface_inclusion", hyp, projective(hyp.extra["ambient_n"]))
 
 
 def linear_embedding(k, n):
@@ -1067,7 +1059,7 @@ def gysin_pushforward(m, c):
                 raw[e] = raw.get(e, 0) + v * weight
         return CohClass(tgt, raw)
     if m.kind == "hypersurface_inclusion":
-        d = m.extra["degree"]
+        d = m.source.extra["degree"]
         return CohClass._raw(tgt, *_reduced(
             {(e[0] + 1,): _num_scaled(n, d, 0) for e, n in c._c.items()}, c._d, c._k))
     if m.kind == "linear_embedding":
@@ -1119,7 +1111,7 @@ def relative_tangent(m):
                 (1, pull_to_product(src, i, ch(f.tangent_bundle())), None) for i, f in others])
         return out
     if m.kind == "hypersurface_inclusion":
-        return BundleClass(-1, _one_plus_power(src.gen_class(0) * m.extra["degree"], -1))
+        return BundleClass(-1, _one_plus_power(src.gen_class(0) * src.extra["degree"], -1))
     if m.kind == "linear_embedding":
         codim = m.target.dim - src.dim
         return BundleClass(-codim, _one_plus_power(src.gen_class(0), -codim))
@@ -1219,7 +1211,7 @@ def from_document(text):
             raw[tuple(exp)] = raw.get(tuple(exp), 0) + coeff
         return raw
 
-    rules = [None] * width
+    rules = [(dim + 1, {})] * width
     relation_line = {}  # generator slot -> line of its relation
     for lhs, rhs, lineno in relations:
         lterm = parse_class_terms(lhs, lineno)
@@ -1240,21 +1232,17 @@ def from_document(text):
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)
             if _total(rexp) != r:
                 raise ParseError(f"relation is not homogeneous of degree {r} (line {lineno})", 0)
-        rel = {e: c for e, c in rel.items() if c}  # terms that cancel, once checked
-        rules[i] = ("relation", r, rel) if rel else ("nilpotent", r)
+        rules[i] = (r, {e: c for e, c in rel.items() if c})  # terms that cancel, once checked
     # i -> j when generator j has a rewriting relation and occurs on the right of i's
-    rewriting = {i for i in relation_line if rules[i][0] == "relation"}
+    rewriting = {i for i, (_, rel) in enumerate(rules) if rel}
     try:
-        TopologicalSorter({i: {j for rexp in rules[i][2] for j, x in enumerate(rexp)
+        TopologicalSorter({i: {j for rexp in rules[i][1] for j, x in enumerate(rexp)
                                if x and j != i and j in rewriting}
                            for i in rewriting}).prepare()
     except CycleError as exc:
         lines = ", ".join(str(n) for n in sorted({relation_line[i] for i in exc.args[1]}))
         raise ParseError(f"relations rewrite into each other and may not terminate "
                          f"(lines {lines})", 0) from None
-    for i, rule in enumerate(rules):
-        if rule is None:
-            rules[i] = ("nilpotent", dim + 1)
 
     integral_exps = {}
     integral_line = {}
@@ -1291,6 +1279,5 @@ def from_document(text):
                              f"(line {once['tangent']})", 0)
         return m
 
-    return _model(("custom", dim, tuple(gens), tuple(r[:2] + tuple(map(terms, r[2:]))
-                                                     for r in rules),
+    return _model(("custom", dim, tuple(gens), tuple((r, terms(rel)) for r, rel in rules),
                    terms(integral_exps), terms(tangent_raw)), build)

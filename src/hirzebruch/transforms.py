@@ -3,8 +3,8 @@
 The K-theory side assigns to a space (or to variation data over it) a
 y-graded K-class: for a smooth compact model that of the total exterior
 algebra of the cotangent bundle, for an open complement that of the
-logarithmic cotangent bundle along the boundary arrangement, optionally
-multiplied by the cohomological class of supplied variation data.  A
+logarithmic cotangent bundle along the boundary arrangement, in either mode
+multiplied by the cohomological class of variation data when supplied.  A
 K-class is carried as its Chern character, a ``CohClass``; its rank is its
 degree-0 part.  The classes are functorial for exterior products, so on a
 product model the closed class, the open class without data and every
@@ -113,36 +113,31 @@ def mhc_cohomological(space, data):
 
 
 def mhc_y(space, mode="closed", data=None):
-    """The K-theoretic characteristic class of the space in the given mode.
+    """The K-theoretic characteristic class of the space in the given mode,
+    (sum_p (-y)^p [Gr^p_F V]) * lambda_y(Omega^1(log D)) for variation data V
+    (``mhc_cohomological``; without data the first factor is 1).
 
-    * ``closed``: the class of the compact smooth model itself, the total
+    * ``closed``: the compact smooth model itself, D empty: the total
       exterior-algebra class of its cotangent bundle.
-    * ``open_complement``: the class of the complement of the boundary
-      arrangement, via the logarithmic cotangent bundle; variation data, if
-      supplied, multiplies in through its cohomological class.
-    * ``twisted``: variation data against the closed class.
+    * ``open_complement``: the complement of the boundary arrangement D,
+      via the logarithmic cotangent bundle.
 
-    The closed class is kept on the model after its first computation.
+    The closed class without data is kept on the model after its first
+    computation.
     """
     product = space.kind == "product"
     if mode == "closed":
-        k = space._classes.get("closed")
-        if k is None:
-            k = space._classes["closed"] = (_by_factor(space, mode) if product
-                                            else lambda_y(space.tangent_bundle().dual()))
-        return k
-    if mode == "open_complement":
+        out = space._classes.get("closed")
+        if out is None:
+            out = space._classes["closed"] = (_by_factor(space, mode) if product
+                                              else lambda_y(space.tangent_bundle().dual()))
+    elif mode == "open_complement":
         if space.log is None:
             raise MissingLogStructure(f"{space.name} has no boundary arrangement")
         out = _by_factor(space, mode) if product else lambda_y(space.log.log_cotangent)
-        if data is not None:
-            out = mhc_cohomological(space, data) * out
-        return out
-    if mode == "twisted":
-        if data is None:
-            raise InvalidParameter("twisted mode needs variation data")
-        return mhc_cohomological(space, data) * mhc_y(space, "closed")
-    raise InvalidParameter(f"unknown mode {mode!r}")
+    else:
+        raise InvalidParameter(f"unknown mode {mode!r}")
+    return out if data is None else mhc_cohomological(space, data) * out
 
 
 def mht(k, normalized=True):
@@ -163,7 +158,9 @@ def degree(c):
 
 
 def chi_y_genus(space, mode="closed", data=None):
-    """The y-genus of the space in the given mode, as a Laurent polynomial.
+    """The y-genus of the space in the given mode (``closed`` or
+    ``open_complement``, with variation data in either; see ``mhc_y``), as a
+    Laurent polynomial.
 
     It is the degree of the dimension-0 part of the unnormalized ``mht``,
     i.e. the integral of the top-degree part of ch * td(TM).  That part is

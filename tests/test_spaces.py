@@ -906,7 +906,8 @@ def old_lift_from_base(total, c):
 
 
 def old_hypersurface_inclusion(m, c):
-    return sp.CohClass(m.target, {(e[0] + 1,): v * m.extra["degree"] for e, v in c.items()})
+    d = m.source.extra["degree"]
+    return sp.CohClass(m.target, {(e[0] + 1,): v * d for e, v in c.items()})
 
 
 def old_linear_embedding(m, c):

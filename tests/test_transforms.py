@@ -10,7 +10,7 @@ from hirzebruch import bundles, transforms
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
 from hirzebruch.bundles import apply_series, chern_character, k_dual, lambda_y
-from hirzebruch.errors import MissingLogStructure, NotPolynomial
+from hirzebruch.errors import InvalidParameter, MissingLogStructure, NotPolynomial
 from hirzebruch.rings import LaurentY, RationalFunctionY
 from hirzebruch.spaces import BundleClass, CohClass
 from hirzebruch.transforms import (
@@ -51,8 +51,8 @@ class TestMhcCohomological:
         p1 = sp.projective(1)
         data = VariationData.tate(p1, p)
         assert mhc_cohomological(p1, data) == p1.one() * LaurentY({p: sign})
-        assert mhc_y(p1, "twisted", data) == mhc_y(p1, "closed") * LaurentY({p: sign})
-        assert chi_y_genus(p1, "twisted", data) == LaurentY({p: sign, p + 1: -sign})
+        assert mhc_y(p1, "closed", data) == mhc_y(p1, "closed") * LaurentY({p: sign})
+        assert chi_y_genus(p1, "closed", data) == LaurentY({p: sign, p + 1: -sign})
 
     def test_two_pieces_on_line(self):
         # by definition the sum of (-y)^p [piece_p]
@@ -83,11 +83,32 @@ class TestMhcY:
 
     def test_twisted_by_tate_on_line(self):
         p1 = sp.projective(1)
-        got = mhc_y(p1, "twisted", VariationData.tate(p1, 1))
+        got = mhc_y(p1, "closed", VariationData.tate(p1, 1))
         want = mhc_y(p1, "closed") * LaurentY({1: -1})
         assert got == want
         val = degree(mht(got, normalized=False)).reduce_unit_denominator()
         assert val == LaurentY({1: -1, 2: 1})  # -y(1 - y)
+
+    @pytest.mark.parametrize("space, want", [
+        (sp.projective(1), LaurentY({1: -1, 2: 1})),
+        (sp.product(sp.projective(1), sp.projective(1)), LaurentY({1: -1, 2: 2, 3: -1})),
+    ], ids=["P1", "P1xP1"])
+    def test_closed_mode_twists_by_variation_data(self, space, want):
+        # -y times the closed genus; with data a product takes the pairing, not its factors
+        data = VariationData.tate(space, 1)
+        assert chi_y_genus(space, "closed", data) == want
+        assert mhc_y(space, "closed", data) == mhc_y(space) * LaurentY({1: -1})
+        assert chi_y_genus(space) * LaurentY({1: -1}) == want  # the kept genus is untouched
+
+    @pytest.mark.parametrize("space", [sp.projective(1), sp.product(sp.projective(1),
+                                                                     sp.projective(1))],
+                             ids=["P1", "P1xP1"])
+    @pytest.mark.parametrize("mode", ["twisted", "open"])
+    def test_unknown_mode(self, space, mode):
+        for data in (None, VariationData.tate(space, 1)):
+            for fn in (mhc_y, chi_y_genus):
+                with pytest.raises(InvalidParameter, match="unknown mode"):
+                    fn(space, mode, data)
 
     def test_twisted_open_complement(self):
         # a Tate twist over the torus multiplies the genus by -y
@@ -340,8 +361,8 @@ class TestGenusPairing:
     def test_twisted(self, space, variation):
         data = (VariationData.tate(space, 1) if variation == "tate"
                 else two_piece_variation(space))
-        self.assert_same(chi_y_genus(space, "twisted", data),
-                         genus_by_ledger(space, "twisted", data))
+        self.assert_same(chi_y_genus(space, "closed", data),
+                         genus_by_ledger(space, "closed", data))
 
 
 P1, P2, P3 = sp.projective(1), sp.projective(2), sp.projective(3)
@@ -660,7 +681,7 @@ class TestMhtPushdown:
     def test_commutes(self, m, normalized):
         src = m.source
         for k in (mhc_y(src), chern_character(sp.line_bundle(src, 1)),
-                  mhc_y(src, "twisted", VariationData.tate(src, 1))):
+                  mhc_y(src, "closed", VariationData.tate(src, 1))):
             assert (mht(pushforward(m, k), normalized=normalized)
                     == sp.gysin_pushforward(m, mht(k, normalized=normalized))), k
 
