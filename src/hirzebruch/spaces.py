@@ -118,6 +118,12 @@ def _total(exp):
     return sum(exp)
 
 
+def _whole(c):
+    """A relation coefficient, an int when it is whole, so that products on
+    an integral model reduce in integers."""
+    return c.numerator if c.denominator == 1 else c
+
+
 # -- class coefficients over one class denominator ------------------------------
 # A class coefficient is a numerator (``rings``: an int when it is constant in
 # y, else a LaurentY over 1) over the class denominator d*(1+y)^k.
@@ -531,10 +537,7 @@ class SpaceModel:
         self.name = name
         self.dim = dim
         self.gens = tuple(gens)
-        # whole relation coefficients become ints, so products of integral
-        # models reduce in integers
-        self._rules = tuple((r, {e: c.numerator if c.denominator == 1 else c
-                                 for e, c in rel.items()}) for r, rel in rules)
+        self._rules = tuple(rules)
         self._integrals = dict(integrals)
         self.tangent_chern = None
         self.log = None
@@ -786,7 +789,7 @@ def _embedded_rules(f, offset, width):
     """The rewrite rules of ``f``, each relation's monomials put on the slots
     from ``offset`` of a ring with ``width`` slots."""
     lo, hi = (0,) * offset, (0,) * (width - offset - len(f.gens))
-    return [(r, {lo + e + hi: v for e, v in rel.items()}) for r, rel in f._rules]
+    return [(r, rel and {lo + e + hi: v for e, v in rel.items()}) for r, rel in f._rules]
 
 
 def _embedded(space, offset, c):
@@ -875,7 +878,7 @@ def _projective_bundle(key, base, E):
     for i in range(1, r + 1):
         ci = E.chern(i)
         for exp, v in ci.items():
-            rel[tuple(exp) + (r - i,)] = -v
+            rel[tuple(exp) + (r - i,)] = _whole(-v)
     rules = _embedded_rules(base, 0, nb + 1) + [(r, rel)]
 
     xi_name = "xi" if "xi" not in base.gens else f"xi{sum(1 for g in base.gens if g.startswith('xi')) + 1}"
@@ -1232,7 +1235,7 @@ def from_document(text):
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)
             if _total(rexp) != r:
                 raise ParseError(f"relation is not homogeneous of degree {r} (line {lineno})", 0)
-        rules[i] = (r, {e: c for e, c in rel.items() if c})  # terms that cancel, once checked
+        rules[i] = (r, {e: _whole(c) for e, c in rel.items() if c})  # drop terms that cancel
     # i -> j when generator j has a rewriting relation and occurs on the right of i's
     rewriting = {i for i, (_, rel) in enumerate(rules) if rel}
     try:
