@@ -1,43 +1,43 @@
 """Exact Hodge genera and Hirzebruch-type characteristic classes for
-desk-scale models of complex algebraic varieties."""
+desk-scale models of complex algebraic varieties.
 
-from .errors import (
-    InvalidParameter,
-    MissingLogStructure,
-    NotPolynomial,
-    ParseError,
-    UnsupportedMap,
-)
-from .rings import (
-    LaurentY,
-    RationalFunctionY,
-    parse_y,
-    render_y,
-)
-from .hodge import HodgeDiamond, parse_uv, render_uv
-from . import motivic
-from .motivic import MotivicClass
-from . import spaces
-from .spaces import BundleClass, CohClass, SpaceModel
-from . import bundles
-from .bundles import ChernRootSeries, apply_series, genus_series, k_dual, lambda_y
-from . import transforms
-from .transforms import (
-    VariationData,
-    chi_y_genus,
-    csm_arrangement,
-    degree,
-    exterior,
-    homology_dual,
-    mhc_cohomological,
-    mhc_y,
-    mht,
-    pullback_smooth,
-    pushforward,
-    specialize_minus_one,
-)
+Importing the package loads only ``errors`` and ``rings``.  Every other
+public name, and the submodules ``hodge``, ``motivic``, ``spaces``,
+``bundles`` and ``transforms``, loads its module on first access (PEP 562),
+so a caller that computes on a point never compiles the space engine, and
+one that computes on a space never compiles the motivic code.
+"""
+
+from importlib import import_module
+
+from .errors import (InvalidParameter, MissingLogStructure, NotPolynomial, ParseError,
+                     UnsupportedMap)
+from .rings import LaurentY, RationalFunctionY, parse_y, render_y
 
 __version__ = "0.1.0"
+
+_HOMES = {  # submodule -> the public names it defines
+    "hodge": "HodgeDiamond parse_uv render_uv",
+    "motivic": "MotivicClass",
+    "spaces": "BundleClass CohClass SpaceModel",
+    "bundles": "ChernRootSeries apply_series genus_series k_dual lambda_y",
+    "transforms": "VariationData chi_y_genus csm_arrangement degree exterior homology_dual "
+                  "mhc_cohomological mhc_y mht pullback_smooth pushforward specialize_minus_one",
+}
+_HOME = {name: mod for mod, names in _HOMES.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name in _HOMES:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "BundleClass", "ChernRootSeries", "CohClass", "HodgeDiamond",

@@ -19,6 +19,11 @@ be ``@path`` to load a custom space document.  Exit codes: 0 success,
 1 verification failure, 2 usage or computation-domain error.  ``verify
 --order N`` sets the series order of ``series-limits`` (default 8, from 1 to
 ``verify.MAX_ORDER``; every suite refuses an order outside that range).
+
+Each handler imports the engine modules it runs, so a process compiles only
+those: ``epoly`` and ``genus --motivic`` load ``hodge`` and ``motivic``, the
+space commands ``spaces`` (with ``bundles`` and ``transforms`` where a class
+or genus is computed), and ``verify`` loads every module.
 """
 
 from __future__ import annotations
@@ -29,19 +34,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (
-    InvalidParameter,
-    MissingLogStructure,
-    NotPolynomial,
-    ParseError,
-    UnsupportedMap,
-)
-from .hodge import render_uv
+from .errors import (InvalidParameter, MissingLogStructure, NotPolynomial, ParseError,
+                     UnsupportedMap)
 from .rings import printed, render_y
 from . import exprlang
-from . import motivic
-from . import spaces as sp
-from . import transforms as tr
 
 
 class Report:
@@ -90,6 +86,7 @@ def _render_hom(c):
 
 
 def _cmd_epoly(args):
+    from .hodge import render_uv
     tree = exprlang.parse_expr(args.expr)
     cls = exprlang.evaluate(tree)
     return Report(
@@ -112,6 +109,7 @@ def _cmd_genus(args):
         inputs = {"motivic": exprlang.render(tree), "support": "compact"}
         results["hodge_table"] = cls.realization.triples()
     else:
+        from . import transforms as tr
         space = exprlang.load_space(args.space)
         mode = "open_complement" if space.log is not None else "closed"
         chi = tr.chi_y_genus(space, mode)
@@ -129,6 +127,7 @@ _SERIES = {"chern": "chern", "todd": "todd", "l": "lclass", "ty": "hirzebruch"}
 
 
 def _cmd_classes(args):
+    from . import transforms as tr
     space = exprlang.load_space(args.space)
     cls = tr.series_class(space, _SERIES[args.series])
     by_degree = {f"degree {d}": space.render_class(c) for d, c in cls.by_degree().items()}
@@ -141,22 +140,20 @@ def _cmd_classes(args):
 
 
 def _cmd_arrangement(args):
+    from . import spaces as sp, transforms as tr
     n, k = args.n, args.k
     inputs = {"n": n, "k": k, "op": args.op}
     if args.op == "csm":
         cls = tr.csm_arrangement(n, k)
-        results = {
-            "csm": tr.render_homology_on_projective(cls),
-            "components": _render_hom(cls),
-        }
+        results = {"csm": tr.render_homology_on_projective(cls),
+                   "components": _render_hom(cls)}
     elif args.op == "mht":
         arr = sp.with_arrangement(sp.projective(n), k)
         cls = tr.mht(tr.mhc_y(arr, "open_complement"))
-        results = {
-            "components": _render_hom(cls),
-            "y=-1": tr.render_homology_on_projective(tr.specialize_minus_one(cls)),
-        }
+        results = {"components": _render_hom(cls),
+                   "y=-1": tr.render_homology_on_projective(tr.specialize_minus_one(cls))}
     else:
+        from . import motivic
         arr = sp.with_arrangement(sp.projective(n), k)
         ordinary = tr.chi_y_genus(arr, "open_complement")
         compact = motivic.arrangement_complement(n, k).chi_y()

@@ -32,8 +32,6 @@ import re
 
 from .errors import ParseError
 from .rings import Tokens, read_int
-from . import motivic
-from . import spaces as sp
 
 MAX_DEPTH = 100
 
@@ -126,11 +124,14 @@ def parse_expr(src):
     return tree
 
 
-render = motivic.render_expr
+def render(tree):
+    """``motivic.render_expr``: the text of a display tree."""
+    from . import motivic
+    return motivic.render_expr(tree)
 
 
-_NAMED_ATOMS = {"pt": motivic.point, "L": motivic.lefschetz, "Gm": motivic.torus}
-_INDEXED_ATOMS = {"P": motivic.projective, "A": motivic.affine, "C": motivic.curve}
+_ATOMS = {"pt": "point", "L": "lefschetz", "Gm": "torus",
+          "P": "projective", "A": "affine", "C": "curve"}  # the motivic constructors
 _APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
@@ -140,19 +141,24 @@ def evaluate(tree):
     ``evaluate(t).expr == t`` whenever the atom labels of ``t`` are the
     ones the atom constructors write (``P2``, not ``P02``).
     """
-    kind = tree[0]
-    if kind == "atom":
-        name = tree[1]
-        if name in _NAMED_ATOMS:
-            return _NAMED_ATOMS[name]()
-        return _INDEXED_ATOMS[name[0]](int(name[1:]))
-    if kind == "int":
-        return motivic.integer(tree[1])
-    if kind == "pow":
-        return evaluate(tree[1]) ** tree[2]
-    if kind == "dual":
-        return evaluate(tree[1]).dual()
-    return _APPLY[kind](evaluate(tree[1]), evaluate(tree[2]))
+    from . import motivic
+
+    def build(node):
+        kind = node[0]
+        if kind == "atom":
+            name = node[1]
+            if name in _ATOMS:
+                return getattr(motivic, _ATOMS[name])()
+            return getattr(motivic, _ATOMS[name[0]])(int(name[1:]))
+        if kind == "int":
+            return motivic.integer(node[1])
+        if kind == "pow":
+            return build(node[1]) ** node[2]
+        if kind == "dual":
+            return build(node[1]).dual()
+        return _APPLY[kind](build(node[1]), build(node[2]))
+
+    return build(tree)
 
 
 # -- space specs ---------------------------------------------------------------
@@ -163,6 +169,7 @@ _SPEC_TOKEN = re.compile(r"(?P<op>Proj|Hyp|Arr|x|[();,])|(?P<P>P\d+)|(?P<int>-?\
 
 def parse_space(src):
     """Parse a space spec into a SpaceModel."""
+    from . import spaces as sp
     toks = Tokens(src, _SPEC_TOKEN, where=" in space spec")
     take = toks.take
 
@@ -217,9 +224,10 @@ def load_space(spec):
     """Resolve a --space argument: either a spec string or @path to a custom
     space document in UTF-8, decoded whole (ParseError at a byte that is not)."""
     if spec.startswith("@"):
+        from .spaces import from_document
         try:
             with open(spec[1:], "r", encoding="utf-8") as fh:
-                return sp.from_document(fh.read())
+                return from_document(fh.read())
         except UnicodeDecodeError as exc:
             raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8", exc.start) from None
     return parse_space(spec)

@@ -92,22 +92,9 @@ from math import comb, lcm, prod
 from operator import add
 
 from .errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
-from .rings import (
-    _at_minus_one,
-    _negated,
-    _num_product,
-    _num_scaled,
-    _num_sum,
-    _numerator,
-    _over,
-    _parts,
-    _power,
-    _reduced,
-    _y_inverted,
-    _ydict,
-    printed,
-    render_monomial,
-)
+from .rings import (_at_minus_one, _negated, _num_product, _num_scaled, _num_sum, _numerator,
+                    _over, _parts, _power, _reduced, _y_inverted, _ydict, printed,
+                    render_monomial)
 
 # The rewrite rule of a generator slot is (r, rel): gen^r rewrites to rel, a
 # raw {exp: coefficient} dict of total degree r with gen-exponent < r.  A
@@ -805,11 +792,19 @@ def pull_to_product(space, axis, c):
     return _embedded(space, space.extra["offsets"][axis], c)
 
 
+MAX_EXTERIOR_TERMS = 2 ** 14  # (P^1)^14's classes, 2^14 terms, are inside
+
+
 def exterior_product(*classes, space=None):
     """The exterior product of classes on positive-dimensional models, on
     ``space``, by default the product of the models: a product monomial is
     the concatenation of a monomial of each factor, with the product of
-    their numerators over the product of the class denominators."""
+    their numerators over the product of the class denominators.  A product
+    of more than ``MAX_EXTERIOR_TERMS`` terms is refused before it is built."""
+    terms = prod(len(c._c) for c in classes)
+    if terms > MAX_EXTERIOR_TERMS:
+        raise InvalidParameter(
+            f"the exterior product would have {terms} terms, more than {MAX_EXTERIOR_TERMS}")
     nums, den, k = {(): 1}, 1, 0
     for c in classes:
         nums = {e1 + e2: _num_product(n1, n2) for e1, n1 in nums.items() for e2, n2 in c._c.items()}

@@ -298,6 +298,22 @@ class TestCommands:
         assert results["class"]["degree 1"] == "(81/2 - 81/2*y)*h"
         assert results["integral"] == render_y(LaurentY({p: (-1) ** p for p in range(81)}))
 
+    @pytest.mark.parametrize("argv", [["describe"], ["classes", "--series", "ty"]],
+                             ids=["describe", "classes"])
+    def test_large_product_is_refused_before_it_is_built(self, capsys, time_limit, argv):
+        # the exterior product of 20 factor classes would have 2^20 terms
+        with time_limit(5):
+            code, out, err = run(capsys, *argv, "--space", "x".join(["P1"] * 20))
+        assert (code, out) == (2, "")
+        assert f"{2 ** 20} terms, more than {2 ** 14}" in err
+
+    def test_largest_product_inside_the_bound(self, capsys, time_limit):
+        with time_limit(5):
+            code, out, _ = run(capsys, "describe", "--space", "x".join(["P1"] * 14),
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["tangent_chern"].count(" + ") == 2 ** 14 - 1
+
     def test_mht_of_a_large_arrangement_complement(self, capsys, time_limit):
         # the log-cotangent bundle is 98 O(-1) + 2 O: lambda_y in closed form
         with time_limit(5):
@@ -318,6 +334,51 @@ class TestCommands:
             code, out, _ = run(capsys, "genus", "--space", spec, "--format", "json")
         assert code == 0
         assert json.loads(out)["results"]["chi_y"] == render_y(chi)
+
+
+SPACE_ENGINE = {"spaces", "bundles", "transforms"}
+MOTIVIC = {"hodge", "motivic"}
+
+
+class TestStartUp:
+    """Each command compiles only the modules it runs; probed in a fresh
+    interpreter, since the test process has loaded every module."""
+
+    def loaded(self, argv=None):
+        """The hirzebruch modules loaded by ``hirz argv``, or by a bare
+        ``import hirzebruch`` when ``argv`` is None."""
+        run_it = ("import io, contextlib, hirzebruch.cli as cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    assert cli.main({argv!r}) == 0\n") if argv else "import hirzebruch\n"
+        probe = run_it + ("import json, sys; print(json.dumps(sorted(n for n in sys.modules "
+                          "if n.startswith('hirzebruch.'))))")
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return {n.removeprefix("hirzebruch.") for n in json.loads(done.stdout)}
+
+    @pytest.mark.parametrize("command, absent", [
+        ("epoly P2-2*P1+C1", SPACE_ENGINE),
+        ("genus --motivic Gm^2+C2", SPACE_ENGINE),
+        ("genus --space Proj(P1xP1;1,2)", MOTIVIC),
+        ("classes --space Hyp(3,2)xP1 --series ty", MOTIVIC),
+        ("describe --space Arr(2,3)xP1", MOTIVIC | {"bundles", "transforms"}),
+        ("arrangement --n 2 --k 3 --op csm", MOTIVIC),
+        ("arrangement --n 2 --k 3 --op mht", MOTIVIC),
+        ("arrangement --n 2 --k 3 --op genus", set()),
+    ], ids=["epoly", "genus-motivic", "genus-space", "classes", "describe",
+            "arrangement-csm", "arrangement-mht", "arrangement-genus"])
+    def test_command_loads_only_its_modules(self, command, absent):
+        loaded = self.loaded(command.split())
+        assert not loaded & absent
+        assert "verify" not in loaded  # only its own command loads the registry
+
+    def test_bare_import_loads_errors_and_rings(self):
+        assert self.loaded() == {"errors", "rings"}
+
+    def test_verify_loads_every_module(self):
+        assert self.loaded(["verify", "--suite", "ghrr"]) >= SPACE_ENGINE | MOTIVIC | {"verify"}
 
 
 class TestVerifyCommand:
@@ -365,17 +426,6 @@ class TestVerifyCommand:
                            "--order", "6", "--format", "json")
         assert code == 0
         assert json.loads(out)["inputs"]["order"] == 6
-
-    def test_other_commands_do_not_load_verify(self):
-        # a fresh interpreter: the verify module is imported by its command alone
-        probe = ("import sys; from hirzebruch import cli; loaded = 'hirzebruch.verify' in "
-                 "sys.modules; cli.main(['genus', '--space', 'P2']); "
-                 "print(loaded, 'hirzebruch.verify' in sys.modules)")
-        src = pathlib.Path(cli.__file__).resolve().parents[1]
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False False"
 
     def test_json_output_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "ghrr", "--format", "json")
