@@ -21,9 +21,10 @@ be ``@path`` to load a custom space document.  Exit codes: 0 success,
 ``verify.MAX_ORDER``; every suite refuses an order outside that range).
 
 Each handler imports the engine modules it runs, so a process compiles only
-those: ``epoly`` and ``genus --motivic`` load ``hodge`` and ``motivic``, the
-space commands ``spaces`` (with ``bundles`` and ``transforms`` where a class
-or genus is computed), and ``verify`` loads every module.
+those: a command that reads an expression or a SPEC loads ``exprlang``,
+``epoly`` and ``genus --motivic`` load ``hodge`` and ``motivic``, the space
+commands ``spaces`` (with ``bundles`` and ``transforms`` where a class or
+genus is computed), and ``verify`` loads every module.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from fractions import Fraction
 from .errors import (InvalidParameter, MissingLogStructure, NotPolynomial, ParseError,
                      UnsupportedMap)
 from .rings import printed, render_y
-from . import exprlang
 
 
 class Report:
@@ -86,6 +86,7 @@ def _render_hom(c):
 
 
 def _cmd_epoly(args):
+    from . import exprlang
     from .hodge import render_uv
     tree = exprlang.parse_expr(args.expr)
     cls = exprlang.evaluate(tree)
@@ -101,6 +102,7 @@ def _cmd_epoly(args):
 def _cmd_genus(args):
     if (args.motivic is None) == (args.space is None):
         raise InvalidParameter("genus needs exactly one of --motivic or --space")
+    from . import exprlang
     results = {}
     if args.motivic is not None:
         tree = exprlang.parse_expr(args.motivic)
@@ -127,7 +129,7 @@ _SERIES = {"chern": "chern", "todd": "todd", "l": "lclass", "ty": "hirzebruch"}
 
 
 def _cmd_classes(args):
-    from . import transforms as tr
+    from . import exprlang, transforms as tr
     space = exprlang.load_space(args.space)
     cls = tr.series_class(space, _SERIES[args.series])
     by_degree = {f"degree {d}": space.render_class(c) for d, c in cls.by_degree().items()}
@@ -167,10 +169,9 @@ def _cmd_verify(args):
     suites = []
     counts = {}
     for name, checks in results.items():
-        passed = sum(1 for c in checks if c.ok)
-        counts[name] = f"{passed}/{len(checks)}"
-        for c in checks:
-            suites.append((f"{name}: {c.name}", "pass" if c.ok else "fail", c.detail))
+        counts[name] = f"{sum(c.ok for c in checks)}/{len(checks)}"
+        for check, status, detail in (c.as_tuple() for c in checks):
+            suites.append((f"{name}: {check}", status, detail))
     return Report(
         command="verify",
         inputs={"suite": args.suite, "order": args.order},
@@ -181,6 +182,7 @@ def _cmd_verify(args):
 
 
 def _cmd_describe(args):
+    from . import exprlang
     space = exprlang.load_space(args.space)
     return Report(command="describe", inputs={"space": args.space},
                   results=space.describe())

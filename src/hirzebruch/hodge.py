@@ -21,7 +21,7 @@ increasing total degree, u before v), which round-trips exactly.
 from __future__ import annotations
 
 from .errors import InvalidParameter, ParseError
-from .rings import LaurentY, _parse_poly, _power, _render_terms, render_monomial
+from .rings import LaurentY, _integer, _parse_poly, _power, _render_terms, render_monomial
 
 
 class HodgeDiamond:
@@ -149,8 +149,7 @@ class HodgeDiamond:
         return HodgeDiamond._of({e: v for e, v in c.items() if v}, weight)
 
     def __pow__(self, n):
-        n = int(n)
-        if n < 0:
+        if _integer(n, "exponent") < 0:
             raise InvalidParameter("negative tensor power")
         return _power(self, n, HodgeDiamond.point())
 

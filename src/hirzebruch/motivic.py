@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .errors import InvalidParameter
 from .hodge import HodgeDiamond
+from .rings import _integer
 
 # Display trees are nested tuples, one kind per production of the
 # expression grammar in ``exprlang``:
@@ -110,8 +111,7 @@ class MotivicClass:
         return self * -1
 
     def __pow__(self, n):
-        n = int(n)
-        if n < 0:
+        if _integer(n, "exponent") < 0:
             raise InvalidParameter("negative power of a motivic class")
         return MotivicClass(self.realization**n, ("pow", self.expr, n))
 

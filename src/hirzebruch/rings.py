@@ -181,9 +181,8 @@ class LaurentY:
     __slots__ = ("_c", "_d", "_k")
 
     def __init__(self, coeffs=None, den_pow=0):
-        den_pow = int(den_pow)
-        if den_pow < 0:
-            raise ValueError("denominator power must be >= 0")
+        if _integer(den_pow, "denominator power") < 0:
+            raise InvalidParameter("denominator power must be >= 0")
         if coeffs is None or isinstance(coeffs, dict):
             terms = coeffs or {}
             for e, v in terms.items():
@@ -290,8 +289,7 @@ class LaurentY:
         return self * (1 / Fraction(other))
 
     def __pow__(self, n):
-        n = int(n)
-        if n < 0:
+        if _integer(n, "exponent") < 0:
             if not self.is_monomial():
                 raise ZeroDivisionError("negative power of a value that is not a monomial")
             (e, v), = self.items()
@@ -340,6 +338,13 @@ class LaurentY:
 
 
 RationalFunctionY = LaurentY  # the name of the Laurent polynomials over (1+y)^k
+
+
+def _integer(n, what):
+    """``n`` when it is an int; any other value is an ``InvalidParameter``, not truncated."""
+    if not isinstance(n, int):
+        raise InvalidParameter(f"{what} {n!r} is not an int")
+    return n
 
 
 def _power(base, n, one):

@@ -27,8 +27,7 @@ over d*(1+y)^k; maps that only re-key monomials move them as they are.
 Arithmetic runs on these integers and normalizes once per result.  The
 constructors and scalar operations accept ints, Fractions and LaurentYs;
 ``coeff``, ``items`` and ``map_coeffs`` hand out a Fraction when it is
-constant in y, else a LaurentY, and ``integrate`` a LaurentY.  Built-in
-proper/smooth maps between models support Gysin pushforward and pullback.
+constant in y, else a LaurentY, and ``integrate`` a LaurentY.
 
 Every product of two classes on a model runs through one multiply-accumulate
 kernel, ``CohClass.combine``: the sum of w*a*b over terms (w, a, b), w*a
@@ -72,6 +71,12 @@ Chern class and log-cotangent bundle on first read (``_FirstRead``): the
 model costs what its factors cost, and its genus is the product of their
 kept genera.  ``describe`` and the classes a caller asks for cost 2^k.
 
+A built-in map, a ``SpaceMap``, carries what it does: ``push`` (its Gysin
+map), ``pull`` (its ring pullback, or None), ``tangent`` (a function giving
+its virtual relative tangent bundle) and ``smooth`` (whether K-classes pull
+back along it).  The identity and an open restriction move numerators as
+they are, between two models of one ring.
+
 ``SpaceModel.key`` is unique: the constructor's kind and arguments as ints
 and tuples, which fix everything a caller can see of the model (an
 arrangement ``("arr", n, k)`` apart from ``("proj", n)``).  Each public
@@ -92,8 +97,8 @@ from math import comb, lcm, prod
 from operator import add
 
 from .errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
-from .rings import (_at_minus_one, _negated, _num_product, _num_scaled, _num_sum, _numerator,
-                    _over, _parts, _power, _reduced, _y_inverted, _ydict, printed,
+from .rings import (_at_minus_one, _integer, _negated, _num_product, _num_scaled, _num_sum,
+                    _numerator, _over, _parts, _power, _reduced, _y_inverted, _ydict, printed,
                     render_monomial)
 
 # The rewrite rule of a generator slot is (r, rel): gen^r rewrites to rel, a
@@ -340,8 +345,7 @@ class CohClass:
         return CohClass._raw(space, *_canonical(out, den, k))
 
     def __pow__(self, n):
-        n = int(n)
-        if n < 0:
+        if _integer(n, "exponent") < 0:
             raise InvalidParameter("negative power of a cohomology class")
         return _power(self, n, self.space.one())
 
@@ -439,7 +443,7 @@ class BundleClass:
     def __init__(self, rank, total_chern, splitting=None):
         if total_chern.coeff(total_chern.space._zero_exp) != 1:
             raise InvalidParameter("total Chern class must have constant term 1")
-        self.rank = int(rank)
+        self.rank = _integer(rank, "bundle rank")
         self.total_chern = total_chern
         self.splitting = splitting
         self._ch = None  # ch(V) once known, or a function of bundles.chern_character giving it
@@ -814,9 +818,9 @@ def exterior_product(*classes, space=None):
     return CohClass._raw(space, *_reduced(nums, den, k))
 
 
-def line_bundle(space, multiple, gen=0):
-    """O(multiple * g) for a degree-one generator class g."""
-    c = space.one() + space.gen_class(gen) * Fraction(multiple)
+def line_bundle(space, multiple):
+    """O(multiple * g) for the first degree-one generator class g."""
+    c = space.one() + space.gen_class(0) * Fraction(multiple)
     return BundleClass(1, c)
 
 
@@ -824,10 +828,10 @@ def trivial_bundle(space, rank):
     return BundleClass(rank, space.one())
 
 
-def sum_of_line_bundles(space, multiples, gen=0):
+def sum_of_line_bundles(space, multiples):
     out = trivial_bundle(space, 0)
     for a in multiples:
-        out = out + line_bundle(space, a, gen)
+        out = out + line_bundle(space, a)
     return out
 
 
@@ -967,15 +971,16 @@ def _compactification(m):
 
 
 class SpaceMap:
-    """A built-in proper or smooth map between models."""
+    """A built-in proper or smooth map between models and what it does:
+    ``push`` is its Gysin map, ``pull`` its ring pullback (None when it has
+    none), ``tangent`` a function giving its virtual relative tangent bundle,
+    and ``smooth`` says whether K-classes pull back along it."""
 
-    __slots__ = ("kind", "source", "target", "extra")
+    __slots__ = ("kind", "source", "target", "push", "pull", "tangent", "smooth")
 
-    def __init__(self, kind, source, target, **extra):
-        self.kind = kind
-        self.source = source
-        self.target = target
-        self.extra = extra
+    def __init__(self, kind, source, target, push, pull, tangent, smooth):
+        self.kind, self.source, self.target = kind, source, target
+        self.push, self.pull, self.tangent, self.smooth = push, pull, tangent, smooth
 
     def __repr__(self):
         return f"SpaceMap({self.kind}: {self.source.name} -> {self.target.name})"
@@ -984,7 +989,17 @@ class SpaceMap:
 def bundle_projection(total):
     if total.kind != "projbundle":
         raise UnsupportedMap("bundle_projection needs a projective-bundle model")
-    return SpaceMap("bundle_projection", total, total.extra["base"])
+    tgt = total.extra["base"]
+
+    def push(c):
+        # the xi^(r-1) monomials, read one-to-one as (reduced) base monomials
+        r = total.extra["rank"]
+        nb = len(tgt.gens)
+        nums = {exp[:nb]: n for exp, n in c._c.items() if exp[nb] == r - 1}
+        return CohClass._raw(tgt, *_reduced(nums, c._d, c._k))
+
+    return SpaceMap("bundle_projection", total, tgt, push, lambda c: _embedded(total, 0, c),
+                    lambda: total.extra["relative_tangent"], True)
 
 
 def product_projection(prod, axis):
@@ -993,59 +1008,12 @@ def product_projection(prod, axis):
     factors = prod.extra["factors"]
     if not (0 <= axis < len(factors)):
         raise UnsupportedMap("no such factor")
-    return SpaceMap("product_projection", prod, factors[axis], axis=axis)
+    tgt = factors[axis]
 
-
-def hypersurface_inclusion(hyp):
-    if hyp.kind != "hypersurface":
-        raise UnsupportedMap("hypersurface_inclusion needs a hypersurface model")
-    return SpaceMap("hypersurface_inclusion", hyp, projective(hyp.extra["ambient_n"]))
-
-
-def linear_embedding(k, n):
-    if not (0 <= k <= n):
-        raise UnsupportedMap("need 0 <= k <= n for a linear embedding")
-    return SpaceMap("linear_embedding", projective(k), projective(n))
-
-
-def constant_map(space):
-    return SpaceMap("constant", space, point())
-
-
-def identity_map(space):
-    return SpaceMap("identity", space, space)
-
-
-def open_restriction(space):
-    """The map from a model to its compactification, the model without its
-    boundary data (see ``_compactification``); both have one ring, so
-    pullback and pushforward pass the numerators through unchanged."""
-    return SpaceMap("open_restriction", space, _compactification(space))
-
-
-def gysin_pushforward(m, c):
-    """Gysin (wrong-way) map on cohomology classes for a built-in map."""
-    if c.space.key != m.source.key:
-        raise InvalidParameter("class does not live on the source of the map")
-    tgt = m.target
-    if m.kind in ("identity", "open_restriction"):
-        return CohClass._raw(tgt, c._c, c._d, c._k)
-    if m.kind == "constant":
-        return tgt.constant(m.source.integrate(c))
-    if m.kind == "bundle_projection":
-        # the xi^(r-1) monomials, read one-to-one as base monomials (already
-        # reduced there)
-        r = m.source.extra["rank"]
-        nb = len(tgt.gens)
-        nums = {exp[:nb]: n for exp, n in c._c.items() if exp[nb] == r - 1}
-        return CohClass._raw(tgt, *_reduced(nums, c._d, c._k))
-    if m.kind == "product_projection":
-        axis = m.extra["axis"]
-        prod = m.source
-        factors = prod.extra["factors"]
+    def push(c):
         offs = prod.extra["offsets"]
         start = offs[axis]
-        stop = start + len(factors[axis].gens)
+        stop = start + len(tgt.gens)
         raw = {}
         for exp, v in c.items():
             weight = Fraction(1)
@@ -1056,64 +1024,88 @@ def gysin_pushforward(m, c):
                 e = exp[start:stop]
                 raw[e] = raw.get(e, 0) + v * weight
         return CohClass(tgt, raw)
-    if m.kind == "hypersurface_inclusion":
-        d = m.source.extra["degree"]
-        return CohClass._raw(tgt, *_reduced(
-            {(e[0] + 1,): _num_scaled(n, d, 0) for e, n in c._c.items()}, c._d, c._k))
-    if m.kind == "linear_embedding":
-        shift = tgt.dim - m.source.dim
-        return CohClass._raw(tgt, {(e[0] + shift,): n for e, n in c._c.items()}, c._d, c._k)
-    raise UnsupportedMap(m.kind)
 
-
-def ring_pullback(m, c):
-    """Plain ring pullback along a built-in map with smooth source-over-target
-    structure (projections, identity, open restriction)."""
-    if c.space.key != m.target.key:
-        raise InvalidParameter("class does not live on the target of the map")
-    if m.kind in ("identity", "open_restriction"):
-        return CohClass._raw(m.source, c._c, c._d, c._k)
-    if m.kind == "constant":
-        return m.source.constant(c.coeff(c.space._zero_exp))
-    if m.kind == "bundle_projection":
-        return _embedded(m.source, 0, c)
-    if m.kind == "product_projection":
-        return pull_to_product(m.source, m.extra["axis"], c)
-    raise UnsupportedMap(f"{m.kind} has no ring pullback")
-
-
-def relative_tangent(m):
-    """The virtual relative tangent bundle of a built-in map, as a
-    BundleClass on the source (rank may be negative for inclusions)."""
-    src = m.source
-    if m.kind in ("identity", "open_restriction"):
-        return trivial_bundle(src, 0)
-    if m.kind == "constant":
-        return src.tangent_bundle()
-    if m.kind == "bundle_projection":
-        return src.extra["relative_tangent"]
-    if m.kind == "product_projection":
+    def tangent():
         # the other factors' tangent bundles pulled back: its Chern class is
         # the exterior product of theirs, its ch the sum of their kept ch's;
         # one bundle per axis is kept on the product
-        axis = m.extra["axis"]
-        out = src._classes.get(("relative_tangent", axis))
+        out = prod._classes.get(("relative_tangent", axis))
         if out is None:
-            factors = src.extra["factors"]
             others = [(i, f) for i, f in enumerate(factors) if i != axis]
-            out = src._classes["relative_tangent", axis] = BundleClass(
-                src.dim - factors[axis].dim, exterior_product(
+            out = prod._classes["relative_tangent", axis] = BundleClass(
+                prod.dim - tgt.dim, exterior_product(
                     *(f.one() if i == axis else f.tangent_chern for i, f in enumerate(factors)),
-                    space=src))
-            out._ch = lambda ch: CohClass.combine(src, [
-                (1, pull_to_product(src, i, ch(f.tangent_bundle())), None) for i, f in others])
+                    space=prod))
+            out._ch = lambda ch: CohClass.combine(prod, [
+                (1, pull_to_product(prod, i, ch(f.tangent_bundle())), None) for i, f in others])
         return out
-    if m.kind == "hypersurface_inclusion":
-        return BundleClass(-1, _one_plus_power(src.gen_class(0) * src.extra["degree"], -1))
-    if m.kind == "linear_embedding":
-        codim = m.target.dim - src.dim
-        return BundleClass(-codim, _one_plus_power(src.gen_class(0), -codim))
-    raise UnsupportedMap(m.kind)
+
+    return SpaceMap("product_projection", prod, tgt, push,
+                    lambda c: pull_to_product(prod, axis, c), tangent, True)
+
+
+def hypersurface_inclusion(hyp):
+    if hyp.kind != "hypersurface":
+        raise UnsupportedMap("hypersurface_inclusion needs a hypersurface model")
+    tgt, d = projective(hyp.extra["ambient_n"]), hyp.extra["degree"]
+    return SpaceMap("hypersurface_inclusion", hyp, tgt, lambda c: CohClass._raw(tgt, *_reduced(
+        {(e[0] + 1,): _num_scaled(n, d, 0) for e, n in c._c.items()}, c._d, c._k)), None,
+        lambda: BundleClass(-1, _one_plus_power(hyp.gen_class(0) * d, -1)), False)
+
+
+def linear_embedding(k, n):
+    if not (0 <= k <= n):
+        raise UnsupportedMap("need 0 <= k <= n for a linear embedding")
+    src, tgt = projective(k), projective(n)
+    return SpaceMap("linear_embedding", src, tgt, lambda c: CohClass._raw(
+        tgt, {(e[0] + n - k,): v for e, v in c._c.items()}, c._d, c._k), None,
+        lambda: BundleClass(k - n, _one_plus_power(src.gen_class(0), k - n)), False)
+
+
+def constant_map(space):
+    pt = point()
+    return SpaceMap("constant", space, pt, lambda c: pt.constant(space.integrate(c)),
+                    lambda c: space.constant(c.coeff(c.space._zero_exp)),
+                    space.tangent_bundle, False)
+
+
+def _same_ring(kind, source, target):
+    """A map between two models of one ring: push and pull move the numerators."""
+    return SpaceMap(kind, source, target, lambda c: CohClass._raw(target, c._c, c._d, c._k),
+                    lambda c: CohClass._raw(source, c._c, c._d, c._k),
+                    lambda: trivial_bundle(source, 0), True)
+
+
+def identity_map(space):
+    return _same_ring("identity", space, space)
+
+
+def open_restriction(space):
+    """The map from a model to its compactification, the model without its
+    boundary data (see ``_compactification``); both have one ring."""
+    return _same_ring("open_restriction", space, _compactification(space))
+
+
+def gysin_pushforward(m, c):
+    """Gysin (wrong-way) map on cohomology classes for a built-in map."""
+    if c.space.key != m.source.key:
+        raise InvalidParameter("class does not live on the source of the map")
+    return m.push(c)
+
+
+def ring_pullback(m, c):
+    """Plain ring pullback along a built-in map that has one (``pull`` set)."""
+    if c.space.key != m.target.key:
+        raise InvalidParameter("class does not live on the target of the map")
+    if m.pull is None:
+        raise UnsupportedMap(f"{m.kind} has no ring pullback")
+    return m.pull(c)
+
+
+def relative_tangent(m):
+    """The virtual relative tangent bundle of a built-in map, a BundleClass on
+    the source (of negative rank for an inclusion)."""
+    return m.tangent()
 
 
 # ---------------------------------------------------------------------------

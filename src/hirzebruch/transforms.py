@@ -36,7 +36,7 @@ from __future__ import annotations
 from math import comb, prod
 
 from .errors import InvalidParameter, MissingLogStructure, UnsupportedMap
-from .rings import LaurentY, printed
+from .rings import LaurentY, _integer, printed
 from . import bundles
 from .bundles import apply_series, chern_character, lambda_y
 from . import spaces as sp
@@ -85,7 +85,7 @@ class VariationData:
     __slots__ = ("pieces",)
 
     def __init__(self, pieces):
-        pieces = tuple((int(p), V) for p, V in pieces)
+        pieces = tuple((_integer(p, "Hodge degree"), V) for p, V in pieces)
         if sum(V.rank for _, V in pieces) < 0:
             raise InvalidParameter("total rank of variation data must be >= 0")
         self.pieces = pieces
@@ -218,13 +218,11 @@ def pushforward(m, k):
 
 
 def pullback_smooth(m, k):
-    """Smooth pullback of a K-class: the exterior-algebra class of the
-    relative cotangent bundle times the ring pullback."""
-    if m.kind in ("identity", "open_restriction"):
-        return sp.ring_pullback(m, k)
-    if m.kind in ("bundle_projection", "product_projection"):
-        return lambda_y(sp.relative_tangent(m).dual()) * sp.ring_pullback(m, k)
-    raise UnsupportedMap(f"{m.kind} is not a built-in smooth map")
+    """Smooth pullback of a K-class: lambda_y of the relative cotangent bundle
+    (1 where that is O^0: identity, open restriction) times the ring pullback."""
+    if not m.smooth:
+        raise UnsupportedMap(f"{m.kind} is not a built-in smooth map")
+    return lambda_y(sp.relative_tangent(m).dual()) * sp.ring_pullback(m, k)
 
 
 def homology_dual(c):

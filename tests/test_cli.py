@@ -364,9 +364,9 @@ class TestStartUp:
         ("genus --space Proj(P1xP1;1,2)", MOTIVIC),
         ("classes --space Hyp(3,2)xP1 --series ty", MOTIVIC),
         ("describe --space Arr(2,3)xP1", MOTIVIC | {"bundles", "transforms"}),
-        ("arrangement --n 2 --k 3 --op csm", MOTIVIC),
-        ("arrangement --n 2 --k 3 --op mht", MOTIVIC),
-        ("arrangement --n 2 --k 3 --op genus", set()),
+        ("arrangement --n 2 --k 3 --op csm", MOTIVIC | {"exprlang"}),
+        ("arrangement --n 2 --k 3 --op mht", MOTIVIC | {"exprlang"}),
+        ("arrangement --n 2 --k 3 --op genus", {"exprlang"}),
     ], ids=["epoly", "genus-motivic", "genus-space", "classes", "describe",
             "arrangement-csm", "arrangement-mht", "arrangement-genus"])
     def test_command_loads_only_its_modules(self, command, absent):

@@ -170,6 +170,11 @@ class TestConstructor:
         with pytest.raises(InvalidParameter, match="must be ints"):
             HodgeDiamond(entries)
 
+    @pytest.mark.parametrize("n", [2.5, "2", 2.0])
+    def test_power_is_an_int(self, n):
+        with pytest.raises(InvalidParameter, match="exponent"):
+            HodgeDiamond({(0, 0): 1, (1, 1): 1}) ** n
+
 
 class TestPureWeight:
     def test_validation(self):

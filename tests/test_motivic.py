@@ -58,6 +58,11 @@ class TestCombine:
     def test_line_minus_point_is_lefschetz(self):
         assert mo.projective(1) - mo.point() == mo.lefschetz()
 
+    @pytest.mark.parametrize("n", [2.5, "2", 2.0])
+    def test_power_is_an_int(self, n):
+        with pytest.raises(InvalidParameter, match="exponent"):
+            mo.projective(1) ** n
+
     def test_product_of_lines(self):
         got = (mo.projective(1) * mo.projective(1)).e_polynomial()
         assert got.entries() == [((0, 0), 1), ((1, 1), 2), ((2, 2), 1)]  # (1 + uv)^2

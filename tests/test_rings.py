@@ -174,8 +174,18 @@ class TestRationalFunctionY:
         assert q * ONE_Y**2 == LaurentY({0: 2, 1: 1})
 
     def test_negative_denominator_power(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter, match="must be >= 0"):
             LaurentY(1, -1)
+
+    @pytest.mark.parametrize("den_pow", [1.5, "1", Fraction(1)])
+    def test_denominator_power_is_an_int(self, den_pow):
+        with pytest.raises(InvalidParameter, match="denominator power"):
+            LaurentY(1, den_pow)
+
+    @pytest.mark.parametrize("n", [2.5, "2", 2.0])
+    def test_power_is_an_int(self, n):
+        with pytest.raises(InvalidParameter, match="exponent"):
+            LaurentY({0: 1, 1: 1}) ** n
 
 
 class TestTextForm:

@@ -64,6 +64,14 @@ def segre_oracle(chern_coeffs, order):
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("n", [2.5, "2", 2.0])
+    def test_integer_arguments_are_ints(self, n):
+        p2 = sp.projective(2)
+        with pytest.raises(InvalidParameter, match="exponent"):
+            p2.gen_class(0) ** n
+        with pytest.raises(InvalidParameter, match="bundle rank"):
+            sp.BundleClass(n, p2.one())
+
     def test_projective_plane_tangent(self):
         p2 = sp.projective(2)
         h = p2.gen_class(0)

@@ -10,7 +10,7 @@ from hirzebruch import bundles, transforms
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
 from hirzebruch.bundles import apply_series, chern_character, k_dual, lambda_y
-from hirzebruch.errors import InvalidParameter, MissingLogStructure, NotPolynomial
+from hirzebruch.errors import InvalidParameter, MissingLogStructure, NotPolynomial, UnsupportedMap
 from hirzebruch.rings import LaurentY, RationalFunctionY
 from hirzebruch.spaces import BundleClass, CohClass
 from hirzebruch.transforms import (
@@ -53,6 +53,11 @@ class TestMhcCohomological:
         assert mhc_cohomological(p1, data) == p1.one() * LaurentY({p: sign})
         assert mhc_y(p1, "closed", data) == mhc_y(p1, "closed") * LaurentY({p: sign})
         assert chi_y_genus(p1, "closed", data) == LaurentY({p: sign, p + 1: -sign})
+
+    @pytest.mark.parametrize("p", [1.5, "1", 1.0])
+    def test_hodge_degree_is_an_int(self, p):
+        with pytest.raises(InvalidParameter, match="Hodge degree"):
+            VariationData([(p, sp.trivial_bundle(sp.projective(1), 1))])
 
     def test_two_pieces_on_line(self):
         # by definition the sum of (-y)^p [piece_p]
@@ -659,15 +664,38 @@ class TestPullbackSmooth:
         got = pullback_smooth(sp.open_restriction(arr), c)
         assert got.space is arr and got.items() == c.items()
 
+    @pytest.mark.parametrize("name", ["hypersurface_inclusion", "linear_embedding", "constant"])
+    def test_refused_along_a_map_that_is_not_smooth(self, name):
+        m = _pushdown_maps()[name]
+        with pytest.raises(UnsupportedMap):
+            pullback_smooth(m, m.target.one())
+        if name != "constant":  # the constant map has a ring pullback
+            with pytest.raises(UnsupportedMap, match="has no ring pullback"):
+                sp.ring_pullback(m, m.target.one())
+
+    @pytest.mark.parametrize("name", ["bundle_projection", "product_projection0", "identity",
+                                      "open_restriction"])
+    def test_a_class_on_the_wrong_model_is_refused(self, name):
+        m = _pushdown_maps()[name]
+        wrong = sp.projective(5).one()
+        for pull in (sp.ring_pullback, pullback_smooth):
+            with pytest.raises(InvalidParameter, match="target of the map"):
+                pull(m, wrong)
+
 
 def _pushdown_maps():
+    """The built-in maps, by test id."""
     base = sp.projective(1)
     tot = sp.projective_bundle(base, sp.sum_of_line_bundles(base, [0, 1]))
     prod = sp.product(sp.projective(1), sp.projective(2))
     p2 = sp.projective(2)
-    return [sp.bundle_projection(tot), sp.product_projection(prod, 0),
-            sp.product_projection(prod, 1), sp.hypersurface_inclusion(sp.hypersurface(3, 4)),
-            sp.linear_embedding(1, 3), sp.constant_map(p2), sp.identity_map(p2)]
+    return {"bundle_projection": sp.bundle_projection(tot),
+            "product_projection0": sp.product_projection(prod, 0),
+            "product_projection1": sp.product_projection(prod, 1),
+            "hypersurface_inclusion": sp.hypersurface_inclusion(sp.hypersurface(3, 4)),
+            "linear_embedding": sp.linear_embedding(1, 3), "constant": sp.constant_map(p2),
+            "identity": sp.identity_map(p2),
+            "open_restriction": sp.open_restriction(sp.with_arrangement(p2, 2))}
 
 
 class TestMhtPushdown:
@@ -676,9 +704,9 @@ class TestMhtPushdown:
     ledger, normalized or not."""
 
     @pytest.mark.parametrize("normalized", [True, False])
-    @pytest.mark.parametrize("m", _pushdown_maps(),
-                             ids=lambda m: m.kind + str(m.extra.get("axis", "")))
-    def test_commutes(self, m, normalized):
+    @pytest.mark.parametrize("name", list(_pushdown_maps()))
+    def test_commutes(self, name, normalized):
+        m = _pushdown_maps()[name]
         src = m.source
         for k in (mhc_y(src), chern_character(sp.line_bundle(src, 1)),
                   mhc_y(src, "closed", VariationData.tate(src, 1))):
