@@ -244,9 +244,9 @@ def k_dual(k):
     omega is the exterior product of the factors' canonical bundles, so its
     ch multiplies in one factor at a time, each a sparse pulled-back class."""
     space = k.space
-    if space.kind == "product":
+    if space.factors:
         omegas = [pull_to_product(space, i, class_exp(f.canonical_chern_root()))
-                  for i, f in enumerate(space.extra["factors"])]
+                  for i, f in enumerate(space.factors)]
     else:
         omegas = [class_exp(space.canonical_chern_root())]
     out, sign = k.adams(-1).invert_y(), (-1) ** space.dim

@@ -39,7 +39,7 @@ class HodgeDiamond:
     def __init__(self, entries=None, pure_weight=None):
         c = {}
         for (p, q), v in (entries or {}).items():
-            if not all(isinstance(x, int) for x in (p, q, v)):
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, q, v)):
                 raise InvalidParameter(f"Hodge entry {v!r} at ({p!r}, {q!r}): indices and "
                                        "entries must be ints")
             if v:

@@ -168,7 +168,7 @@ def torus():
 
 def projective(n):
     """P^n = 1 + L + ... + L^n."""
-    if n < 0:
+    if _integer(n, "projective space dimension") < 0:
         raise InvalidParameter("projective space dimension must be >= 0")
     return MotivicClass(HodgeDiamond({(p, p): 1 for p in range(n + 1)}),
                         ("atom", f"P{n}"))
@@ -195,7 +195,7 @@ def arrangement_complement(n, k):
     Any j <= n of the hyperplanes meet in a P^(n-j); any n+1 of them have
     empty intersection.
     """
-    if not (0 <= k <= n + 1):
+    if not (0 <= _integer(k, "hyperplane count") <= _integer(n, "dimension") + 1):
         raise InvalidParameter("need 0 <= k <= n+1 hyperplanes in general position")
     total = projective(n)
     binom = 1

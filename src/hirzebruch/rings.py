@@ -341,8 +341,9 @@ RationalFunctionY = LaurentY  # the name of the Laurent polynomials over (1+y)^k
 
 
 def _integer(n, what):
-    """``n`` when it is an int; any other value is an ``InvalidParameter``, not truncated."""
-    if not isinstance(n, int):
+    """``n`` when it is an int; any other value, a bool included, is an
+    ``InvalidParameter``, not truncated."""
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidParameter(f"{what} {n!r} is not an int")
     return n
 

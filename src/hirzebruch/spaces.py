@@ -53,16 +53,16 @@ exp and (1+x)^a, is one ``graded_recurrence``, one kernel call per degree.
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: its tangent bundle, which keeps its
 Chern character (on P^n built with its splitting), the relative tangent
-bundle of each product projection, the closed K-class ``mhc_y(X)`` (a
-``CohClass``, its Chern character), the classes of the tangent bundle
-under the built-in genus series (Todd, and any other a caller asks for)
-and, except on a product, the closed genus, each computed on first use by
-``transforms``.  A series entry records what it came from, the series
-object or on a product the factors' classes, and the genus the closed and
-Todd classes it was paired from; each is recomputed when its source
-changes, as when ``bundles.genus_series`` hands out a different series
-while it is patched.  Classes that depend on variation data
-(in either mode) are not kept.
+bundle of a projective bundle's projection (built with the model) and of
+each product projection, the closed K-class ``mhc_y(X)`` (a ``CohClass``,
+its Chern character), the classes of the tangent bundle under the built-in
+genus series (Todd, and any other a caller asks for) and, except on a
+product, the closed genus, each computed on first use by ``transforms``.
+A series entry records what it came from, the series object or on a
+product the factors' classes, and the genus the closed and Todd classes it
+was paired from; each is recomputed when its source changes, as when
+``bundles.genus_series`` hands out a different series while it is patched.
+Classes that depend on variation data (in either mode) are not kept.
 
 A product's classes are exterior products of its factors' kept classes, so
 its product table stays empty until a product is taken on its ring.  Such
@@ -77,9 +77,12 @@ its virtual relative tangent bundle) and ``smooth`` (whether K-classes pull
 back along it).  The identity and an open restriction move numerators as
 they are, between two models of one ring.
 
-``SpaceModel.key`` is unique: the constructor's kind and arguments as ints
-and tuples, which fix everything a caller can see of the model (an
-arrangement ``("arr", n, k)`` apart from ``("proj", n)``).  Each public
+``SpaceModel.key`` is unique, and it is the model's one record of its kind
+and arguments: the constructor's kind and arguments as ints and tuples,
+which fix everything a caller can see of the model (an arrangement
+``("arr", n, k)`` apart from ``("proj", n)``).  A model links only what a
+key cannot hold: a product its factor models (``factors``, else empty) and
+a projective bundle its base model (``base``, else None).  Each public
 constructor computes the key first and hands out the live model with that
 key when there is one, so equal models are one instance, with one product
 table and one ``_classes``.  The table of live models holds weak references,
@@ -104,10 +107,6 @@ from .rings import (_at_minus_one, _integer, _negated, _num_product, _num_scaled
 # The rewrite rule of a generator slot is (r, rel): gen^r rewrites to rel, a
 # raw {exp: coefficient} dict of total degree r with gen-exponent < r.  A
 # nilpotency cap is the rule with rel empty: the monomial dies.
-
-
-def _total(exp):
-    return sum(exp)
 
 
 def _whole(c):
@@ -196,7 +195,7 @@ class CohClass:
     def items(self):
         """Terms as (monomial, coefficient), by degree, then monomial."""
         return sorted(((e, _coefficient(n, self._d, self._k)) for e, n in self._c.items()),
-                      key=lambda t: (_total(t[0]), t[0]))
+                      key=lambda t: (sum(t[0]), t[0]))
 
     def coeff(self, exp):
         n = self._c.get(tuple(exp))
@@ -307,7 +306,7 @@ class CohClass:
             if b is None:
                 tw = _ydict(w).items()
                 for e, n1 in a._c.items():
-                    if degree is None or _total(e) == degree:
+                    if degree is None or sum(e) == degree:
                         acc = out.setdefault(e, {})
                         for y1, m1 in _ydict(n1).items():
                             for y2, m2 in tw:  # the weight's terms straight into the sum
@@ -318,9 +317,9 @@ class CohClass:
             if degree is not None:
                 groups = {}
                 for pair in rhs:
-                    groups.setdefault(_total(pair[0]), []).append(pair)
+                    groups.setdefault(sum(pair[0]), []).append(pair)
             for e1, n1 in a._c.items():
-                partners = rhs if degree is None else groups.get(degree - _total(e1))
+                partners = rhs if degree is None else groups.get(degree - sum(e1))
                 if not partners:
                     continue
                 t1 = _ydict(n1 if w is None else _num_product(w, n1)).items()
@@ -352,13 +351,13 @@ class CohClass:
     def component(self, degree):
         """The part in cohomological degree ``degree``."""
         return CohClass._raw(self.space, *_reduced(
-            {e: n for e, n in self._c.items() if _total(e) == degree}, self._d, self._k))
+            {e: n for e, n in self._c.items() if sum(e) == degree}, self._d, self._k))
 
     def by_degree(self):
         """Map degree -> component, only nonzero degrees."""
         out = {}
         for e, n in self._c.items():
-            out.setdefault(_total(e), {})[e] = n
+            out.setdefault(sum(e), {})[e] = n
         return {d: CohClass._raw(self.space, *_reduced(c, self._d, self._k))
                 for d, c in sorted(out.items())}
 
@@ -368,7 +367,7 @@ class CohClass:
     def degree_scaled(self, weights):
         """The degree-j part times the int ``weights[j]``, on the integer numerators."""
         nums = {e: _num_scaled(n, s, 0) for e, n in self._c.items()
-                if (s := weights[_total(e)])}
+                if (s := weights[sum(e)])}
         return CohClass._raw(self.space, *_reduced(nums, self._d, self._k))
 
     def adams(self, k):
@@ -394,7 +393,7 @@ class CohClass:
         """Divide the degree-j part by (1+y)^(dim - j), the normalization of
         MHT_y: (1+y)^j times the numerator over dim more factors (1+y)."""
         return CohClass._raw(self.space, *_reduced(
-            {e: _num_scaled(n, 1, _total(e)) for e, n in self._c.items()},
+            {e: _num_scaled(n, 1, sum(e)) for e, n in self._c.items()},
             self._d, self._k + self.space.dim))
 
     def __str__(self):
@@ -516,14 +515,13 @@ class SpaceModel:
     """Immutable model; build with the module constructors below."""
 
     __slots__ = (
-        "kind", "key", "name", "dim", "gens", "_rules", "_integrals", "_tangent_chern",
-        "log", "extra", "_products", "_table_den", "_classes", "_caps", "__weakref__",
+        "key", "name", "dim", "gens", "_rules", "_integrals", "_tangent_chern", "log",
+        "factors", "base", "_products", "_table_den", "_classes", "_caps", "__weakref__",
     )
 
     tangent_chern = _FirstRead()  # c(TM), or a function that builds it on first read
 
-    def __init__(self, kind, key, name, dim, gens, rules, integrals, extra=None):
-        self.kind = kind
+    def __init__(self, key, name, dim, gens, rules, integrals, factors=(), base=None):
         self.key = key
         self.name = name
         self.dim = dim
@@ -532,7 +530,8 @@ class SpaceModel:
         self._integrals = dict(integrals)
         self.tangent_chern = None
         self.log = None
-        self.extra = extra or {}
+        self.factors = tuple(factors)  # a product's factor models
+        self.base = base  # a projective bundle's base model
         self._products = {}  # e1 -> {e2: reduced product terms}, filled lazily
         self._table_den = 1  # every table integer is over this denominator
         self._classes = {}  # data-free characteristic classes, filled lazily
@@ -551,7 +550,7 @@ class SpaceModel:
             exp, coeff = work.pop()
             if not coeff:
                 continue
-            if _total(exp) > self.dim:
+            if sum(exp) > self.dim:
                 continue
             for i, (r, rel) in enumerate(self._rules):
                 if exp[i] >= r:
@@ -632,10 +631,10 @@ class SpaceModel:
     def canonical_chern_root(self):
         """-c1(TM), the Chern root of the canonical bundle; on a product the
         sum of the factors' roots pulled back, so c(TM) is not built."""
-        if self.kind == "product":
+        if self.factors:
             return CohClass.combine(self, [
                 (1, pull_to_product(self, i, f.canonical_chern_root()), None)
-                for i, f in enumerate(self.extra["factors"])])
+                for i, f in enumerate(self.factors)])
         return -self.tangent_chern.component(1)
 
     # -- rendering -------------------------------------------------------------
@@ -693,14 +692,13 @@ def _model(key, build, *args):
 
 def projective(n):
     """P^n: ring Q[h]/(h^(n+1)), integral of h^n is 1, c(T) = (1+h)^(n+1)."""
-    if n < 0:
+    if _integer(n, "projective space dimension") < 0:
         raise InvalidParameter("projective space dimension must be >= 0")
     return _model(("proj", n), _projective, n)
 
 
 def _projective(key, n):
     m = SpaceModel(
-        kind="proj",
         key=key,
         name=f"P{n}",
         dim=n,
@@ -719,7 +717,7 @@ def point():
 
 
 def is_point(space):
-    return space.dim == 0 and space.kind == "proj"
+    return space.key == ("proj", 0)
 
 
 def product(*factors):
@@ -730,8 +728,8 @@ def product(*factors):
     """
     flat = []
     for f in factors:
-        if f.kind == "product":
-            flat.extend(f.extra["factors"])
+        if f.factors:
+            flat.extend(f.factors)
         elif not is_point(f):
             flat.append(f)
     if not flat:
@@ -745,7 +743,6 @@ def _product(key, flat):
     offsets = list(accumulate((len(f.gens) for f in flat[:-1]), initial=0))
     width = offsets[-1] + len(flat[-1].gens)
     m = SpaceModel(
-        kind="product",
         key=key,
         name="x".join(f.name for f in flat),
         dim=sum(f.dim for f in flat),
@@ -753,7 +750,7 @@ def _product(key, flat):
         rules=[r for f, o in zip(flat, offsets) for r in _embedded_rules(f, o, width)],
         integrals={sum((e for e, _ in t), ()): prod(w for _, w in t)
                    for t in cartesian(*(f._integrals.items() for f in flat))},
-        extra={"factors": flat, "offsets": offsets},
+        factors=flat,
     )
     m._caps = sum((_block_caps(f, i) for i, f in zip(offsets, flat)), ())
     # the exterior products have 2^k terms for k factors: built on first read
@@ -793,7 +790,7 @@ def _embedded(space, offset, c):
 
 def pull_to_product(space, axis, c):
     """Pull a class on factor ``axis`` back to the product ring of ``space``."""
-    return _embedded(space, space.extra["offsets"][axis], c)
+    return _embedded(space, sum(len(f.gens) for f in space.factors[:axis]), c)
 
 
 MAX_EXTERIOR_TERMS = 2 ** 14  # (P^1)^14's classes, 2^14 terms, are inside
@@ -820,7 +817,7 @@ def exterior_product(*classes, space=None):
 
 def line_bundle(space, multiple):
     """O(multiple * g) for the first degree-one generator class g."""
-    c = space.one() + space.gen_class(0) * Fraction(multiple)
+    c = space.one() + space.gen_class(0) * _integer(multiple, "line bundle multiple")
     return BundleClass(1, c)
 
 
@@ -883,20 +880,19 @@ def _projective_bundle(key, base, E):
     xi_name = "xi" if "xi" not in base.gens else f"xi{sum(1 for g in base.gens if g.startswith('xi')) + 1}"
     integrals = {exp + (r - 1,): w for exp, w in base._integrals.items()}
     m = SpaceModel(
-        kind="projbundle",
         key=key,
         name=f"P({base.name};r{r})",
         dim=base.dim + r - 1,
         gens=base.gens + (xi_name,),
         rules=rules,
         integrals=integrals,
-        extra={"base": base, "rank": r},
+        base=base,
     )
     m._caps = _block_caps(base, 0)
     xi = m.gen_class(nb)
     E_up = BundleClass(r, _embedded(m, 0, E.total_chern))
     rel_chern = _twisted_chern(E_up, xi)
-    rel = m.extra["relative_tangent"] = BundleClass(r - 1, rel_chern)
+    rel = m._classes["relative_tangent"] = BundleClass(r - 1, rel_chern)
     m.tangent_chern = _embedded(m, 0, base.tangent_chern) * rel_chern
     # T(P(E)) is the lifted T(base) plus T_rel, so ch(T_rel) is a difference of kept classes
     rel._ch = lambda ch: ch(m.tangent_bundle()) - _embedded(m, 0, ch(base.tangent_bundle()))
@@ -910,21 +906,19 @@ def hypersurface(n, d):
     integral of a class is d times its h^(n-1) coefficient, and the tangent
     Chern class is the truncation of (1+h)^(n+1) / (1+d h).
     """
-    if n < 2 or d < 1:
+    if _integer(n, "ambient dimension") < 2 or _integer(d, "hypersurface degree") < 1:
         raise InvalidParameter("hypersurface needs n >= 2 and d >= 1")
     return _model(("hyp", n, d), _hypersurface, n, d)
 
 
 def _hypersurface(key, n, d):
     m = SpaceModel(
-        kind="hypersurface",
         key=key,
         name=f"X({d})inP{n}",
         dim=n - 1,
         gens=("h",),
         rules=[(n, {})],
         integrals={(n - 1,): Fraction(d)},
-        extra={"ambient_n": n, "degree": d},
     )
     h = m.gen_class(0)
     m.tangent_chern = _one_plus_power(h, n + 1) * _one_plus_power(h * d, -1)
@@ -938,12 +932,12 @@ def with_arrangement(space, k):
     cotangent bundle, whose total Chern class (1-h)^(n+1-k) comes from the
     residue sequence relating it to the plain cotangent bundle.
     """
-    if space.kind != "proj":
-        raise InvalidParameter("arrangements are modeled on projective space")
     if space.log is not None:
         raise InvalidParameter(f"{space.name} already carries a boundary arrangement")
+    if space.key[0] != "proj":
+        raise InvalidParameter("arrangements are modeled on projective space")
     n = space.dim
-    if not (0 <= k <= n + 1):
+    if not (0 <= _integer(k, "hyperplane count") <= n + 1):
         raise InvalidParameter("need 0 <= k <= n+1 hyperplanes in general position")
     return _model(("arr", n, k), _arrangement, n, k)
 
@@ -954,16 +948,15 @@ def _arrangement(key, n, k):
     h = m.gen_class(0)
     # the residue sequence: in K-theory the bundle is (n+1-k) O(-1) + (k-1) O
     m.log = LogStructure([h] * k, BundleClass(n, _one_plus_power(-h, n + 1 - k), (n + 1 - k, -h)))
-    m.extra = {"arrangement_k": k}
     return m
 
 
 def _compactification(m):
     """The model without its boundary data: P^n for an arrangement, the
     product of the factors' compactifications for a product, else ``m``."""
-    if m.kind == "product":
-        return product(*map(_compactification, m.extra["factors"]))
-    return projective(m.dim) if "arrangement_k" in m.extra else m
+    if m.factors:
+        return product(*map(_compactification, m.factors))
+    return projective(m.dim) if m.key[0] == "arr" else m
 
 
 # ---------------------------------------------------------------------------
@@ -987,31 +980,31 @@ class SpaceMap:
 
 
 def bundle_projection(total):
-    if total.kind != "projbundle":
+    tgt = total.base
+    if tgt is None:
         raise UnsupportedMap("bundle_projection needs a projective-bundle model")
-    tgt = total.extra["base"]
+    r = total.dim - tgt.dim + 1
 
     def push(c):
         # the xi^(r-1) monomials, read one-to-one as (reduced) base monomials
-        r = total.extra["rank"]
         nb = len(tgt.gens)
         nums = {exp[:nb]: n for exp, n in c._c.items() if exp[nb] == r - 1}
         return CohClass._raw(tgt, *_reduced(nums, c._d, c._k))
 
     return SpaceMap("bundle_projection", total, tgt, push, lambda c: _embedded(total, 0, c),
-                    lambda: total.extra["relative_tangent"], True)
+                    lambda: total._classes["relative_tangent"], True)
 
 
 def product_projection(prod, axis):
-    if prod.kind != "product":
+    factors = prod.factors
+    if not factors:
         raise UnsupportedMap("product_projection needs a product model")
-    factors = prod.extra["factors"]
-    if not (0 <= axis < len(factors)):
+    if not (0 <= _integer(axis, "factor axis") < len(factors)):
         raise UnsupportedMap("no such factor")
     tgt = factors[axis]
+    offs = list(accumulate((len(f.gens) for f in factors[:-1]), initial=0))
 
     def push(c):
-        offs = prod.extra["offsets"]
         start = offs[axis]
         stop = start + len(tgt.gens)
         raw = {}
@@ -1045,16 +1038,16 @@ def product_projection(prod, axis):
 
 
 def hypersurface_inclusion(hyp):
-    if hyp.kind != "hypersurface":
+    if hyp.key[0] != "hyp":
         raise UnsupportedMap("hypersurface_inclusion needs a hypersurface model")
-    tgt, d = projective(hyp.extra["ambient_n"]), hyp.extra["degree"]
+    tgt, d = projective(hyp.key[1]), hyp.key[2]
     return SpaceMap("hypersurface_inclusion", hyp, tgt, lambda c: CohClass._raw(tgt, *_reduced(
         {(e[0] + 1,): _num_scaled(n, d, 0) for e, n in c._c.items()}, c._d, c._k)), None,
         lambda: BundleClass(-1, _one_plus_power(hyp.gen_class(0) * d, -1)), False)
 
 
 def linear_embedding(k, n):
-    if not (0 <= k <= n):
+    if not (0 <= _integer(k, "source dimension") <= _integer(n, "target dimension")):
         raise UnsupportedMap("need 0 <= k <= n for a linear embedding")
     src, tgt = projective(k), projective(n)
     return SpaceMap("linear_embedding", src, tgt, lambda c: CohClass._raw(
@@ -1220,7 +1213,7 @@ def from_document(text):
         for rexp in rel:
             if rexp[i] >= r:
                 raise ParseError(f"relation does not terminate (line {lineno})", 0)
-            if _total(rexp) != r:
+            if sum(rexp) != r:
                 raise ParseError(f"relation is not homogeneous of degree {r} (line {lineno})", 0)
         rules[i] = (r, {e: _whole(c) for e, c in rel.items() if c})  # drop terms that cancel
     # i -> j when generator j has a rewriting relation and occurs on the right of i's
@@ -1243,7 +1236,7 @@ def from_document(text):
         (exp, c), = raw.items()
         if c != 1:
             raise ParseError(f"integral left side must be a bare monomial (line {lineno})", 0)
-        if _total(exp) != dim:
+        if sum(exp) != dim:
             raise ParseError(f"integral monomials must have top degree (line {lineno})", 0)
         if exp in integral_line:
             raise ParseError(f"second integral of {mono_src} "
@@ -1261,8 +1254,8 @@ def from_document(text):
         return tuple(sorted((e, v.numerator, v.denominator) for e, v in raw.items()))
 
     def build(key):
-        m = SpaceModel(kind="custom", key=key, name="custom", dim=dim, gens=gens,
-                       rules=rules, integrals=integral_exps)
+        m = SpaceModel(key=key, name="custom", dim=dim, gens=gens, rules=rules,
+                       integrals=integral_exps)
         m.tangent_chern = CohClass(m, tangent_raw)
         if m.tangent_chern.coeff(m._zero_exp) != 1:
             raise ParseError(f"tangent Chern class must have constant term 1 "

@@ -50,8 +50,8 @@ def series_class(space, kind):
     factor's own order, whose exterior product it is (a multiplicative
     series is multiplicative over TX x TY).  It is recomputed when that
     changes, as when ``genus_series`` hands out a different series."""
-    product = space.kind == "product"
-    source = (tuple(series_class(f, kind) for f in space.extra["factors"]) if product
+    product = bool(space.factors)
+    source = (tuple(series_class(f, kind) for f in space.factors) if product
               else bundles.genus_series(kind, max(space.dim, 1)))
     memo = space._classes.get(kind)
     if memo is None or memo[0] != source:
@@ -69,7 +69,7 @@ def _todd(space):
 def _factor_modes(space, mode):
     """A product model's factors, each with its share of ``mode``: a factor
     without boundary data takes the closed mode."""
-    return [(f, mode if f.log is not None else "closed") for f in space.extra["factors"]]
+    return [(f, mode if f.log is not None else "closed") for f in space.factors]
 
 
 def _by_factor(space, mode):
@@ -99,9 +99,6 @@ class VariationData:
         """The weight-(-2n) rank-one twist: a single piece in degree n."""
         return cls([(n, sp.trivial_bundle(space, 1))])
 
-    def rank(self):
-        return sum(V.rank for _, V in self.pieces)
-
 
 def mhc_cohomological(space, data):
     """Sum over pieces of (-y)^p [piece_p], as a K-class on the space."""
@@ -125,7 +122,7 @@ def mhc_y(space, mode="closed", data=None):
     The closed class without data is kept on the model after its first
     computation.
     """
-    product = space.kind == "product"
+    product = bool(space.factors)
     if mode == "closed":
         out = space._classes.get("closed")
         if out is None:
@@ -174,7 +171,7 @@ def chi_y_genus(space, mode="closed", data=None):
     recomputed when either changes, as ``series_class`` is; so the factors
     of (P^1)^k share one pairing.
     """
-    if space.kind == "product" and data is None and mode in ("closed", "open_complement"):
+    if space.factors and data is None and mode in ("closed", "open_complement"):
         if space.log is None and mode != "closed":
             raise MissingLogStructure(f"{space.name} has no boundary arrangement")
         return prod(chi_y_genus(f, m) for f, m in _factor_modes(space, mode))
@@ -246,7 +243,7 @@ def csm_arrangement(n, k):
     This is a pure binomial computation, independent of the transformation
     pipeline, and serves as its y = -1 oracle.
     """
-    if not (0 <= k <= n + 1):
+    if not (0 <= _integer(k, "hyperplane count") <= _integer(n, "dimension") + 1):
         raise InvalidParameter("need 0 <= k <= n+1 hyperplanes in general position")
     raw = {}
     for s in range(min(k, n) + 1):

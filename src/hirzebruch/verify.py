@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import InvalidParameter
-from .rings import LaurentY, render_monomial, render_y
+from .rings import LaurentY, _integer, render_monomial, render_y
 from .hodge import HodgeDiamond
 from . import motivic
 from . import spaces as sp
@@ -325,7 +325,7 @@ def run_suites(names, order=8):
     family is built once per call, on first need, and handed to every suite
     that runs on it, so its models and the genera kept on them live through
     the call.  An unknown suite name raises ``InvalidParameter``."""
-    if not 1 <= order <= MAX_ORDER:
+    if not 1 <= _integer(order, "series order") <= MAX_ORDER:
         raise InvalidParameter(f"series order {order} is outside 1..{MAX_ORDER}")
     if names in ("all", None):
         names = list(SUITES)

@@ -226,7 +226,7 @@ def _pulled_product(prod, classes):
 def product_tangent_bundle(prod):
     """T(X1 x ... x Xn), its Chern class the product of the pulled-back
     factor tangent Chern classes."""
-    factors = prod.extra["factors"]
+    factors = prod.factors
     return BundleClass(prod.dim, _pulled_product(prod, [f.tangent_chern for f in factors]))
 
 
@@ -234,7 +234,7 @@ def product_log_cotangent(prod):
     """The log-cotangent bundle of a product with boundary data: a factor
     without boundary data contributes its plain cotangent bundle."""
     logs = [f.tangent_bundle().dual() if f.log is None else f.log.log_cotangent
-            for f in prod.extra["factors"]]
+            for f in prod.factors]
     return BundleClass(sum(V.rank for V in logs),
                        _pulled_product(prod, [V.total_chern for V in logs]))
 

@@ -421,7 +421,7 @@ class TestKeptChernCharacter:
     def test_relative_tangent_reads_the_tangent_bundles(self, twists):
         base = sp.projective(2)
         tot = fresh(lambda: sp.projective_bundle(base, sp.sum_of_line_bundles(base, twists)))
-        rel = tot.extra["relative_tangent"]
+        rel = tot._classes["relative_tangent"]
         assert chern_character(rel) == ref.chern_character(rel)
 
     def test_tangent_bundle_is_kept(self):
@@ -488,7 +488,7 @@ class TestKeptChernCharacter:
         assert calls == [prod]
         assert sp.relative_tangent(sp.product_projection(prod, 2)) is not rel
         assert rel.rank == 3 and rel.total_chern == real(*(
-            f.one() if i == 1 else f.tangent_chern for i, f in enumerate(prod.extra["factors"])),
+            f.one() if i == 1 else f.tangent_chern for i, f in enumerate(prod.factors)),
             space=prod)
 
 
@@ -553,3 +553,15 @@ class TestCanonicalRoot:
             c = mhc_y(X)
             assert k_dual(c) == c * LaurentY({-12: 1})
         assert callable(X._tangent_chern)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, reason", [
+        (lambda: bundles.ChernRootSeries("custom", [2, 1], 1), "constant term 1"),
+        (lambda: apply_series(genus_series("todd", 1), sp.projective(2).tangent_bundle()),
+         "below the space dimension"),
+        (lambda: lambda_y(sp.BundleClass(-1, sp.projective(2).one())), "non-virtual"),
+    ], ids=["series-constant-term", "series-order", "lambda-negative-rank"])
+    def test_refusal(self, call, reason):
+        with pytest.raises(InvalidParameter, match=reason):
+            call()

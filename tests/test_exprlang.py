@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hirzebruch import cli
 from hirzebruch import exprlang as ex
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
@@ -267,7 +268,7 @@ class TestSpaceSpec:
 
     def test_bundle(self):
         space = ex.parse_space("Proj(P1; 0,1)")
-        assert space.kind == "projbundle"
+        assert space.key[0] == "projbundle"
         assert space.dim == 2
         base = sp.projective(1)
         want = sp.projective_bundle(base, sp.sum_of_line_bundles(base, [0, 1]))
@@ -308,4 +309,13 @@ class TestSpaceSpec:
         doc.write_text("dim 2\ngens h\nrelation h^3 = 0\n"
                        "integral h^2 = 1\ntangent 1 + 3*h + 3*h^2\n")
         space = ex.load_space(f"@{doc}")
-        assert space.dim == 2 and space.kind == "custom"
+        assert space.dim == 2 and space.key[0] == "custom"
+
+
+class TestSpecRefusals:
+    @pytest.mark.parametrize("spec", ["xP1", "P1)"])
+    def test_refusal(self, spec, capsys):
+        with pytest.raises(ParseError):
+            ex.parse_space(spec)
+        assert cli.main(["genus", "--space", spec]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -3,8 +3,8 @@
 import pytest
 
 from hirzebruch import motivic as mo
-from hirzebruch.errors import InvalidParameter
-from hirzebruch.hodge import HodgeDiamond
+from hirzebruch.errors import InvalidParameter, ParseError
+from hirzebruch.hodge import HodgeDiamond, parse_uv
 from hirzebruch.rings import LaurentY
 
 
@@ -123,3 +123,18 @@ class TestDual:
         compact = (mo.torus() ** n).chi_y()
         ordinary = LaurentY({0: 1, 1: 1}) ** n
         assert compact == ordinary.invert_y() * LaurentY({n: (-1) ** n})
+
+
+class TestRefusals:
+    """The refusals of ``motivic`` and ``hodge``."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: mo.projective(1) ** -1, InvalidParameter),
+        (lambda: HodgeDiamond.point() ** -1, InvalidParameter),
+        (lambda: mo.arrangement_complement(2, 4), InvalidParameter),
+        (lambda: parse_uv("1/2*u"), ParseError),
+    ], ids=["motivic-negative-power", "hodge-negative-power", "arrangement-too-many",
+            "uv-fraction"])
+    def test_refusal(self, call, error):
+        with pytest.raises(error):
+            call()

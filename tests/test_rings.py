@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hirzebruch import motivic, transforms, verify
+from hirzebruch import spaces as sp
 from hirzebruch.errors import InvalidParameter, NotPolynomial, ParseError
 from hirzebruch.hodge import HodgeDiamond, parse_uv, render_uv
 from hirzebruch.rings import LaurentY, RationalFunctionY, parse_y, render_y
@@ -94,6 +96,45 @@ class TestExponents:
         # {0: 1, 0.5: 2} printed 2: int(0.5) overwrote the constant term
         with pytest.raises(InvalidParameter, match="not an integer"):
             LaurentY(coeffs)
+
+
+class TestIntegerSizes:
+    """A size, count or index is an int: a float is refused where it crashed
+    with a TypeError or was read as an int, and a bool where it keyed a model
+    of its own (``True == 1``, so a later size 1 was handed that model)."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: sp.projective(True),
+        lambda: sp.projective(2.0),
+        lambda: sp.hypersurface(3.0, 2),
+        lambda: sp.hypersurface(3, 2.0),
+        lambda: sp.hypersurface(3, True),
+        lambda: sp.with_arrangement(sp.projective(2), 1.0),
+        lambda: sp.linear_embedding(1.0, 2),
+        lambda: sp.linear_embedding(1, 2.0),
+        lambda: sp.product_projection(sp.product(sp.projective(1), sp.projective(1)), 0.0),
+        lambda: sp.line_bundle(sp.projective(2), Fraction(3, 2)),
+        lambda: motivic.projective(2.0),
+        lambda: motivic.arrangement_complement(2, 1.0),
+        lambda: motivic.arrangement_complement(2.0, 1),
+        lambda: transforms.csm_arrangement(2, 1.0),
+        lambda: transforms.csm_arrangement(2.0, 1),
+        lambda: verify.run_suites("series-limits", order=2.5),
+        lambda: HodgeDiamond({(True, 0): 1}),
+        lambda: HodgeDiamond({(0, 0): True}),
+    ], ids=["projective-bool", "projective-float", "hypersurface-n", "hypersurface-d",
+            "hypersurface-bool", "with_arrangement", "linear_embedding-k",
+            "linear_embedding-n", "product_projection", "line_bundle", "motivic-projective",
+            "motivic-arrangement-k", "motivic-arrangement-n", "csm_arrangement-k",
+            "csm_arrangement-n", "run_suites-order", "hodge-index", "hodge-entry"])
+    def test_a_size_that_is_not_an_int_is_refused(self, call):
+        with pytest.raises(InvalidParameter, match="not an int|must be ints"):
+            call()
+
+    def test_a_refused_bool_keys_no_model(self):
+        with pytest.raises(InvalidParameter):
+            sp.projective(True)
+        assert sp.projective(1).name == "P1"
 
 
 class TestCoefficients:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hirzebruch import spaces as sp
@@ -802,7 +802,7 @@ def old_twisted_chern(E, t):
 
 def old_bundle_gysin(m, c):
     """The xi^(r-1) coefficients summed as typed coefficients, then rebuilt."""
-    r = m.source.extra["rank"]
+    r = m.source.key[2]
     nb = len(m.target.gens)
     raw = {}
     for exp, v in c.items():
@@ -845,7 +845,7 @@ class TestRegistryArithmetic:
             xi = tot.gen_class(len(tot.gens) - 1)
             E_up = sp.BundleClass(E.rank, sp._embedded(tot, 0, E.total_chern))
             assert sp._twisted_chern(E_up, xi) == old_twisted_chern(E_up, xi), twists
-            assert tot.extra["relative_tangent"].total_chern == old_twisted_chern(E_up, xi)
+            assert tot._classes["relative_tangent"].total_chern == old_twisted_chern(E_up, xi)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.lists(st.integers(-4, 4), min_size=1, max_size=4),
@@ -904,7 +904,7 @@ class TestRegistryArithmetic:
 
 
 def old_pull_to_product(prod, axis, c):
-    start, width = prod.extra["offsets"][axis], len(prod.gens)
+    start, width = sum(len(f.gens) for f in prod.factors[:axis]), len(prod.gens)
     pad = lambda e: (0,) * start + e + (0,) * (width - start - len(e))
     return sp.CohClass(prod, {pad(e): v for e, v in c.items()})
 
@@ -914,7 +914,7 @@ def old_lift_from_base(total, c):
 
 
 def old_hypersurface_inclusion(m, c):
-    d = m.source.extra["degree"]
+    d = m.source.key[2]
     return sp.CohClass(m.target, {(e[0] + 1,): v * d for e, v in c.items()})
 
 
@@ -946,7 +946,7 @@ class TestRekeyingMaps:
     def test_pull_to_product_on_both_axes(self, data):
         factors = [data.draw(st.sampled_from(REKEY_FACTORS)) for _ in range(2)]
         prod = sp.product(*factors)
-        for axis, f in enumerate(prod.extra["factors"]):
+        for axis, f in enumerate(prod.factors):
             c = data.draw(classes_on(f))
             assert sp.pull_to_product(prod, axis, c) == old_pull_to_product(prod, axis, c)
 
@@ -954,7 +954,7 @@ class TestRekeyingMaps:
     @given(st.data())
     def test_lift_from_base(self, data):
         tot = data.draw(st.sampled_from(BUNDLES))
-        c = data.draw(classes_on(tot.extra["base"]))
+        c = data.draw(classes_on(tot.base))
         assert sp._embedded(tot, 0, c) == old_lift_from_base(tot, c)
         assert sp.ring_pullback(sp.bundle_projection(tot), c) == old_lift_from_base(tot, c)
 
@@ -1011,21 +1011,34 @@ def spec_products(level, boundary=True):
 SPACE_SPECS = spec_products(1)
 
 
+def _read(read):
+    """What a read of a model gives: its value, or the refusal it raises."""
+    try:
+        return read()
+    except InvalidParameter as exc:
+        return exc.__class__, str(exc)
+
+
 def assert_same_model(a, b):
-    """Everything a caller can see of two models is equal."""
-    assert (a.key, a.kind, a.describe()) == (b.key, b.kind, b.describe())
+    """Everything a caller can see of two models is equal: each read gives
+    equal values on both, or the same refusal on both, as a class past the
+    exterior-product budget is refused."""
+    assert a.key == b.key
     assert (a._rules, a._integrals, a.gens) == (b._rules, b._integrals, b.gens)
-    assert a.tangent_chern == b.tangent_chern
-    assert sorted(a.extra) == sorted(b.extra)
+    assert [f.key for f in a.factors] == [f.key for f in b.factors]
+    assert (a.base and a.base.key) == (b.base and b.base.key)
+    assert _read(a.describe) == _read(b.describe)
+    assert _read(lambda: a.tangent_chern) == _read(lambda: b.tangent_chern)
     assert (a.log is None) == (b.log is None)
     if a.log is not None:
         assert a.log.divisors == b.log.divisors
-        assert a.log.log_cotangent == b.log.log_cotangent
+        assert _read(lambda: a.log.log_cotangent) == _read(lambda: b.log.log_cotangent)
 
 
 class TestModelKey:
     @settings(max_examples=80, deadline=None)
     @given(SPACE_SPECS)
+    @example("P3xProj(P2xP3xP3; 0)xProj(P2xP3xP3; 0,0)")  # describe() passes the budget
     def test_one_instance_per_spec(self, spec):
         space = parse_space(spec)
         assert parse_space(spec) is space
@@ -1052,13 +1065,23 @@ class TestModelKey:
             assert torus is not lines and torus.key != lines.key
             assert torus.log is not None and lines.log is None
 
+    def test_only_the_plain_point_is_dropped_from_a_product(self):
+        # an arrangement on P0 is kept with its boundary data, as it is alone
+        p1 = sp.projective(1)
+        assert sp.product(sp.point(), p1) is p1
+        for k in (0, 1):
+            space = sp.product(sp.with_arrangement(sp.point(), k), p1)
+            assert space.key == ("product", ("arr", 0, k), ("proj", 1))
+            assert space.log is not None
+
     def test_arrangement_leaves_projective_space_unchanged(self):
         p2 = sp.projective(2)
         before = p2.describe()
         arr = sp.with_arrangement(p2, 2)
         assert arr is not p2 and arr.name == "P2\\2H"
         assert sp.projective(2) is p2
-        assert (p2.name, p2.log, p2.extra, p2.describe()) == ("P2", None, {}, before)
+        assert (p2.name, p2.log, p2.factors, p2.base, p2.describe()) == (
+            "P2", None, (), None, before)
 
     def test_open_restriction_maps_to_the_compactification(self):
         p1, p2 = sp.projective(1), sp.projective(2)
@@ -1099,3 +1122,65 @@ class TestModelKey:
         assert sp.projective_bundle(p1, sp.sum_of_line_bundles(p1, [1, 10**5000])) is tot
         with pytest.raises(InvalidParameter, match="too large to print"):
             tot.describe()
+
+
+# ---------------------------------------------------------------------------
+# refusals and paths that no other test runs
+
+
+def _document(*lines):
+    """A custom document on two generators a, b of dimension 2."""
+    return "\n".join(("dim 2", "gens a b") + lines) + "\n"
+
+
+class TestSeldomRun:
+    @pytest.mark.parametrize("call, error, reason", [
+        (lambda: sp.projective(-1), InvalidParameter, "dimension must be >= 0"),
+        (lambda: sp.projective_bundle(sp.projective(2), sp.trivial_bundle(sp.projective(1), 2)),
+         InvalidParameter, "does not live on the base"),
+        (lambda: sp.BundleClass(1, sp.projective(1).gen_class()), InvalidParameter,
+         "constant term 1"),
+        (lambda: sp.projective(1).gen_class() ** -1, InvalidParameter, "negative power"),
+        (lambda: sp.with_arrangement(sp.product(sp.projective(1), sp.projective(1)), 1),
+         InvalidParameter, "modeled on projective space"),
+        (lambda: sp.product_projection(sp.projective(2), 0), UnsupportedMap, "product model"),
+        (lambda: sp.product_projection(sp.product(sp.projective(1), sp.projective(1)), 2),
+         UnsupportedMap, "no such factor"),
+        (lambda: sp.hypersurface_inclusion(sp.projective(2)), UnsupportedMap,
+         "hypersurface model"),
+        (lambda: sp.linear_embedding(3, 2), UnsupportedMap, "0 <= k <= n"),
+        (lambda: sp.gysin_pushforward(sp.identity_map(sp.projective(1)),
+                                      sp.projective(2).one()),
+         InvalidParameter, "source of the map"),
+        (lambda: sp.from_document(_document("volume 3")), ParseError, "unknown directive"),
+        (lambda: sp.from_document(_document("relation a^2 + b^2 = 0")), ParseError,
+         "single monomial"),
+        (lambda: sp.from_document(_document("relation a*b = 0")), ParseError,
+         "pure generator power"),
+        (lambda: sp.from_document(_document("relation 2*a^2 = 0")), ParseError,
+         "pure generator power"),
+        (lambda: sp.from_document(_document("integral 2*a*b = 1")), ParseError,
+         "bare monomial"),
+        (lambda: sp.from_document(_document("tangent 1 + a")), ParseError,
+         "at least one 'integral'"),
+    ], ids=["projective-negative", "bundle-off-base", "chern-constant-term",
+            "negative-power", "arrangement-on-product", "projection-of-non-product",
+            "projection-axis", "inclusion-of-P2", "embedding-P3-in-P2",
+            "pushforward-off-source", "document-directive", "document-relation-sum",
+            "document-relation-mixed", "document-relation-scaled", "document-integral-scaled",
+            "document-no-integral"])
+    def test_refusal(self, call, error, reason):
+        with pytest.raises(error, match=reason):
+            call()
+
+    def test_rewritten_terms_that_cancel_leave_zero(self):
+        m = sp.from_document(_document("relation b^2 = -1*a^2", "integral a^2 = 1",
+                                       "tangent 1 + 3*a"))
+        assert sp.CohClass(m, {(2, 0): 1, (0, 2): 1}).is_zero()
+        assert sp.CohClass(m, {(2, 0): 1, (0, 2): 2}) == m.monomial((0, 2))
+
+    def test_sum_of_classes_and_a_scalar_subtracted(self):
+        p2 = sp.projective(2)
+        h = p2.gen_class()
+        assert sum([h, h * h, h]) == h * 2 + h * h
+        assert h - 1 == h + p2.constant(-1) == -(1 - h)

@@ -493,7 +493,7 @@ class TestFirstRead:
 
     @pytest.mark.parametrize("space", CLOSED_PRODUCTS + TWO_ROUTE_OPEN, ids=model_id)
     def test_lazy_classes_match_the_eager_ones(self, space):
-        factors = space.extra["factors"]
+        factors = space.factors
         fresh = sp._product(space.key, factors)  # an instance whose classes are unread
         assert callable(fresh._tangent_chern)
         assert fresh.tangent_chern == sp.exterior_product(
@@ -812,3 +812,19 @@ class TestCsmOracle:
                     binom = binom * (k - s + 1) // s
                     want += Fraction((-1) ** s * binom * (n - s + 1))
                 assert euler == want, (n, k)
+
+
+class TestSeldomRun:
+    @pytest.mark.parametrize("call, reason", [
+        (lambda: VariationData([(0, sp.trivial_bundle(sp.projective(1), -1))]), "total rank"),
+        (lambda: mhc_y(sp.projective(1), "closed", VariationData.trivial(sp.projective(2))),
+         "wrong space"),
+        (lambda: csm_arrangement(2, 4), "0 <= k <= n\\+1"),
+    ], ids=["data-negative-rank", "data-off-space", "csm-too-many-hyperplanes"])
+    def test_refusal(self, call, reason):
+        with pytest.raises(InvalidParameter, match=reason):
+            call()
+
+    def test_exterior_with_a_class_on_a_point(self):
+        a = sp.projective(1).gen_class()
+        assert exterior(a, sp.point().constant(3)) == a * 3

@@ -163,7 +163,7 @@ class TestSharedGenera:
             gc.collect()
             results = verify.run_suites(names)
             assert verify.all_passed(results)
-            return sum(1 for c, _, *degree in calls if degree and c.space.kind == "projbundle")
+            return sum(1 for c, _, *degree in calls if degree and c.space.base is not None)
 
         alone = pairings(["multiplicativity"])  # 154 in a fresh process
         assert alone and pairings(["multiplicativity", "integrality"]) == alone
