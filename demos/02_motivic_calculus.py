@@ -1,17 +1,28 @@
 """Cut-and-paste calculus in the Grothendieck ring of varieties.
 
 Classes of varieties obey the scissor relation [X] = [Y] + [X \\ Y] for a
-closed subvariety Y.  Carried by their Hodge realizations, these classes
-support exact genus computations for everything we can cut out of
-projective spaces, tori, and curves.
+closed subvariety Y.  A class is its Hodge
+realization, so these classes support exact genus computations for
+everything we can cut out of projective spaces, tori, and curves.  Each
+expression below is read as the command line reads it: parsed, folded into
+its Hodge table, and labelled by the text of its parse tree.
 """
 
+from hirzebruch import exprlang
 from hirzebruch import motivic as mo
 from hirzebruch import render_uv, render_y
 
+
+def read(text):
+    """The class an expression names, and the canonical text of it."""
+    tree = exprlang.parse_expr(text)
+    return exprlang.evaluate(tree), exprlang.render(tree)
+
+
 print("== Atoms ==")
-for cls in (mo.point(), mo.lefschetz(), mo.torus(), mo.projective(2), mo.curve(2)):
-    print(f"{str(cls):>4}:  E = {render_uv(cls.e_polynomial())}")
+for text in ("pt", "L", "Gm", "P2", "C2"):
+    cls, label = read(text)
+    print(f"{label:>4}:  E = {render_uv(cls.e_polynomial())}")
 
 print()
 print("== Scissor relations ==")
@@ -24,14 +35,16 @@ for n in range(1, 4):
 
 print()
 print("== Hyperplane arrangement complements ==")
-for k in range(4):
-    u = mo.arrangement_complement(2, k)
-    print(f"P2 minus {k} general lines: {str(u):<22} E = {render_uv(u.e_polynomial())}")
+for k, text in enumerate(("P2", "P2 - P1", "P2 - 2 P1 + pt", "P2 - 3 P1 + 3 pt")):
+    u, label = read(text)
+    e = render_uv(u.e_polynomial())
+    print(f"P2 minus {k} general lines: {label:<18} E = {e:<22} "
+          f"matches arrangement_complement: {u == mo.arrangement_complement(2, k)}")
 
 print()
 print("== Duality ==")
 p1 = mo.projective(1)
-print("dual of [P1]:", p1.dual().realization.triples(), " (this is L^(-1) [P1])")
+print("dual of [P1]:", p1.dual().triples(), " (this is L^(-1) [P1])")
 print("involution:", p1.dual().dual() == p1)
 c2 = mo.curve(2)
 print("product compatibility:", (p1 * c2).dual() == p1.dual() * c2.dual())

@@ -95,7 +95,7 @@ def _cmd_epoly(args):
         inputs={"expr": exprlang.render(tree)},
         results={"epoly": render_uv(cls.e_polynomial()),
                  "chi_y": render_y(cls.chi_y()),
-                 "hodge_table": cls.realization.triples()},
+                 "hodge_table": cls.triples()},
     )
 
 
@@ -109,7 +109,7 @@ def _cmd_genus(args):
         cls = exprlang.evaluate(tree)
         chi = cls.chi_y()
         inputs = {"motivic": exprlang.render(tree), "support": "compact"}
-        results["hodge_table"] = cls.realization.triples()
+        results["hodge_table"] = cls.triples()
     else:
         from . import transforms as tr
         space = exprlang.load_space(args.space)

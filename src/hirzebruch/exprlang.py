@@ -7,11 +7,11 @@ Two small languages live here:
   ``*``, e.g. ``P2 - 2 P1 + pt``), powers ``X^n`` with a nonnegative
   integer literal n, the duality involution ``D(X)``, and signed integer
   literals ``-n`` where a factor starts (a binary ``-`` is read first, so
-  ``P2 -1`` is ``P2 - 1``).  ``parse_expr`` returns the display tree of
-  ``motivic`` (``("atom", "P2")``, ``("mul", left, right)``, ...),
-  ``evaluate`` rebuilds that tree through the ``MotivicClass`` operations,
-  and ``render`` is ``motivic.render_expr``, so every tree the renderer
-  writes parses back to itself: ``parse_expr(render(t)) == t``.
+  ``P2 -1`` is ``P2 - 1``).  ``parse_expr`` returns a parse tree
+  (``("atom", "P2")``, ``("mul", left, right)``, ...), ``evaluate`` folds
+  it into the ``HodgeDiamond`` table of the class it names, and ``render``
+  writes it back, so every tree the renderer writes parses back to itself:
+  ``parse_expr(render(t)) == t``.
 * Space specs: ``P<n>``, products ``<spec>x<spec>``, split projective
   bundles ``Proj(<base>; c1,...,cr)``, hypersurfaces ``Hyp(n,d)``, and
   arrangement complements ``Arr(n,k)``.
@@ -44,6 +44,12 @@ def _check_depth(depth, position):
 # -- motivic expressions ------------------------------------------------------
 
 
+# Parse trees are nested tuples, one kind per production of the grammar:
+#   ("atom", label), ("int", n), ("add"|"sub"|"mul", left, right),
+#   ("pow", tree, n) with n >= 0, ("dual", tree)
+# An integer factor on either side, and unary minus, make
+# ("mul", ("int", n), tree).
+
 _EXPR_TOKEN = re.compile(r"(?P<int>\d+)|(?P<op>[-+*()^]|D\()")
 _ATOM_RE = re.compile(r"(P|A|C)(\d+)$|^(Gm|L|pt)$")
 _ATOM_NAMES = {"P<n>", "A<n>", "C<g>", "Gm", "L", "pt"}
@@ -61,7 +67,7 @@ def _atom_kind(word, offset):
 
 
 def parse_expr(src):
-    """Parse a motivic expression into a ``motivic`` display tree."""
+    """Parse a motivic expression into a parse tree."""
     toks = Tokens(src, _EXPR_TOKEN, str.isalnum, _atom_kind)
 
     # each parser returns (tree, depth): depth counts the +, -, * and ^
@@ -124,10 +130,30 @@ def parse_expr(src):
     return tree
 
 
+_PREC = {"add": 1, "sub": 1, "mul": 2, "pow": 3}
+_OPS = {"add": " + ", "sub": " - ", "mul": "*"}
+
+
 def render(tree):
-    """``motivic.render_expr``: the text of a display tree."""
-    from . import motivic
-    return motivic.render_expr(tree)
+    """The text of a parse tree.  A right operand of equal precedence is
+    parenthesized, so ``parse_expr(render(t)) == t``."""
+
+    def write(node, parent_prec=0):
+        kind = node[0]
+        if kind == "atom":
+            return node[1]
+        if kind == "int":
+            return str(node[1])
+        if kind == "dual":
+            return f"D({write(node[1])})"
+        prec = _PREC[kind]
+        if kind == "pow":
+            body = f"{write(node[1], prec)}^{node[2]}"
+        else:
+            body = f"{write(node[1], prec)}{_OPS[kind]}{write(node[2], prec + 1)}"
+        return f"({body})" if prec < parent_prec else body
+
+    return write(tree)
 
 
 _ATOMS = {"pt": "point", "L": "lefschetz", "Gm": "torus",
@@ -136,12 +162,9 @@ _APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def evaluate(tree):
-    """Rebuild a display tree through the ``MotivicClass`` operations.
-
-    ``evaluate(t).expr == t`` whenever the atom labels of ``t`` are the
-    ones the atom constructors write (``P2``, not ``P02``).
-    """
+    """Fold a parse tree into the ``HodgeDiamond`` of the class it names."""
     from . import motivic
+    from .hodge import HodgeDiamond
 
     def build(node):
         kind = node[0]
@@ -151,7 +174,7 @@ def evaluate(tree):
                 return getattr(motivic, _ATOMS[name])()
             return getattr(motivic, _ATOMS[name[0]])(int(name[1:]))
         if kind == "int":
-            return motivic.integer(node[1])
+            return HodgeDiamond.point() * node[1]
         if kind == "pow":
             return build(node[1]) ** node[2]
         if kind == "dual":

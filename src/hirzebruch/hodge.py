@@ -31,7 +31,8 @@ class HodgeDiamond:
     When ``pure_weight`` is set to n, entries are required to sit on the
     anti-diagonal p + q = n and to satisfy the symmetry h(p, q) = h(q, p).
     A table equals an int n when it is n times the point.  The constructor
-    refuses an index or entry that is not an int.
+    refuses an index, entry or weight that is not an int, as the scalars,
+    powers and twists below refuse theirs.
     """
 
     __slots__ = ("_c", "pure_weight")
@@ -45,6 +46,7 @@ class HodgeDiamond:
             if v:
                 c[p, q] = v
         if pure_weight is not None:
+            _integer(pure_weight, "pure weight")
             for (p, q), v in c.items():
                 if p + q != pure_weight:
                     raise InvalidParameter(f"entry at ({p},{q}) violates pure weight {pure_weight}")
@@ -74,6 +76,7 @@ class HodgeDiamond:
     @classmethod
     def tate(cls, n):
         """The rank-one class of type (-n, -n) (weight -2n)."""
+        _integer(n, "Tate twist")
         return cls({(-n, -n): 1}, pure_weight=-2 * n)
 
     # -- basic structure ---------------------------------------------------
@@ -128,7 +131,7 @@ class HodgeDiamond:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = {e: v * other for e, v in self._c.items()} if other else {}
+            c = {e: v * other for e, v in self._c.items()} if _integer(other, "scalar") else {}
             return HodgeDiamond._of(c, self.pure_weight)
         if isinstance(other, HodgeDiamond):
             return self.tensor(other)
@@ -160,6 +163,7 @@ class HodgeDiamond:
 
     def tate_twist(self, n):
         """Tensor with the rank-one type (-n, -n) class: shift by (-n, -n)."""
+        _integer(n, "Tate twist")
         weight = None if self.pure_weight is None else self.pure_weight - 2 * n
         return HodgeDiamond._of({(p - n, q - n): v for (p, q), v in self._c.items()}, weight)
 

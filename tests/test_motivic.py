@@ -1,4 +1,5 @@
-"""Grothendieck-ring classes: atoms, scissor calculus, duality."""
+"""Grothendieck-ring classes, each its Hodge table: atoms, scissor calculus,
+duality."""
 
 import pytest
 
@@ -30,22 +31,22 @@ def inclusion_exclusion_e(n, k):
 class TestAtoms:
     def test_lefschetz(self):
         L = mo.lefschetz()
-        assert L.realization == HodgeDiamond({(1, 1): 1})
+        assert L == HodgeDiamond({(1, 1): 1})
         assert L.e_polynomial() == HodgeDiamond({(1, 1): 1})
 
     def test_torus_is_affine_line_minus_point(self):
         assert mo.torus() == mo.affine(1) - mo.point()
-        assert mo.torus().realization == HodgeDiamond({(1, 1): 1, (0, 0): -1})
+        assert mo.torus() == HodgeDiamond({(1, 1): 1, (0, 0): -1})
 
     @pytest.mark.parametrize("n", range(5))
     def test_projective_by_scissor_recursion(self, n):
         assert mo.projective(n) == scissor_projective(n)
 
     def test_projective_two_table(self):
-        assert mo.projective(2).realization == HodgeDiamond({(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        assert mo.projective(2) == HodgeDiamond({(0, 0): 1, (1, 1): 1, (2, 2): 1})
 
     def test_curve_table(self):
-        assert mo.curve(2).realization == HodgeDiamond(
+        assert mo.curve(2) == HodgeDiamond(
             {(0, 0): 1, (1, 0): -2, (0, 1): -2, (1, 1): 1})
 
     def test_invalid_parameters(self):
@@ -80,14 +81,10 @@ class TestCombine:
         a, b = mo.projective(2), mo.curve(1)
         assert (a * b).chi_y() == a.chi_y() * b.chi_y()
 
-    def test_expression_display(self):
-        cls = mo.projective(2) - 2 * mo.projective(1) + mo.point()
-        assert str(cls) == "P2 - 2*P1 + pt"
-
 
 class TestDual:
     def test_dual_of_line(self):
-        assert mo.projective(1).dual().realization == HodgeDiamond({(-1, -1): 1, (0, 0): 1})
+        assert mo.projective(1).dual() == HodgeDiamond({(-1, -1): 1, (0, 0): 1})
 
     def test_dual_of_point(self):
         assert mo.point().dual() == mo.point()
@@ -96,7 +93,7 @@ class TestDual:
         # D(L) = D(P1) - D(pt), and equals the table of L^(-1)
         got = mo.projective(1).dual() - mo.point().dual()
         assert got == mo.lefschetz().dual()
-        assert got.realization == HodgeDiamond({(-1, -1): 1})
+        assert got == HodgeDiamond({(-1, -1): 1})
 
     def test_involution_and_products(self):
         a, b = mo.projective(2), mo.curve(1)
@@ -115,7 +112,7 @@ class TestDual:
         # the coordinates shifted by (-1, -1)
         entries = mo.curve(g).e_polynomial().entries()
         assert {(-p, -q): v for (p, q), v in entries} == {(p - 1, q - 1): v for (p, q), v in entries}
-        assert mo.curve(g).dual().realization == mo.curve(g).realization.tate_twist(1)
+        assert mo.curve(g).dual() == mo.curve(g).tate_twist(1)
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_torus_power_compact_ordinary_duality(self, n):
@@ -137,4 +134,20 @@ class TestRefusals:
             "uv-fraction"])
     def test_refusal(self, call, error):
         with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda: mo.curve(True), "genus"),
+        (lambda: mo.curve(1.5), "genus"),
+        (lambda: mo.affine(2.0), "affine space dimension"),
+        (lambda: HodgeDiamond.tate(True), "Tate twist"),
+        (lambda: HodgeDiamond.point().tate_twist(1.5), "Tate twist"),
+        (lambda: HodgeDiamond({(1, 1): 1}, pure_weight=2.0), "pure weight"),
+        (lambda: HodgeDiamond.point() * True, "scalar"),
+        (lambda: True * HodgeDiamond.point(), "scalar"),
+    ], ids=["curve-bool", "curve-float", "affine-float", "tate-bool", "tate_twist-float",
+            "pure_weight-float", "scalar-bool", "bool-scalar"])
+    def test_a_value_that_is_not_an_int_is_refused(self, call, what):
+        # a bool or float was read as an int, or refused as a Hodge entry
+        with pytest.raises(InvalidParameter, match=f"^{what} .* is not an int$"):
             call()
