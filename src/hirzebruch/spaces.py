@@ -54,11 +54,12 @@ A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: its tangent bundle, which keeps its
 Chern character (on P^n built with its splitting), the relative tangent
 bundle of a projective bundle's projection (built with the model) and of
-each product projection, the closed K-class ``mhc_y(X)`` (a ``CohClass``,
-its Chern character), the classes of the tangent bundle under the built-in
-genus series (Todd, and any other a caller asks for) and, except on a
-product, the closed genus, each computed on first use by ``transforms``.
-A series entry records what it came from, the series object or on a
+each product projection, which keeps its ch and, for ``transforms.pushforward``,
+td(T_rel), the closed K-class ``mhc_y(X)`` (a ``CohClass``, its Chern
+character), the classes of the tangent bundle under the built-in genus
+series (Todd, and any other a caller asks for) and, except on a product,
+the closed genus, each computed on first use by ``transforms``.  A series
+entry and td(T_rel) record what they came from, the series object or on a
 product the factors' classes, and the genus the closed and Todd classes it
 was paired from; each is recomputed when its source changes, as when
 ``bundles.genus_series`` hands out a different series while it is patched.
@@ -437,7 +438,7 @@ class BundleClass:
     (1 + c1)^N, and ``bundles`` reads its ch and lambda_y in closed form.
     """
 
-    __slots__ = ("rank", "total_chern", "splitting", "_ch")
+    __slots__ = ("rank", "total_chern", "splitting", "_ch", "_td")
 
     def __init__(self, rank, total_chern, splitting=None):
         if total_chern.coeff(total_chern.space._zero_exp) != 1:
@@ -446,6 +447,7 @@ class BundleClass:
         self.total_chern = total_chern
         self.splitting = splitting
         self._ch = None  # ch(V) once known, or a function of bundles.chern_character giving it
+        self._td = None  # (series, td(V)) once ``transforms.pushforward`` has it
 
     @property
     def space(self):
@@ -817,8 +819,7 @@ def exterior_product(*classes, space=None):
 
 def line_bundle(space, multiple):
     """O(multiple * g) for the first degree-one generator class g."""
-    c = space.one() + space.gen_class(0) * _integer(multiple, "line bundle multiple")
-    return BundleClass(1, c)
+    return sum_of_line_bundles(space, [multiple])
 
 
 def trivial_bundle(space, rank):
@@ -826,23 +827,15 @@ def trivial_bundle(space, rank):
 
 
 def sum_of_line_bundles(space, multiples):
-    out = trivial_bundle(space, 0)
+    """The sum of O(a * g) over the ints a in ``multiples``: its total Chern
+    class is the sum of e_j(a) g^j, e_j the j-th elementary symmetric
+    function, built as one class, so the rules reduce each g^j once."""
+    e = [1]
     for a in multiples:
-        out = out + line_bundle(space, a)
-    return out
-
-
-def _twisted_chern(E, t):
-    """Total Chern class of E tensor L for a line bundle L with c1 = t.
-
-    A root x of E becomes x + t, so c(E(x)L) = sum over j <= rank of
-    c_j(E) (1+t)^(rank-j), summed by Horner's rule in rank multiplies.
-    """
-    one_t = t.space.one() + t
-    total = E.chern(0)
-    for j in range(1, E.rank + 1):
-        total = total * one_t + E.chern(j)
-    return total
+        a = _integer(a, "line bundle multiple")
+        e = [x + a * y for x, y in zip(e + [0], [0] + e)]
+    rest = space._zero_exp[1:]
+    return BundleClass(len(e) - 1, CohClass(space, {(j,) + rest: x for j, x in enumerate(e)}))
 
 
 def projective_bundle(base, E):
@@ -850,7 +843,8 @@ def projective_bundle(base, E):
 
     The ring adjoins xi with the relation xi^r = -(c1(E) xi^(r-1) + ... + c_r(E));
     integration pairs the base top monomial with xi^(r-1); the tangent class
-    is c(T_base) times c(E(1)) via the relative Euler sequence.  The base
+    is c(T_base) times c(T_rel) = c(E(1)), the sum of c_j(E) (1+xi)^(r-j) by
+    the relative Euler sequence, reduced once on the ring.  The base
     carries no boundary data, which the bundle's model would not keep.
     """
     r = E.rank
@@ -870,11 +864,16 @@ def projective_bundle(base, E):
 def _projective_bundle(key, base, E):
     r = E.rank
     nb = len(base.gens)
-    rel = {}
-    for i in range(1, r + 1):
-        ci = E.chern(i)
-        for exp, v in ci.items():
-            rel[tuple(exp) + (r - i,)] = _whole(-v)
+    c = E.total_chern
+    f = 1 if c._d == 1 else Fraction(1, c._d)  # an integral c(E) keeps int numerators
+    rel, twisted = {}, {}  # xi^r's rewriting, and c(E(1)) = sum of c_j(E) (1+xi)^(r-j)
+    for e, n in c._c.items():
+        j = sum(e)
+        if j <= r:
+            if j:
+                rel[e + (r - j,)] = _whole(-n * f)
+            for i in range(r - j + 1):
+                twisted[e + (i,)] = n * comb(r - j, i) * f
     rules = _embedded_rules(base, 0, nb + 1) + [(r, rel)]
 
     xi_name = "xi" if "xi" not in base.gens else f"xi{sum(1 for g in base.gens if g.startswith('xi')) + 1}"
@@ -889,9 +888,7 @@ def _projective_bundle(key, base, E):
         base=base,
     )
     m._caps = _block_caps(base, 0)
-    xi = m.gen_class(nb)
-    E_up = BundleClass(r, _embedded(m, 0, E.total_chern))
-    rel_chern = _twisted_chern(E_up, xi)
+    rel_chern = CohClass(m, twisted)
     rel = m._classes["relative_tangent"] = BundleClass(r - 1, rel_chern)
     m.tangent_chern = _embedded(m, 0, base.tangent_chern) * rel_chern
     # T(P(E)) is the lifted T(base) plus T_rel, so ch(T_rel) is a difference of kept classes

@@ -202,14 +202,16 @@ def exterior(a, b):
 def pushforward(m, k):
     """Proper pushforward of a K-class along a built-in map: the Gysin
     pushforward of k * td(T_m), the Todd class of the virtual relative
-    tangent bundle (so that pushing to a point computes the genus).
+    tangent bundle (so that pushing to a point computes the genus).  T_m
+    keeps td(T_m) with its series, as ``series_class`` keeps a class.
 
     Raises NotPolynomial when the degree-0 part of the result keeps a pole
     at y = -1.  A homology ledger is pushed by ``spaces.gysin_pushforward``.
     """
-    tdrel = apply_series(bundles.genus_series("todd", max(m.source.dim, 1)),
-                         sp.relative_tangent(m))
-    pushed = sp.gysin_pushforward(m, k * tdrel)
+    rel, series = sp.relative_tangent(m), bundles.genus_series("todd", max(m.source.dim, 1))
+    if rel._td is None or rel._td[0] is not series:
+        rel._td = (series, apply_series(series, rel))
+    pushed = sp.gysin_pushforward(m, k * rel._td[1])
     pushed.component(0).at_minus_one()  # NotPolynomial while the rank keeps a pole
     return pushed
 

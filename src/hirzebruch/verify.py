@@ -9,13 +9,14 @@ suites, so a perturbation anywhere in the pipeline shows up in both.
 ``multiplicativity``, ``updown`` and ``integrality`` run on the same
 projective-bundle family.  ``run_suites`` builds it once per call, on first
 need, and hands it to each of them; called without a family, a suite builds
-its own.  Its models keep their closed K-class, Todd class and genus (see
-``spaces``), so a later suite reuses what an earlier one computed on them,
-``integrality`` the family's genera among them; the other 20 genera it
-checks are of small models, which it builds and computes again.  Members
-with equal keys are one model and share these classes (over P^1, P(E)
-depends only on c_1(E)); within one identity the two sides are still
-computed on different models.  The call keeps no reference to the family,
+its own.  Its models keep their closed K-class, Todd class, genus and
+td(T_rel) (see ``spaces``), so a later suite reuses what an earlier one
+computed on them, ``integrality`` the family's genera among them; the other
+20 genera it checks are of small models, which it builds and computes again.
+Members with equal keys are one model and share these classes (over P^1,
+P(E) depends only on c_1(E)): the 238 members are 154 models, 39 over P^1
+and 115 over P^2.  Within one identity the two sides are still computed on
+different models.  The call keeps no reference to the family,
 but its models live on in reference cycles (model, ``_classes``, class,
 model), and later calls read them, until the garbage collector runs.
 """

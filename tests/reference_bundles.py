@@ -10,15 +10,18 @@ replaced: the tangent and log-cotangent Chern classes as products of the
 pulled-back factor classes, and the closed, open and Todd classes from those
 bundles on the product ring; and the genus series and their logs expanded
 from scratch at each order, by the series reciprocal and product, that the
-one in-place expansion per kind replaced."""
+one in-place expansion per kind replaced; and the split bundles and the
+twisted Chern class of a projective bundle built by Whitney sums and Horner's
+rule, one class multiply per summand or rank, that the closed forms of
+``spaces.sum_of_line_bundles`` and ``spaces._projective_bundle`` replaced."""
 
 from fractions import Fraction
 from math import factorial
 
 from hirzebruch import bundles
 from hirzebruch.errors import InvalidParameter
-from hirzebruch.rings import LaurentY
-from hirzebruch.spaces import BundleClass, CohClass, pull_to_product
+from hirzebruch.rings import LaurentY, _integer
+from hirzebruch.spaces import BundleClass, CohClass, pull_to_product, trivial_bundle
 
 
 def _series_mul(a, b, order):
@@ -253,3 +256,29 @@ def product_todd_class(prod):
     """td(TX) on the product ring, from the series at the product's dimension."""
     return bundles.apply_series(bundles.genus_series("todd", prod.dim),
                                 product_tangent_bundle(prod))
+
+
+def line_bundle(space, multiple):
+    """O(multiple * g) for the first degree-one generator class g."""
+    c = space.one() + space.gen_class(0) * _integer(multiple, "line bundle multiple")
+    return BundleClass(1, c)
+
+
+def sum_of_line_bundles(space, multiples):
+    out = trivial_bundle(space, 0)
+    for a in multiples:
+        out = out + line_bundle(space, a)
+    return out
+
+
+def _twisted_chern(E, t):
+    """Total Chern class of E tensor L for a line bundle L with c1 = t.
+
+    A root x of E becomes x + t, so c(E(x)L) = sum over j <= rank of
+    c_j(E) (1+t)^(rank-j), summed by Horner's rule in rank multiplies.
+    """
+    one_t = t.space.one() + t
+    total = E.chern(0)
+    for j in range(1, E.rank + 1):
+        total = total * one_t + E.chern(j)
+    return total

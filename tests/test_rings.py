@@ -114,6 +114,8 @@ class TestIntegerSizes:
         lambda: sp.linear_embedding(1, 2.0),
         lambda: sp.product_projection(sp.product(sp.projective(1), sp.projective(1)), 0.0),
         lambda: sp.line_bundle(sp.projective(2), Fraction(3, 2)),
+        lambda: sp.sum_of_line_bundles(sp.projective(2), [1, True]),
+        lambda: sp.sum_of_line_bundles(sp.projective(2), [1, 0.5]),
         lambda: motivic.projective(2.0),
         lambda: motivic.arrangement_complement(2, 1.0),
         lambda: motivic.arrangement_complement(2.0, 1),
@@ -124,7 +126,8 @@ class TestIntegerSizes:
         lambda: HodgeDiamond({(0, 0): True}),
     ], ids=["projective-bool", "projective-float", "hypersurface-n", "hypersurface-d",
             "hypersurface-bool", "with_arrangement", "linear_embedding-k",
-            "linear_embedding-n", "product_projection", "line_bundle", "motivic-projective",
+            "linear_embedding-n", "product_projection", "line_bundle", "sum_of_line_bundles-bool",
+            "sum_of_line_bundles-float", "motivic-projective",
             "motivic-arrangement-k", "motivic-arrangement-n", "csm_arrangement-k",
             "csm_arrangement-n", "run_suites-order", "hodge-index", "hodge-entry"])
     def test_a_size_that_is_not_an_int_is_refused(self, call):

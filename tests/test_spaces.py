@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_bundles as ref
 from hirzebruch import spaces as sp
 from hirzebruch.bundles import (
     _elementary_from_power_sums,
@@ -844,17 +845,19 @@ class TestRegistryArithmetic:
         for twists, E, tot in family_members:
             xi = tot.gen_class(len(tot.gens) - 1)
             E_up = sp.BundleClass(E.rank, sp._embedded(tot, 0, E.total_chern))
-            assert sp._twisted_chern(E_up, xi) == old_twisted_chern(E_up, xi), twists
+            assert ref._twisted_chern(E_up, xi) == old_twisted_chern(E_up, xi), twists
             assert tot._classes["relative_tangent"].total_chern == old_twisted_chern(E_up, xi)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.lists(st.integers(-4, 4), min_size=1, max_size=4),
            st.integers(-3, 3))
     def test_twisted_chern_on_split_bundles(self, n, twists, a):
+        # E(x)O(a) of a split E is split again, its multiples moved by a
         base = sp.projective(n)
-        E = sp.sum_of_line_bundles(base, twists)
+        E = ref.sum_of_line_bundles(base, twists)
         t = base.gen_class(0) * a
-        assert sp._twisted_chern(E, t) == old_twisted_chern(E, t)
+        want = sp.sum_of_line_bundles(base, [x + a for x in twists]).total_chern
+        assert ref._twisted_chern(E, t) == old_twisted_chern(E, t) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -896,6 +899,77 @@ class TestRegistryArithmetic:
         got = sp.gysin_pushforward(pi, c)
         assert got == old_bundle_gysin(pi, c)
         assert got._k == 3 and got.space is pi.target
+
+
+# the Grothendieck and fractional documents with xi first: the first generator
+# has a rewriting relation, so g^j rewrites, and the fractional one gives c(E)
+# of a split E a denominator
+XI_FIRST_DOCUMENTS = ["""
+dim 2
+gens xi h
+relation h^2 = 0
+relation xi^2 = -1*h*xi
+integral h*xi = 1
+tangent 1 + 2*xi + 3*h + 4*h*xi
+""", """
+dim 3
+gens xi h
+relation h^3 = 0
+relation xi^2 = 1/2*h*xi - 1/3*h^2
+integral h^2*xi = 1
+tangent 1 + 2*xi + 3*h
+"""]
+
+CLOSED_FORM_BASES = (
+    [sp.projective(n) for n in range(4)]
+    + [sp.product(sp.projective(1), sp.projective(2)), sp.hypersurface(3, 2)]
+    + [sp.from_document(d) for d in (QUADRIC_DOCUMENT, GROTHENDIECK_DOCUMENT,
+                                     FRACTIONAL_DOCUMENT, *XI_FIRST_DOCUMENTS)])
+CLOSED_FORM_IDS = ["P0", "P1", "P2", "P3", "P1xP2", "Hyp(3,2)", "quadric", "grothendieck",
+                   "fractional", "grothendieck-xi-first", "fractional-xi-first"]
+
+
+def _twists(top):
+    return [t for r in range(top + 1) for t in itertools.combinations_with_replacement(
+        range(-3, 4), r)]
+
+
+class TestClosedFormBundles:
+    """``sum_of_line_bundles`` and the twisted Chern class of a projective
+    bundle, each one reduction, against the Whitney sums and Horner's rule
+    they replaced (``reference_bundles``)."""
+
+    @pytest.mark.parametrize("space", CLOSED_FORM_BASES, ids=CLOSED_FORM_IDS)
+    def test_sum_of_line_bundles(self, space):
+        for twists in _twists(3):
+            got = sp.sum_of_line_bundles(space, twists)
+            assert got == ref.sum_of_line_bundles(space, twists), twists
+            assert got.rank == len(twists)
+            assert got.splitting is None
+        assert sp.line_bundle(space, -2) == ref.line_bundle(space, -2)
+
+    def test_the_xi_first_documents_rewrite_and_carry_denominators(self):
+        grothendieck, fractional = map(sp.from_document, XI_FIRST_DOCUMENTS)
+        assert sp.sum_of_line_bundles(grothendieck, [1, 2]).total_chern.coeff((1, 1)) == -2
+        c = sp.sum_of_line_bundles(fractional, [1, 2, 3]).total_chern
+        assert c._d > 1 and c == ref.sum_of_line_bundles(fractional, [1, 2, 3]).total_chern
+
+    @pytest.mark.parametrize("space", CLOSED_FORM_BASES, ids=CLOSED_FORM_IDS)
+    def test_projective_bundle_tangent_classes(self, space):
+        for twists in _twists(3)[1:]:
+            E = ref.sum_of_line_bundles(space, twists)
+            tot = fresh(lambda: sp.projective_bundle(space, E))
+            xi = tot.gen_class(len(tot.gens) - 1)
+            rel = ref._twisted_chern(sp.BundleClass(E.rank, sp._embedded(tot, 0, E.total_chern)),
+                                     xi)
+            assert tot._classes["relative_tangent"].total_chern == rel, twists
+            assert tot.tangent_chern == sp._embedded(tot, 0, space.tangent_chern) * rel, twists
+
+    def test_the_registry_family_is_154_models(self):
+        family = bundle_family()
+        assert sum(len(members) for _, members in family.values()) == 238
+        keys = {n: {tot.key for _, _, tot in members} for n, (_, members) in family.items()}
+        assert {n: len(k) for n, k in keys.items()} == {1: 39, 2: 115}
 
 
 # ---------------------------------------------------------------------------

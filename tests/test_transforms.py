@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import reference_bundles as ref
-from hirzebruch import bundles, transforms
+from hirzebruch import bundles, transforms, verify
 from hirzebruch import motivic as mo
 from hirzebruch import spaces as sp
 from hirzebruch.bundles import apply_series, chern_character, k_dual, lambda_y
@@ -28,7 +28,7 @@ from hirzebruch.transforms import (
     specialize_minus_one,
 )
 
-from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, SURPLUS_DOCUMENT, model_id
+from test_spaces import FRACTIONAL_DOCUMENT, KERNEL_MODELS, SURPLUS_DOCUMENT, fresh, model_id
 
 ONE_Y = LaurentY({0: 1, 1: 1})
 
@@ -207,6 +207,46 @@ class TestModelMemo:
         assert calls == [p1]
         assert chi_y_genus(p1) is chi_y_genus(p1)
         assert calls == [p1]
+
+
+def counted_apply_series(monkeypatch):
+    """Patch ``transforms.apply_series`` to record the bundle of each call."""
+    calls = []
+    real = transforms.apply_series
+    monkeypatch.setattr(transforms, "apply_series", lambda s, V: calls.append(V) or real(s, V))
+    return calls
+
+
+class TestKeptRelativeTodd:
+    """A kept relative tangent bundle keeps td(T_rel) for ``pushforward``."""
+
+    def test_updown_runs_apply_series_once_per_model(self, monkeypatch):
+        calls = counted_apply_series(monkeypatch)
+        results = fresh(lambda: verify.run_suites(["updown"]))
+        assert verify.all_passed(results) and len(results["updown"]) == 238
+        assert len(calls) == len({id(V) for V in calls}) == 154
+
+    def test_two_pushes_along_a_product_projection_run_it_once(self, monkeypatch):
+        prod = fresh(lambda: sp.product(sp.projective(1), sp.projective(2)))
+        k = mhc_y(prod)
+        calls = counted_apply_series(monkeypatch)
+        pi = sp.product_projection(prod, 0)
+        assert pushforward(pi, k) == mhc_y(pi.target) * LaurentY({0: 1, 1: -1, 2: 1})
+        assert pushforward(sp.product_projection(prod, 0), prod.one()) == pi.target.one()
+        assert len(calls) == 1
+
+    def test_a_patched_series_gives_a_fresh_relative_todd_class(self, monkeypatch):
+        base = sp.projective(1)
+        tot = fresh(lambda: sp.projective_bundle(base, sp.sum_of_line_bundles(base, [0, 1])))
+        pi = sp.bundle_projection(tot)
+        rel = sp.relative_tangent(pi)
+        before = pushforward(pi, tot.one())
+        kept = rel._td[1]
+        poison_todd(monkeypatch)
+        assert pushforward(pi, tot.one()) != before
+        assert rel._td[1] == apply_series(bundles.genus_series("todd", tot.dim), rel) != kept
+        monkeypatch.undo()
+        assert pushforward(pi, tot.one()) == before and rel._td[1] == kept
 
 
 class TestMht:
