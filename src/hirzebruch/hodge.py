@@ -89,9 +89,6 @@ class HodgeDiamond:
         """Entries as [p, q, h] lists (the text/JSON interchange form)."""
         return [[p, q, v] for (p, q), v in self.entries()]
 
-    def is_zero(self):
-        return not self._c
-
     def __bool__(self):
         return bool(self._c)
 
@@ -182,13 +179,6 @@ class HodgeDiamond:
         return LaurentY(cols)
 
     # -- rendering -------------------------------------------------------------
-
-    def __str__(self):
-        if not self._c:
-            return "0"
-        return " + ".join(
-            f"{v}@({p},{q})" for (p, q), v in self.entries()
-        ).replace("+ -", "- ")
 
     def __repr__(self):
         return f"HodgeDiamond({dict(self.entries())!r})"

@@ -52,17 +52,14 @@ exp and (1+x)^a, is one ``graded_recurrence``, one kernel call per degree.
 
 A model also keeps the characteristic classes that depend on it alone, in
 ``_classes``, next to the product table: its tangent bundle, which keeps its
-Chern character (on P^n built with its splitting), the relative tangent
-bundle of a projective bundle's projection (built with the model) and of
-each product projection, which keeps its ch and, for ``transforms.pushforward``,
-td(T_rel), the closed K-class ``mhc_y(X)`` (a ``CohClass``, its Chern
-character), the classes of the tangent bundle under the built-in genus
-series (Todd, and any other a caller asks for) and, except on a product,
-the closed genus, each computed on first use by ``transforms``.  A series
-entry and td(T_rel) record what they came from, the series object or on a
-product the factors' classes, and the genus the closed and Todd classes it
-was paired from; each is recomputed when its source changes, as when
-``bundles.genus_series`` hands out a different series while it is patched.
+Chern character (on P^n built with its splitting) and its classes under the
+built-in genus series (Todd, and any other a caller asks for), the relative
+tangent bundle of a projective bundle's projection (built with the model)
+and of each product projection, which keeps its ch and, for
+``transforms.pushforward``, td(T_rel), the closed K-class ``mhc_y(X)`` (a
+``CohClass``, its Chern character), on a product the series classes (the
+exterior products of the factors') and, except on a product, the closed
+genus.  Each is computed once, on first use, by ``transforms``, and kept.
 Classes that depend on variation data (in either mode) are not kept.
 
 A product's classes are exterior products of its factors' kept classes, so
@@ -438,7 +435,7 @@ class BundleClass:
     (1 + c1)^N, and ``bundles`` reads its ch and lambda_y in closed form.
     """
 
-    __slots__ = ("rank", "total_chern", "splitting", "_ch", "_td")
+    __slots__ = ("rank", "total_chern", "splitting", "_ch", "_series")
 
     def __init__(self, rank, total_chern, splitting=None):
         if total_chern.coeff(total_chern.space._zero_exp) != 1:
@@ -447,7 +444,7 @@ class BundleClass:
         self.total_chern = total_chern
         self.splitting = splitting
         self._ch = None  # ch(V) once known, or a function of bundles.chern_character giving it
-        self._td = None  # (series, td(V)) once ``transforms.pushforward`` has it
+        self._series = {}  # kind -> the class of V under that built-in series, once computed
 
     @property
     def space(self):

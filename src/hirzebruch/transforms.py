@@ -43,22 +43,28 @@ from . import spaces as sp
 from .spaces import CohClass
 
 
+def _kept_series(V, kind):
+    """The class of the bundle V under the built-in genus series ``kind``,
+    at V's model's order, kept on V after its one computation."""
+    out = V._series.get(kind)
+    if out is None:
+        out = V._series[kind] = apply_series(bundles.genus_series(kind, max(V.space.dim, 1)), V)
+    return out
+
+
 def series_class(space, kind):
     """The class of TM under the built-in genus series ``kind`` (see
-    ``bundles.genus_series``), kept on the model together with what it came
-    from: the series, or on a product the factors' classes, each at its
-    factor's own order, whose exterior product it is (a multiplicative
-    series is multiplicative over TX x TY).  It is recomputed when that
-    changes, as when ``genus_series`` hands out a different series."""
-    product = bool(space.factors)
-    source = (tuple(series_class(f, kind) for f in space.factors) if product
-              else bundles.genus_series(kind, max(space.dim, 1)))
-    memo = space._classes.get(kind)
-    if memo is None or memo[0] != source:
-        cls = (sp.exterior_product(*source, space=space) if product
-               else apply_series(source, space.tangent_bundle()))
-        memo = space._classes[kind] = (source, cls)
-    return memo[1]
+    ``bundles.genus_series``): the one kept on the model's tangent bundle,
+    or on a product the exterior product of the factors' classes, each at
+    its factor's own order (a multiplicative series is multiplicative over
+    TX x TY), kept on the model.  Each is computed once, on first use."""
+    if not space.factors:
+        return _kept_series(space.tangent_bundle(), kind)
+    out = space._classes.get(kind)
+    if out is None:
+        out = space._classes[kind] = sp.exterior_product(
+            *(series_class(f, kind) for f in space.factors), space=space)
+    return out
 
 
 def _todd(space):
@@ -167,23 +173,20 @@ def chi_y_genus(space, mode="closed", data=None):
     variation data (closed, or open with the product's boundary data) it is
     the product of the factors' genera, each factor in its share of the mode.
     The closed genus without data of any other model is kept on the model
-    with what it came from, the kept closed class and ``_todd``, and is
-    recomputed when either changes, as ``series_class`` is; so the factors
-    of (P^1)^k share one pairing.
+    after its first computation, so the factors of (P^1)^k share one pairing.
     """
+    kept = mode == "closed" and data is None
+    if kept and "genus" in space._classes:
+        return space._classes["genus"]
     if space.factors and data is None and mode in ("closed", "open_complement"):
         if space.log is None and mode != "closed":
             raise MissingLogStructure(f"{space.name} has no boundary arrangement")
         return prod(chi_y_genus(f, m) for f, m in _factor_modes(space, mode))
-    source = (mhc_y(space, mode, data), _todd(space))
-    kept = mode == "closed" and data is None
-    memo = space._classes.get("genus") if kept else None
-    if memo is None or memo[0] != source:
-        top = source[0].multiply(source[1], space.dim)
-        memo = (source, space.integrate(top).reduce_unit_denominator())
-        if kept:
-            space._classes["genus"] = memo
-    return memo[1]
+    top = mhc_y(space, mode, data).multiply(_todd(space), space.dim)
+    genus = space.integrate(top).reduce_unit_denominator()
+    if kept:
+        space._classes["genus"] = genus
+    return genus
 
 
 # -- functorialities -----------------------------------------------------------
@@ -203,15 +206,13 @@ def pushforward(m, k):
     """Proper pushforward of a K-class along a built-in map: the Gysin
     pushforward of k * td(T_m), the Todd class of the virtual relative
     tangent bundle (so that pushing to a point computes the genus).  T_m
-    keeps td(T_m) with its series, as ``series_class`` keeps a class.
+    keeps td(T_m), as a model's tangent bundle keeps ``series_class``, so
+    off products a push to a point reads the td(TM) that ``mht`` uses.
 
     Raises NotPolynomial when the degree-0 part of the result keeps a pole
     at y = -1.  A homology ledger is pushed by ``spaces.gysin_pushforward``.
     """
-    rel, series = sp.relative_tangent(m), bundles.genus_series("todd", max(m.source.dim, 1))
-    if rel._td is None or rel._td[0] is not series:
-        rel._td = (series, apply_series(series, rel))
-    pushed = sp.gysin_pushforward(m, k * rel._td[1])
+    pushed = sp.gysin_pushforward(m, k * _kept_series(sp.relative_tangent(m), "todd"))
     pushed.component(0).at_minus_one()  # NotPolynomial while the rank keeps a pole
     return pushed
 

@@ -11,7 +11,6 @@ from io import StringIO
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from hirzebruch import bundles
 from hirzebruch import cli
 from hirzebruch import exprlang
 from hirzebruch.errors import ParseError
@@ -434,20 +433,10 @@ class TestVerifyCommand:
         doc = json.loads(out1)
         assert set(doc) == {"command", "inputs", "results", "suites"}
 
-    def test_perturbed_series_coefficient_fails_verification(self, capsys, monkeypatch):
+    def test_perturbed_series_coefficient_fails_verification(self, capsys, poisoned_todd):
         # mutation sanity check: poison one Todd coefficient and at least one
         # suite must go red
-        real = bundles.genus_series.__wrapped__
-
-        def poisoned(kind, order):
-            series = real(kind, order)
-            if kind == "todd":
-                coeffs = list(series.coeffs)
-                coeffs[1] = coeffs[1] + LaurentY({0: 1})
-                return bundles.ChernRootSeries(kind, coeffs, order)
-            return series
-
-        monkeypatch.setattr(bundles, "genus_series", poisoned)
+        poisoned_todd()
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 1
         assert "FAIL" in out

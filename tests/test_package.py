@@ -1,6 +1,8 @@
 """The package's public names, each loaded from its module on first access."""
 
 import importlib
+import pathlib
+import re
 import sys
 import types
 
@@ -62,3 +64,13 @@ def test_motivic_class_is_an_empty_placeholder():
     assert not [k for k, v in vars(cls).items() if callable(v)]
     assert "MotivicClass" not in hirzebruch.__all__
     assert type(motivic.projective(1)) is hodge.HodgeDiamond
+
+
+def test_only_the_conftest_fixture_patches_the_genus_series():
+    # kept classes are computed once, so a raw patch of the series would
+    # leave poisoned classes on live models for later tests; the
+    # ``poisoned_todd`` fixture also swaps the table of live models
+    tests = pathlib.Path(__file__).resolve().parent
+    patch = re.compile(r"setattr\([^)]*genus_series|\bgenus_series\s*=(?!=)")
+    patching = sorted(p.name for p in tests.glob("*.py") if patch.search(p.read_text()))
+    assert patching == ["conftest.py"]

@@ -1235,6 +1235,8 @@ class TestSeldomRun:
          "pure generator power"),
         (lambda: sp.from_document(_document("integral 2*a*b = 1")), ParseError,
          "bare monomial"),
+        (lambda: sp.from_document(_document("integral a = 1")), ParseError,
+         "must have top degree"),
         (lambda: sp.from_document(_document("tangent 1 + a")), ParseError,
          "at least one 'integral'"),
     ], ids=["projective-negative", "bundle-off-base", "chern-constant-term",
@@ -1242,7 +1244,7 @@ class TestSeldomRun:
             "projection-axis", "inclusion-of-P2", "embedding-P3-in-P2",
             "pushforward-off-source", "document-directive", "document-relation-sum",
             "document-relation-mixed", "document-relation-scaled", "document-integral-scaled",
-            "document-no-integral"])
+            "document-integral-degree", "document-no-integral"])
     def test_refusal(self, call, error, reason):
         with pytest.raises(error, match=reason):
             call()

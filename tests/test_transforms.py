@@ -123,40 +123,23 @@ class TestMhcY:
         assert val == LaurentY({1: -1, 2: -1})
 
 
-def poison_todd(monkeypatch, orders=None):
-    """Patch ``bundles.genus_series`` so that the Todd series, at every order
-    or only at ``orders``, has its x coefficient raised by 1."""
-    real = bundles.genus_series
-
-    def poisoned(kind, order):
-        series = real(kind, order)
-        if kind == "todd" and (orders is None or order in orders):
-            coeffs = list(series.coeffs)
-            coeffs[1] = coeffs[1] + LaurentY({0: 1})
-            return bundles.ChernRootSeries(kind, coeffs, order)
-        return series
-
-    monkeypatch.setattr(bundles, "genus_series", poisoned)
-
-
 class TestModelMemo:
-    def test_genus_follows_a_patched_todd_series(self, monkeypatch):
+    def test_genus_follows_a_patched_todd_series(self, poisoned_todd):
+        # a kept class stays as it was; a model built after the patch sees it
         p2 = sp.projective(2)
-        before = chi_y_genus(p2)
-        poison_todd(monkeypatch)
-        assert chi_y_genus(p2) != before
-        monkeypatch.undo()
-        assert chi_y_genus(p2) == before
+        before, todd = chi_y_genus(p2), transforms._todd(p2)
+        poisoned_todd()
+        assert chi_y_genus(p2) is before and transforms._todd(p2) is todd
+        assert chi_y_genus(sp.projective(2)) != before
 
-    def test_product_genus_follows_a_patched_factor_series(self, monkeypatch):
+    def test_product_genus_follows_a_patched_factor_series(self, poisoned_todd):
         # a product's Todd class is the exterior product of its factors', so
-        # it follows a patch of the series at a factor's order alone
+        # a product built after a patch at a factor's order alone sees it
         prod = sp.product(*[sp.projective(1)] * 3)
-        before = chi_y_genus(prod)
-        poison_todd(monkeypatch, orders=(1,))
-        assert chi_y_genus(prod) != before
-        monkeypatch.undo()
-        assert chi_y_genus(prod) == before
+        before, todd = chi_y_genus(prod), transforms._todd(prod)
+        poisoned_todd(orders=(1,))
+        assert chi_y_genus(prod) == before and transforms._todd(prod) is todd
+        assert chi_y_genus(sp.product(*[sp.projective(1)] * 3)) != before
 
     def test_closed_class_is_unchanged_by_arithmetic(self):
         p2 = sp.projective(2)
@@ -235,18 +218,35 @@ class TestKeptRelativeTodd:
         assert pushforward(sp.product_projection(prod, 0), prod.one()) == pi.target.one()
         assert len(calls) == 1
 
-    def test_a_patched_series_gives_a_fresh_relative_todd_class(self, monkeypatch):
-        base = sp.projective(1)
-        tot = fresh(lambda: sp.projective_bundle(base, sp.sum_of_line_bundles(base, [0, 1])))
+    def test_a_patched_series_gives_a_fresh_relative_todd_class(self, poisoned_todd):
+        def build():
+            base = sp.projective(1)
+            return sp.projective_bundle(base, sp.sum_of_line_bundles(base, [0, 1]))
+
+        tot = fresh(build)
         pi = sp.bundle_projection(tot)
-        rel = sp.relative_tangent(pi)
         before = pushforward(pi, tot.one())
-        kept = rel._td[1]
-        poison_todd(monkeypatch)
-        assert pushforward(pi, tot.one()) != before
-        assert rel._td[1] == apply_series(bundles.genus_series("todd", tot.dim), rel) != kept
-        monkeypatch.undo()
-        assert pushforward(pi, tot.one()) == before and rel._td[1] == kept
+        kept = sp.relative_tangent(pi)._series["todd"]
+        poisoned_todd()
+        assert pushforward(pi, tot.one()) == before
+        assert sp.relative_tangent(pi)._series["todd"] is kept
+        new = build()
+        new_pi = sp.bundle_projection(new)
+        assert pushforward(new_pi, new.one()) != before
+        rel = sp.relative_tangent(new_pi)
+        assert rel._series["todd"] == apply_series(bundles.genus_series("todd", new.dim), rel) != kept
+
+    def test_a_push_to_a_point_reads_the_kept_todd_class(self, monkeypatch):
+        # td(TX) is kept on the tangent bundle, which is also the relative
+        # tangent bundle of the constant map: mht and the push share it
+        p2 = fresh(lambda: sp.projective(2))
+        todd = transforms._todd(p2)
+        calls = counted_apply_series(monkeypatch)
+        pushed = pushforward(sp.constant_map(p2), mhc_y(p2))
+        assert not calls
+        assert degree(pushed) == chi_y_genus(p2)
+        assert transforms.series_class(p2, "todd") is todd
+        assert sp.relative_tangent(sp.constant_map(p2))._series["todd"] is todd
 
 
 class TestMht:

@@ -192,22 +192,8 @@ class TestSeriesLog:
         assert sorted(computed) == sorted((id(log), k) for _, log in fresh_series.values()
                                           for k in range(1, len(log)))
 
-    def test_a_patched_todd_series_gets_its_own_log(self, monkeypatch):
-        # the series of the poisoned-Todd CLI test, one object per order
-        real = bundles.genus_series.__wrapped__
-        made = {}
-
-        def poisoned(kind, order):
-            if (kind, order) not in made:
-                series = real(kind, order)
-                if kind == "todd":
-                    coeffs = list(series.coeffs)
-                    coeffs[1] = coeffs[1] + LaurentY({0: 1})
-                    series = bundles.ChernRootSeries(kind, coeffs, order)
-                made[kind, order] = series
-            return made[kind, order]
-
-        monkeypatch.setattr(bundles, "genus_series", poisoned)
+    def test_a_patched_todd_series_gets_its_own_log(self, monkeypatch, poisoned_todd):
+        made = poisoned_todd()
         logs = counted(monkeypatch, bundles, "_series_log")
         results = verify.run_suites("ghrr")
         assert sorted(made) == [("todd", n) for n in range(1, 5)]
