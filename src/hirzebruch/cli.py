@@ -113,7 +113,7 @@ def _cmd_genus(args):
     else:
         from . import transforms as tr
         space = exprlang.load_space(args.space)
-        mode = "open_complement" if space.log is not None else "closed"
+        mode = "open_complement" if space.divisors is not None else "closed"
         chi = tr.chi_y_genus(space, mode)
         inputs = {"space": space.name, "mode": mode}
     results.update({

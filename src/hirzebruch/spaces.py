@@ -50,24 +50,27 @@ the product of the factors' genera.  ``+`` and the scalar ``*`` keep their
 own short paths.  Every series of a class, Newton's identities both ways,
 exp and (1+x)^a, is one ``graded_recurrence``, one kernel call per degree.
 
-A model also keeps the characteristic classes that depend on it alone, in
-``_classes``, next to the product table: its tangent bundle, which keeps its
-Chern character (on P^n built with its splitting) and its classes under the
-built-in genus series (Todd, and any other a caller asks for), the relative
-tangent bundle of a projective bundle's projection (built with the model)
-and of each product projection, which keeps its ch and, for
-``transforms.pushforward``, td(T_rel), the closed K-class ``mhc_y(X)`` (a
-``CohClass``, its Chern character), on a product the series classes (the
-exterior products of the factors') and, except on a product, the closed
-genus.  Each is computed once, on first use, by ``transforms``, and kept.
-Classes that depend on variation data (in either mode) are not kept.
+A model keeps its bundles and the classes that depend on it alone in
+``_classes``, next to the product table: ``"tangent"``, TM (on P^n with
+its splitting), which keeps its Chern character and its classes under the
+built-in genus series; ``"log"``, the log-cotangent bundle of a model with
+boundary; T_rel of a projective bundle's projection and of each product
+projection, which keeps its ch and td(T_rel); ``"closed"``, the closed
+K-class ``mhc_y(X)``, a ``CohClass`` (its Chern character); off products
+``"genus"``, the closed genus, and on a product its series classes.  A
+builder sets the bundles; a product builds its ``"tangent"`` and ``"log"``
+on first use, as ``product_projection`` builds T_rel, and ``transforms``
+computes each class once, on first use.  Classes that depend on variation
+data (in either mode) are not kept.  ``divisors`` is the boundary data:
+None on a model without it, else a tuple of divisor classes, ``()`` for a
+boundary of no hyperplanes (``Arr(n,0)``), on which the open complement is
+the closed model.
 
-A product's classes are exterior products of its factors' kept classes, so
-its product table stays empty until a product is taken on its ring.  Such
-a class has up to 2^k terms for k factors, so a product builds its tangent
-Chern class and log-cotangent bundle on first read (``_FirstRead``): the
-model costs what its factors cost, and its genus is the product of their
-kept genera.  ``describe`` and the classes a caller asks for cost 2^k.
+A product's classes are exterior products of its factors' kept classes, of
+up to 2^k terms for k factors, so its product table stays empty until a
+product is taken on its ring, the model costs what its factors cost, and its
+genus is the product of their kept genera.  ``describe`` and the classes a
+caller asks for cost 2^k.
 
 A built-in map, a ``SpaceMap``, carries what it does: ``push`` (its Gysin
 map), ``pull`` (its ring pullback, or None), ``tangent`` (a function giving
@@ -97,7 +100,7 @@ from itertools import accumulate, product as cartesian
 from math import comb, lcm, prod
 from operator import add
 
-from .errors import InvalidParameter, NotPolynomial, ParseError, UnsupportedMap
+from .errors import InvalidParameter, MissingLogStructure, NotPolynomial, ParseError, UnsupportedMap
 from .rings import (_at_minus_one, _integer, _negated, _num_product, _num_scaled, _num_sum,
                     _numerator, _over, _parts, _power, _reduced, _y_inverted, _ydict, printed,
                     render_monomial)
@@ -475,50 +478,15 @@ class BundleClass:
         return f"BundleClass(rank={self.rank}, c={self.space.render_class(self.total_chern)!r})"
 
 
-class _FirstRead:
-    """An attribute whose private slot ``_<name>`` holds its value, or a
-    function of no arguments that gives it: the function runs on the first
-    read and its value replaces it in the slot."""
-
-    def __set_name__(self, owner, name):
-        self.slot = vars(owner)["_" + name]
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        v = self.slot.__get__(obj)
-        if callable(v):
-            v = v()
-            self.slot.__set__(obj, v)
-        return v
-
-    def __set__(self, obj, v):
-        self.slot.__set__(obj, v)
-
-
-class LogStructure:
-    """Boundary data for an open complement inside the model: the classes of
-    the normal-crossing divisor components and the logarithmic cotangent
-    bundle along them, given as a bundle or a function that builds it."""
-
-    __slots__ = ("divisors", "_log_cotangent")
-
-    log_cotangent = _FirstRead()
-
-    def __init__(self, divisors, log_cotangent):
-        self.divisors = tuple(divisors)
-        self.log_cotangent = log_cotangent
-
-
 class SpaceModel:
-    """Immutable model; build with the module constructors below."""
+    """Immutable model; build with the module constructors below.  Its
+    bundles are ``tangent_bundle()`` and ``log_cotangent()``; ``divisors``
+    is None without boundary data, else the boundary divisor classes."""
 
     __slots__ = (
-        "key", "name", "dim", "gens", "_rules", "_integrals", "_tangent_chern", "log",
+        "key", "name", "dim", "gens", "_rules", "_integrals", "divisors",
         "factors", "base", "_products", "_table_den", "_classes", "_caps", "__weakref__",
     )
-
-    tangent_chern = _FirstRead()  # c(TM), or a function that builds it on first read
 
     def __init__(self, key, name, dim, gens, rules, integrals, factors=(), base=None):
         self.key = key
@@ -527,8 +495,7 @@ class SpaceModel:
         self.gens = tuple(gens)
         self._rules = tuple(rules)
         self._integrals = dict(integrals)
-        self.tangent_chern = None
-        self.log = None
+        self.divisors = None  # the boundary divisor classes, when there is boundary data
         self.factors = tuple(factors)  # a product's factor models
         self.base = base  # a projective bundle's base model
         self._products = {}  # e1 -> {e2: reduced product terms}, filled lazily
@@ -622,10 +589,33 @@ class SpaceModel:
         return _over(total, c._d * w, c._k)
 
     def tangent_bundle(self):
-        """TM, one instance kept in ``_classes``, so its Chern character is computed once."""
-        if "tangent" not in self._classes:
-            self._classes["tangent"] = BundleClass(self.dim, self.tangent_chern)
-        return self._classes["tangent"]
+        """TM, one instance kept in ``_classes["tangent"]``, so its Chern
+        character is computed once: set by the builder, and on a product
+        built on first use as the exterior product of the factors'."""
+        out = self._classes.get("tangent")
+        if out is None:
+            out = self._classes["tangent"] = BundleClass(self.dim, exterior_product(
+                *(f.tangent_chern for f in self.factors), space=self))
+        return out
+
+    @property
+    def tangent_chern(self):
+        """c(TM)."""
+        return self.tangent_bundle().total_chern
+
+    def log_cotangent(self):
+        """Omega^1(log D) for the boundary divisors D, kept in ``_classes["log"]``
+        as ``tangent_bundle`` keeps TM (a product's factor without boundary
+        data gives its cotangent bundle); MissingLogStructure without D."""
+        out = self._classes.get("log")
+        if out is None:
+            if self.divisors is None:
+                raise MissingLogStructure(f"{self.name} has no boundary arrangement")
+            logs = [f.tangent_bundle().dual() if f.divisors is None else f.log_cotangent()
+                    for f in self.factors]
+            out = self._classes["log"] = BundleClass(sum(V.rank for V in logs), exterior_product(
+                *(V.total_chern for V in logs), space=self))
+        return out
 
     def canonical_chern_root(self):
         """-c1(TM), the Chern root of the canonical bundle; on a product the
@@ -665,10 +655,10 @@ class SpaceModel:
             "integrals": {render_monomial(self.gens, e) or "1": printed(str, w)
                           for e, w in sorted(self._integrals.items())},
         }
-        if self.log is not None:
-            info["boundary_divisors"] = [self.render_class(d) for d in self.log.divisors]
-            info["log_cotangent_rank"] = self.log.log_cotangent.rank
-            info["log_cotangent_chern"] = self.render_class(self.log.log_cotangent.total_chern)
+        if self.divisors is not None:
+            info["boundary_divisors"] = [self.render_class(d) for d in self.divisors]
+            info["log_cotangent_rank"] = self.log_cotangent().rank
+            info["log_cotangent_chern"] = self.render_class(self.log_cotangent().total_chern)
         return info
 
     def __repr__(self):
@@ -705,9 +695,9 @@ def _projective(key, n):
         rules=[(n + 1, {})],
         integrals={(n,): Fraction(1)},
     )
-    m.tangent_chern = CohClass._raw(m, {(j,): comb(n + 1, j) for j in range(n + 1)})
     # the Euler sequence: T + O = (n+1) O(1)
-    m._classes["tangent"] = BundleClass(n, m.tangent_chern, (n + 1, m.gen_class(0)))
+    m._classes["tangent"] = BundleClass(
+        n, CohClass._raw(m, {(j,): comb(n + 1, j) for j in range(n + 1)}), (n + 1, m.gen_class(0)))
     return m
 
 
@@ -752,17 +742,10 @@ def _product(key, flat):
         factors=flat,
     )
     m._caps = sum((_block_caps(f, i) for i, f in zip(offsets, flat)), ())
-    # the exterior products have 2^k terms for k factors: built on first read
-    m.tangent_chern = lambda: exterior_product(*(f.tangent_chern for f in flat), space=m)
-    if any(f.log is not None for f in flat):
-        # factors without boundary data contribute an empty arrangement,
-        # i.e. their plain cotangent bundle
-        logs = [f.tangent_bundle().dual() if f.log is None else f.log.log_cotangent for f in flat]
-        rank = sum(V.rank for V in logs)
-        m.log = LogStructure(
-            [pull_to_product(m, i, d) for i, f in enumerate(flat) if f.log is not None
-             for d in f.log.divisors],
-            lambda: BundleClass(rank, exterior_product(*(V.total_chern for V in logs), space=m)))
+    # its bundles, exterior products of up to 2^k terms, are built on first use
+    if any(f.divisors is not None for f in flat):
+        m.divisors = tuple(pull_to_product(m, i, d) for i, f in enumerate(flat)
+                           if f.divisors is not None for d in f.divisors)
     return m
 
 
@@ -847,7 +830,7 @@ def projective_bundle(base, E):
     r = E.rank
     if r < 1:
         raise InvalidParameter("projective bundle needs rank >= 1")
-    if base.log is not None:
+    if base.divisors is not None:
         raise InvalidParameter(f"{base.name} carries boundary data; P(E) needs a closed base")
     if E.space.key != base.key:
         raise InvalidParameter("bundle does not live on the base")
@@ -887,7 +870,7 @@ def _projective_bundle(key, base, E):
     m._caps = _block_caps(base, 0)
     rel_chern = CohClass(m, twisted)
     rel = m._classes["relative_tangent"] = BundleClass(r - 1, rel_chern)
-    m.tangent_chern = _embedded(m, 0, base.tangent_chern) * rel_chern
+    m._classes["tangent"] = BundleClass(m.dim, _embedded(m, 0, base.tangent_chern) * rel_chern)
     # T(P(E)) is the lifted T(base) plus T_rel, so ch(T_rel) is a difference of kept classes
     rel._ch = lambda ch: ch(m.tangent_bundle()) - _embedded(m, 0, ch(base.tangent_bundle()))
     return m
@@ -915,7 +898,8 @@ def _hypersurface(key, n, d):
         integrals={(n - 1,): Fraction(d)},
     )
     h = m.gen_class(0)
-    m.tangent_chern = _one_plus_power(h, n + 1) * _one_plus_power(h * d, -1)
+    m._classes["tangent"] = BundleClass(
+        n - 1, _one_plus_power(h, n + 1) * _one_plus_power(h * d, -1))
     return m
 
 
@@ -926,7 +910,7 @@ def with_arrangement(space, k):
     cotangent bundle, whose total Chern class (1-h)^(n+1-k) comes from the
     residue sequence relating it to the plain cotangent bundle.
     """
-    if space.log is not None:
+    if space.divisors is not None:
         raise InvalidParameter(f"{space.name} already carries a boundary arrangement")
     if space.key[0] != "proj":
         raise InvalidParameter("arrangements are modeled on projective space")
@@ -941,7 +925,8 @@ def _arrangement(key, n, k):
     m.name = f"P{n}\\{k}H"
     h = m.gen_class(0)
     # the residue sequence: in K-theory the bundle is (n+1-k) O(-1) + (k-1) O
-    m.log = LogStructure([h] * k, BundleClass(n, _one_plus_power(-h, n + 1 - k), (n + 1 - k, -h)))
+    m.divisors = (h,) * k
+    m._classes["log"] = BundleClass(n, _one_plus_power(-h, n + 1 - k), (n + 1 - k, -h))
     return m
 
 
@@ -1243,6 +1228,9 @@ def from_document(text):
     if tangent_src is None:
         raise ParseError("document needs a 'tangent' line", 0)
     tangent_raw = parse_class_terms(tangent_src, once["tangent"])
+    if tangent_raw.get((0,) * width, 0) != 1:  # rewriting keeps the degree
+        raise ParseError(f"tangent Chern class must have constant term 1 "
+                         f"(line {once['tangent']})", 0)
 
     def terms(raw):  # sorted by monomial, as ints
         return tuple(sorted((e, v.numerator, v.denominator) for e, v in raw.items()))
@@ -1250,10 +1238,7 @@ def from_document(text):
     def build(key):
         m = SpaceModel(key=key, name="custom", dim=dim, gens=gens, rules=rules,
                        integrals=integral_exps)
-        m.tangent_chern = CohClass(m, tangent_raw)
-        if m.tangent_chern.coeff(m._zero_exp) != 1:
-            raise ParseError(f"tangent Chern class must have constant term 1 "
-                             f"(line {once['tangent']})", 0)
+        m._classes["tangent"] = BundleClass(dim, CohClass(m, tangent_raw))
         return m
 
     return _model(("custom", dim, tuple(gens), tuple((r, terms(rel)) for r, rel in rules),

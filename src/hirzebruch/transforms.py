@@ -45,7 +45,10 @@ from .spaces import CohClass
 
 def _kept_series(V, kind):
     """The class of the bundle V under the built-in genus series ``kind``,
-    at V's model's order, kept on V after its one computation."""
+    at V's model's order, kept on V after its one computation; a product's
+    own tangent bundle reads ``series_class``, the factors' exterior product."""
+    if V.space.factors and V is V.space._classes.get("tangent"):
+        return series_class(V.space, kind)
     out = V._series.get(kind)
     if out is None:
         out = V._series[kind] = apply_series(bundles.genus_series(kind, max(V.space.dim, 1)), V)
@@ -75,7 +78,9 @@ def _todd(space):
 def _factor_modes(space, mode):
     """A product model's factors, each with its share of ``mode``: a factor
     without boundary data takes the closed mode."""
-    return [(f, mode if f.log is not None else "closed") for f in space.factors]
+    if mode != "closed" and space.divisors is None:
+        raise MissingLogStructure(f"{space.name} has no boundary arrangement")
+    return [(f, mode if f.divisors is not None else "closed") for f in space.factors]
 
 
 def _by_factor(space, mode):
@@ -135,9 +140,7 @@ def mhc_y(space, mode="closed", data=None):
             out = space._classes["closed"] = (_by_factor(space, mode) if product
                                               else lambda_y(space.tangent_bundle().dual()))
     elif mode == "open_complement":
-        if space.log is None:
-            raise MissingLogStructure(f"{space.name} has no boundary arrangement")
-        out = _by_factor(space, mode) if product else lambda_y(space.log.log_cotangent)
+        out = _by_factor(space, mode) if product else lambda_y(space.log_cotangent())
     else:
         raise InvalidParameter(f"unknown mode {mode!r}")
     return out if data is None else mhc_cohomological(space, data) * out
@@ -179,8 +182,6 @@ def chi_y_genus(space, mode="closed", data=None):
     if kept and "genus" in space._classes:
         return space._classes["genus"]
     if space.factors and data is None and mode in ("closed", "open_complement"):
-        if space.log is None and mode != "closed":
-            raise MissingLogStructure(f"{space.name} has no boundary arrangement")
         return prod(chi_y_genus(f, m) for f, m in _factor_modes(space, mode))
     top = mhc_y(space, mode, data).multiply(_todd(space), space.dim)
     genus = space.integrate(top).reduce_unit_denominator()

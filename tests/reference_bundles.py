@@ -236,7 +236,7 @@ def product_tangent_bundle(prod):
 def product_log_cotangent(prod):
     """The log-cotangent bundle of a product with boundary data: a factor
     without boundary data contributes its plain cotangent bundle."""
-    logs = [f.tangent_bundle().dual() if f.log is None else f.log.log_cotangent
+    logs = [f.tangent_bundle().dual() if f.divisors is None else f.log_cotangent()
             for f in prod.factors]
     return BundleClass(sum(V.rank for V in logs),
                        _pulled_product(prod, [V.total_chern for V in logs]))

@@ -177,7 +177,7 @@ class TestLambda:
 
     def test_toric_log_cotangent(self):
         arr = sp.with_arrangement(sp.projective(2), 3)
-        lam = lambda_y(arr.log.log_cotangent)
+        lam = lambda_y(arr.log_cotangent())
         one_y = LaurentY({0: 1, 1: 1})
         assert lam == arr.one() * (one_y**2)
 
@@ -235,8 +235,8 @@ KERNEL_SPACES = [sp.projective(n) for n in range(1, 7)] + [
 def _bundles(space):
     out = [space.tangent_bundle(), space.tangent_bundle().dual(),
            sp.sum_of_line_bundles(space, [2, -1])]
-    if space.log is not None:
-        out.append(space.log.log_cotangent)
+    if space.divisors is not None:
+        out.append(space.log_cotangent())
     return out
 
 
@@ -349,9 +349,9 @@ class TestReducedRootLambda:
             _same_lambda(V)
 
     def test_log_cotangent_of_an_arrangement(self):
-        _same_lambda(sp.with_arrangement(sp.projective(3), 3).log.log_cotangent)
+        _same_lambda(sp.with_arrangement(sp.projective(3), 3).log_cotangent())
         toric = sp.with_arrangement(sp.projective(3), 4)
-        lam = _same_lambda(toric.log.log_cotangent)
+        lam = _same_lambda(toric.log_cotangent())
         assert lam == toric.one() * LaurentY({0: 1, 1: 1}) ** 3
 
     def test_rank_zero(self):
@@ -504,7 +504,7 @@ def _split_bundles():
     for n in range(7):
         for k in range(n + 2):
             out.append((f"log-Arr({n},{k})",
-                        fresh(lambda: sp.with_arrangement(sp.projective(n), k)).log.log_cotangent))
+                        fresh(lambda: sp.with_arrangement(sp.projective(n), k)).log_cotangent()))
     return out
 
 
@@ -527,7 +527,7 @@ class TestSplitBundles:
         assert p3.tangent_bundle().splitting == (4, h)
         assert p3.tangent_bundle().dual().splitting == (4, -h)
         arr = sp.with_arrangement(p3, 2)
-        assert arr.log.log_cotangent.splitting == (2, -arr.gen_class(0))
+        assert arr.log_cotangent().splitting == (2, -arr.gen_class(0))
         # sums, line bundles and other models take the Newton route
         assert sp.line_bundle(p3, 1).splitting is None
         assert (p3.tangent_bundle() + sp.trivial_bundle(p3, 1)).splitting is None
@@ -543,8 +543,9 @@ class TestCanonicalRoot:
     def test_product_root_reads_the_factors(self, build):
         X = fresh(build)
         root = X.canonical_chern_root()
-        assert callable(X._tangent_chern)  # c(TX) is not built
+        assert "tangent" not in X._classes  # TX is not built
         assert root == -X.tangent_chern.component(1)
+        assert X._classes["tangent"].total_chern is X.tangent_chern
 
     def test_k_dual_on_a_large_product_builds_no_tangent_class(self, time_limit):
         # c(TX) has 4,096 terms, and so do k and ch(omega): omega multiplies in by factor
@@ -552,7 +553,7 @@ class TestCanonicalRoot:
         with time_limit(10):
             c = mhc_y(X)
             assert k_dual(c) == c * LaurentY({-12: 1})
-        assert callable(X._tangent_chern)
+        assert "tangent" not in X._classes
 
 
 class TestRefusals:

@@ -306,7 +306,7 @@ class TestSpaceSpec:
     def test_hypersurface_and_arrangement(self):
         assert ex.parse_space("Hyp(3,4)").key == ("hyp", 3, 4)
         arr = ex.parse_space("Arr(2,3)")
-        assert arr.log is not None and len(arr.log.divisors) == 3
+        assert arr.divisors is not None and len(arr.divisors) == 3
 
     def test_errors(self):
         for bad in ("P", "Proj(P1)", "Hyp(3)", "P1yP2", "Arr(2,3"):

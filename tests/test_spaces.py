@@ -89,16 +89,16 @@ class TestConstruction:
 
     def test_toric_boundary_has_trivial_log_bundle(self):
         arr = sp.with_arrangement(sp.projective(2), 3)
-        assert arr.log.log_cotangent.rank == 2
-        assert arr.log.log_cotangent.total_chern == arr.one()
+        assert arr.log_cotangent().rank == 2
+        assert arr.log_cotangent().total_chern == arr.one()
 
     def test_arrangement_extremes(self):
         n = 3
         full = sp.with_arrangement(sp.projective(n), n + 1)
-        assert full.log.log_cotangent.total_chern == full.one()
+        assert full.log_cotangent().total_chern == full.one()
         none = sp.with_arrangement(sp.projective(n), 0)
         h = none.gen_class(0)
-        assert none.log.log_cotangent.total_chern == (none.one() - h) ** (n + 1)
+        assert none.log_cotangent().total_chern == (none.one() - h) ** (n + 1)
 
     def test_preconditions(self):
         with pytest.raises(InvalidParameter):
@@ -146,7 +146,7 @@ class TestConstruction:
             sp.with_arrangement(arr, 1)
         with pytest.raises(InvalidParameter):
             sp.with_arrangement(sp.with_arrangement(sp.projective(1), 0), 2)
-        assert len(arr.log.divisors) == 1
+        assert len(arr.divisors) == 1
 
     def test_bundle_whose_chern_class_depends_on_y_is_refused(self, monkeypatch):
         p1 = sp.projective(1)
@@ -819,8 +819,8 @@ def family_members():
 
 def _bundles_on(space):
     out = [space.tangent_bundle(), space.tangent_bundle().dual()]
-    if space.log is not None:
-        out.append(space.log.log_cotangent)
+    if space.divisors is not None:
+        out.append(space.log_cotangent())
     return out
 
 
@@ -1103,10 +1103,10 @@ def assert_same_model(a, b):
     assert (a.base and a.base.key) == (b.base and b.base.key)
     assert _read(a.describe) == _read(b.describe)
     assert _read(lambda: a.tangent_chern) == _read(lambda: b.tangent_chern)
-    assert (a.log is None) == (b.log is None)
-    if a.log is not None:
-        assert a.log.divisors == b.log.divisors
-        assert _read(lambda: a.log.log_cotangent) == _read(lambda: b.log.log_cotangent)
+    assert (a.divisors is None) == (b.divisors is None)
+    if a.divisors is not None:
+        assert a.divisors == b.divisors
+        assert _read(lambda: a.log_cotangent()) == _read(lambda: b.log_cotangent())
 
 
 class TestModelKey:
@@ -1137,7 +1137,7 @@ class TestModelKey:
         for n in range(1, 4):
             torus, lines = sp.product(*[gm] * n), sp.product(*[sp.projective(1)] * n)
             assert torus is not lines and torus.key != lines.key
-            assert torus.log is not None and lines.log is None
+            assert torus.divisors is not None and lines.divisors is None
 
     def test_only_the_plain_point_is_dropped_from_a_product(self):
         # an arrangement on P0 is kept with its boundary data, as it is alone
@@ -1146,7 +1146,7 @@ class TestModelKey:
         for k in (0, 1):
             space = sp.product(sp.with_arrangement(sp.point(), k), p1)
             assert space.key == ("product", ("arr", 0, k), ("proj", 1))
-            assert space.log is not None
+            assert space.divisors is not None
 
     def test_arrangement_leaves_projective_space_unchanged(self):
         p2 = sp.projective(2)
@@ -1154,7 +1154,7 @@ class TestModelKey:
         arr = sp.with_arrangement(p2, 2)
         assert arr is not p2 and arr.name == "P2\\2H"
         assert sp.projective(2) is p2
-        assert (p2.name, p2.log, p2.factors, p2.base, p2.describe()) == (
+        assert (p2.name, p2.divisors, p2.factors, p2.base, p2.describe()) == (
             "P2", None, (), None, before)
 
     def test_open_restriction_maps_to_the_compactification(self):

@@ -248,6 +248,23 @@ class TestKeptRelativeTodd:
         assert transforms.series_class(p2, "todd") is todd
         assert sp.relative_tangent(sp.constant_map(p2))._series["todd"] is todd
 
+    @pytest.mark.parametrize("todd_first", [True, False], ids=["kept-todd", "no-kept-todd"])
+    def test_a_product_pushed_to_a_point_reads_the_exterior_todd_class(
+            self, monkeypatch, todd_first):
+        # td(TX) of a product is the exterior product of the factors': the
+        # push runs no series on the product ring, with or without a kept one
+        X = fresh(lambda: sp.product(sp.projective(1), sp.projective(2)))
+        if todd_first:
+            transforms._todd(X)
+        calls = counted_apply_series(monkeypatch)
+        pushed = pushforward(sp.constant_map(X), mhc_y(X))
+        assert all(V.space is not X for V in calls)
+        assert len(calls) == (0 if todd_first else 2)  # the factors' td, once each
+        assert degree(pushed) == chi_y_genus(X)
+        assert not X.tangent_bundle()._series
+        assert transforms.series_class(X, "todd") == apply_series(
+            bundles.genus_series("todd", X.dim), BundleClass(X.dim, X.tangent_chern))
+
 
 class TestMht:
     def test_pole_in_the_chern_character(self):
@@ -313,7 +330,7 @@ class TestMht:
     def test_normalized_output_has_no_pole(self):
         for space in (sp.projective(3), sp.hypersurface(3, 4),
                       sp.with_arrangement(sp.projective(3), 2)):
-            mode = "open_complement" if space.log is not None else "closed"
+            mode = "open_complement" if space.divisors is not None else "closed"
             # a coefficient keeps a power of (1+y) in its denominator
             # exactly when a pole at y = -1 remains
             for _, v in mht(mhc_y(space, mode)).items():
@@ -461,7 +478,7 @@ class TestExterior:
 
     @pytest.mark.parametrize("space", OPEN_PRODUCTS, ids=model_id)
     def test_open_classes_match_the_product_ring(self, space):
-        assert space.log.log_cotangent == ref.product_log_cotangent(space)
+        assert space.log_cotangent() == ref.product_log_cotangent(space)
         assert mhc_y(space, "open_complement") == ref.product_open_class(space)
 
     def test_n_way_product_is_the_binary_product_repeated(self):
@@ -522,32 +539,92 @@ def product_ring_route(space, mode):
     if mode == "closed":
         k = lambda_y(V.dual())
     else:
-        log = space.log.log_cotangent
+        log = space.log_cotangent()
         k = lambda_y(BundleClass(log.rank, log.total_chern))
     return k, apply_series(bundles.genus_series("todd", space.dim), V)
 
 
 class TestFirstRead:
-    """A product builds its tangent and log-cotangent classes on first read;
-    they equal the exterior products built eagerly from the factors."""
+    """A product builds its tangent and log-cotangent bundles on first use,
+    keeps them in ``_classes``, and reads neither for its genus or its
+    K-classes; they equal the exterior products of the factors' bundles."""
 
     @pytest.mark.parametrize("space", CLOSED_PRODUCTS + TWO_ROUTE_OPEN, ids=model_id)
     def test_lazy_classes_match_the_eager_ones(self, space):
         factors = space.factors
-        fresh = sp._product(space.key, factors)  # an instance whose classes are unread
-        assert callable(fresh._tangent_chern)
-        assert fresh.tangent_chern == sp.exterior_product(
+        fresh = sp._product(space.key, factors)  # an instance whose bundles are unread
+        assert "tangent" not in fresh._classes and "log" not in fresh._classes
+        T = fresh.tangent_bundle()
+        assert fresh._classes["tangent"] is T is fresh.tangent_bundle()
+        assert fresh.tangent_chern is T.total_chern
+        assert T.rank == fresh.dim
+        assert T.total_chern == sp.exterior_product(
             *(f.tangent_chern for f in factors), space=fresh)
-        if space.log is not None:
-            assert callable(fresh.log._log_cotangent)
-            logs = [f.tangent_bundle().dual() if f.log is None else f.log.log_cotangent
+        if space.divisors is not None:
+            assert "log" not in fresh._classes
+            logs = [f.tangent_bundle().dual() if f.divisors is None else f.log_cotangent()
                     for f in factors]
-            log = fresh.log.log_cotangent
-            assert log.rank == sum(V.rank for V in logs) == space.log.log_cotangent.rank
+            log = fresh.log_cotangent()
+            assert fresh._classes["log"] is log is fresh.log_cotangent()
+            assert log.rank == sum(V.rank for V in logs) == space.log_cotangent().rank
             assert log.total_chern == sp.exterior_product(
                 *(V.total_chern for V in logs), space=fresh)
-        assert fresh.tangent_chern is fresh.tangent_chern
+        else:
+            with pytest.raises(MissingLogStructure):
+                fresh.log_cotangent()
+            assert "log" not in fresh._classes
         assert not fresh._products
+
+    @pytest.mark.parametrize("space", CLOSED_PRODUCTS + OPEN_PRODUCTS, ids=model_id)
+    def test_genus_and_k_classes_build_no_product_bundle(self, space):
+        fresh = sp._product(space.key, space.factors)
+        modes = ["closed"] + ["open_complement"] * (space.divisors is not None)
+        for mode in modes:
+            assert chi_y_genus(fresh, mode) == chi_y_genus(space, mode)
+            assert mhc_y(fresh, mode) == mhc_y(space, mode)
+        k_dual(mhc_y(fresh))
+        fresh.canonical_chern_root()
+        assert "tangent" not in fresh._classes and "log" not in fresh._classes
+
+
+class TestDivisors:
+    """``divisors`` is None without boundary data and a tuple with it, empty
+    for a boundary of no hyperplanes."""
+
+    @pytest.mark.parametrize("space", [P1, P2, sp.hypersurface(3, 4), PROJ, SURPLUS,
+                                       sp.product(P1, P2), sp.product(PROJ, P1)], ids=model_id)
+    def test_a_closed_model_has_none(self, space):
+        assert space.divisors is None
+        for call in (lambda: chi_y_genus(space, "open_complement"),
+                     lambda: mhc_y(space, "open_complement"), space.log_cotangent):
+            with pytest.raises(MissingLogStructure, match="no boundary arrangement"):
+                call()
+        assert "boundary_divisors" not in space.describe()
+
+    @pytest.mark.parametrize("space", [sp.with_arrangement(sp.projective(n), 0) for n in (1, 2, 3)]
+                             + [sp.product(sp.with_arrangement(P2, 0), P1),
+                                sp.product(sp.with_arrangement(P1, 0), sp.hypersurface(3, 4)),
+                                sp.product(*[sp.with_arrangement(P1, 0)] * 2)], ids=model_id)
+    def test_no_hyperplanes_give_an_empty_boundary(self, space):
+        # D empty: the log-cotangent bundle is the cotangent bundle
+        assert space.divisors == ()
+        assert space.describe()["boundary_divisors"] == []
+        assert space.log_cotangent() == space.tangent_bundle().dual()
+        assert chi_y_genus(space, "open_complement") == chi_y_genus(space, "closed")
+        assert mhc_y(space, "open_complement") == mhc_y(space, "closed")
+
+    def test_a_product_pulls_back_its_factors_divisors(self):
+        X = sp.product(ARR21, P1, GM)
+        assert X.divisors == (sp.pull_to_product(X, 0, ARR21.gen_class(0)),
+                              *(sp.pull_to_product(X, 2, d) for d in GM.divisors))
+
+    @pytest.mark.parametrize("space", [sp.with_arrangement(P2, 0), ARR21,
+                                       sp.product(sp.with_arrangement(P1, 0), P1)], ids=model_id)
+    def test_a_model_with_boundary_refuses_more_structure(self, space):
+        with pytest.raises(InvalidParameter, match="already carries a boundary arrangement"):
+            sp.with_arrangement(space, 1)
+        with pytest.raises(InvalidParameter, match="carries boundary data"):
+            sp.projective_bundle(space, sp.trivial_bundle(space, 2))
 
 
 class TestTwoRoutes:
